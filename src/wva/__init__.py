@@ -22,6 +22,7 @@ from .analytic import (
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
+    GridTooLarge,
     NonFinite,
     OrthogonalSelection,
     TailMassTooLarge,

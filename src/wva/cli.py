@@ -2,22 +2,22 @@
 sweeps, optimizer runs, and interferometer weak values.
 
 Scenarios are described by a flat key=value config file plus command-line
-overrides (flags win).  All numeric output is printed with 12 significant
-digits, scientific notation outside [1e-3, 1e6), so CSV artifacts are stable
-regression fixtures.  CSV rows of a sweep may be computed in parallel
-(``WVA_THREADS``, 0 = auto) but are always written in axis order.
+overrides (flags win).  One table of fields defines every key: its flag, its
+parser and domain check, and its line in a serialized scenario.  All numeric
+output is printed with 12 significant digits, scientific notation outside
+[1e-3, 1e6), so CSV artifacts are stable regression fixtures.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,50 +61,97 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_complex(text: str, field: str) -> complex:
+def _open(path: str, mode: str = "r"):
+    """Open a user-named file; a missing or unwritable one is a configuration error."""
     try:
-        return complex(text.strip())
-    except ValueError as exc:
-        raise ConfigError(f"field '{field}': cannot parse complex number {text!r}") from exc
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _parse_vector(text: str, field: str) -> np.ndarray:
-    parts = [t for t in text.split(",") if t.strip()]
-    if len(parts) < 2:
-        raise ConfigError(f"field '{field}': need at least two comma-separated entries")
-    return np.array([_parse_complex(t, field) for t in parts])
+def _checked(convert: Callable, ok: Callable, need: str) -> Callable:
+    """Field parser: ``convert`` the text (or number), then require ``ok`` of it."""
 
+    def parse(text, key: str):
+        try:
+            value = convert(text)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field '{key}': cannot parse {text!r}") from exc
+        if not ok(value):
+            raise ConfigError(f"field '{key}': must be {need}, got {text!r}")
+        return value
 
-def _parse_matrix(text: str, field: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    matrix = [_parse_vector(r, field) for r in rows]
-    width = len(matrix[0])
-    if any(len(r) != width for r in matrix):
-        raise ConfigError(f"field '{field}': ragged matrix rows")
-    return np.array(matrix)
+    return parse
 
 
 _PROBE_KINDS = ("gaussian", "optimal", "smoothed", "file")
 
-_CONFIG_KEYS = (
-    "g",
-    "aw_re",
-    "aw_im",
-    "chi",
-    "varphi",
-    "pre",
-    "post",
-    "obs",
-    "probe",
-    "width",
-    "smoothing",
-    "file",
-    "n_points",
-    "support_m",
-    "n_range",
-    "output",
-    "format",
+_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_count = _checked(int, lambda n: n >= 1, "a positive integer")
+_odd_count = _checked(int, lambda n: n >= 3 and n % 2 == 1, "odd and at least 3")
+_entry = _checked(lambda text: complex(text.strip()), cmath.isfinite, "a finite complex number")
+_probe_kind = _checked(str, _PROBE_KINDS.__contains__, f"one of {_PROBE_KINDS}")
+
+
+def _text(text: str, key: str) -> str:
+    return text
+
+
+def _vector(text: str, key: str) -> np.ndarray:
+    parts = [t for t in text.split(",") if t.strip()]
+    if len(parts) < 2:
+        raise ConfigError(f"field '{key}': need at least two comma-separated entries")
+    return np.array([_entry(t, key) for t in parts])
+
+
+def _matrix(text: str, key: str) -> np.ndarray:
+    rows = [r for r in text.split(";") if r.strip()]
+    matrix = [_vector(r, key) for r in rows]
+    width = len(matrix[0])
+    if any(len(r) != width for r in matrix):
+        raise ConfigError(f"field '{key}': ragged matrix rows")
+    return np.array(matrix)
+
+
+class _Field(NamedTuple):
+    key: str  # config key; the flag is --key with '-' for '_'
+    attr: str  # ScenarioConfig field; "aw.real"/"aw.imag" are the parts of ``aw``
+    parse: Callable  # (text or number, key) -> value; raises ConfigError
+    help: str
+
+
+# The order is that of serialized scenarios and of the flags in --help; the
+# shift CSV opens with the first four keys.
+_FIELDS = (
+    _Field("probe", "probe", _probe_kind, f"probe family: {', '.join(_PROBE_KINDS)}"),
+    _Field("g", "coupling", _positive, "coupling constant"),
+    _Field("aw_re", "aw.real", _finite, "weak value, real part"),
+    _Field("aw_im", "aw.imag", _finite, "weak value, imaginary part"),
+    _Field("chi", "chi", _finite, "injection angle (radians)"),
+    _Field("varphi", "varphi", _finite, "polarizer angle (radians)"),
+    _Field("pre", "pre", _vector, "pre-selected state, comma-separated complex entries"),
+    _Field("post", "post", _vector, "post-selected state, comma-separated complex entries"),
+    _Field("obs", "obs", _matrix, "observable matrix, ';'-separated rows"),
+    _Field("width", "width", _positive, "gaussian momentum width"),
+    _Field("smoothing", "smoothing", _positive, "smoothing rate for probe=smoothed"),
+    _Field("file", "probe_file", _text, "probe CSV for probe=file"),
+    _Field("n_points", "n_points", _odd_count, "grid points (odd)"),
+    _Field("support_m", "support_extent", _count, "support multiplier"),
+    _Field("n_range", "n_range", _count, "discrete position range"),
+    _Field("output", "output", _text, "output CSV path (default: stdout or none)"),
 )
+
+_CONFIG_KEYS = frozenset(field.key for field in _FIELDS)
+
+
+def _show(value) -> str:
+    """Config-file text of a field value, read back exactly by its parser."""
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        return ";".join(_show(row) for row in value)
+    if isinstance(value, np.ndarray):
+        return ",".join(repr(complex(z)) for z in value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -130,7 +177,6 @@ class ScenarioConfig:
     support_extent: int = 1
     n_range: int = 16
     output: str | None = None
-    fmt: str = "csv"
 
     def selection_mode(self) -> str:
         explicit = self.aw is not None
@@ -149,70 +195,29 @@ class ScenarioConfig:
         return mode
 
     def validate(self) -> None:
+        """Checks across fields; each field's own domain is checked by its parser."""
         self.selection_mode()
-        if self.probe not in _PROBE_KINDS:
-            raise ConfigError(f"probe must be one of {_PROBE_KINDS}, got {self.probe!r}")
-        if self.probe == "smoothed" and self.smoothing is None:
-            raise ConfigError("probe=smoothed needs the smoothing key")
-        if self.probe != "smoothed" and self.smoothing is not None:
-            raise ConfigError("smoothing is only meaningful for probe=smoothed")
-        if self.probe == "file" and not self.probe_file:
-            raise ConfigError("probe=file needs the file key")
-        if self.probe != "file" and self.probe_file:
-            raise ConfigError("file is only meaningful for probe=file")
-        if self.coupling <= 0 or not math.isfinite(self.coupling):
-            raise ConfigError("g must be positive and finite")
-        if self.width <= 0:
-            raise ConfigError("width must be positive")
-        if self.n_points is not None and (self.n_points < 3 or self.n_points % 2 == 0):
-            raise ConfigError("n_points must be odd and at least 3")
-        if self.support_extent < 1:
-            raise ConfigError("support_m must be a positive integer")
-        if self.n_range < 1:
-            raise ConfigError("n_range must be a positive integer")
-        if self.fmt != "csv":
-            raise ConfigError(f"format must be 'csv', got {self.fmt!r}")
+        if (self.probe == "smoothed") != (self.smoothing is not None):
+            raise ConfigError("probe=smoothed needs the smoothing key, and no other probe takes it")
+        if (self.probe == "file") != bool(self.probe_file):
+            raise ConfigError("probe=file needs the file key, and no other probe takes it")
 
     def to_text(self) -> str:
         """Serialize as a config file; parsing it back yields an identical
         scenario (the round-trip contract)."""
-        lines = [f"g={self.coupling!r}"]
-        if self.aw is not None:
-            lines.append(f"aw_re={self.aw.real!r}")
-            lines.append(f"aw_im={self.aw.imag!r}")
-        if self.chi is not None:
-            lines.append(f"chi={self.chi!r}")
-        if self.varphi is not None:
-            lines.append(f"varphi={self.varphi!r}")
-        if self.pre is not None:
-            lines.append("pre=" + ",".join(repr(complex(z)) for z in self.pre))
-        if self.post is not None:
-            lines.append("post=" + ",".join(repr(complex(z)) for z in self.post))
-        if self.obs is not None:
-            lines.append(
-                "obs=" + ";".join(",".join(repr(complex(z)) for z in row) for row in self.obs)
-            )
-        lines.append(f"probe={self.probe}")
-        if self.probe == "gaussian":
-            lines.append(f"width={self.width!r}")
-        if self.smoothing is not None:
-            lines.append(f"smoothing={self.smoothing!r}")
-        if self.probe_file:
-            lines.append(f"file={self.probe_file}")
-        if self.n_points is not None:
-            lines.append(f"n_points={self.n_points}")
-        lines.append(f"support_m={self.support_extent}")
-        lines.append(f"n_range={self.n_range}")
-        if self.output:
-            lines.append(f"output={self.output}")
-        lines.append(f"format={self.fmt}")
+        lines = []
+        for field in _FIELDS:
+            name, _, part = field.attr.partition(".")
+            value = getattr(self, name)
+            if value is not None:
+                lines.append(f"{field.key}={_show(getattr(value, part) if part else value)}")
         return "\n".join(lines) + "\n"
 
 
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a UTF-8 key=value file ('#' comments, blank lines allowed)."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with _open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -227,57 +232,14 @@ def load_config_file(path: str) -> dict[str, str]:
     return table
 
 
-def _float_field(table: dict[str, str], key: str) -> float:
-    try:
-        return float(table[key])
-    except ValueError as exc:
-        raise ConfigError(f"field '{key}': cannot parse number {table[key]!r}") from exc
-
-
-def _int_field(table: dict[str, str], key: str) -> int:
-    try:
-        return int(table[key])
-    except ValueError as exc:
-        raise ConfigError(f"field '{key}': cannot parse integer {table[key]!r}") from exc
-
-
 def scenario_from_table(table: dict[str, str]) -> ScenarioConfig:
     """Build and validate a scenario from a flat key=value mapping."""
     kwargs: dict = {}
-    if "g" in table:
-        kwargs["coupling"] = _float_field(table, "g")
-    if "aw_re" in table or "aw_im" in table:
-        re_part = _float_field(table, "aw_re") if "aw_re" in table else 0.0
-        im_part = _float_field(table, "aw_im") if "aw_im" in table else 0.0
-        kwargs["aw"] = complex(re_part, im_part)
-    if "chi" in table:
-        kwargs["chi"] = _float_field(table, "chi")
-    if "varphi" in table:
-        kwargs["varphi"] = _float_field(table, "varphi")
-    if "pre" in table:
-        kwargs["pre"] = _parse_vector(table["pre"], "pre")
-    if "post" in table:
-        kwargs["post"] = _parse_vector(table["post"], "post")
-    if "obs" in table:
-        kwargs["obs"] = _parse_matrix(table["obs"], "obs")
-    if "probe" in table:
-        kwargs["probe"] = table["probe"]
-    if "width" in table:
-        kwargs["width"] = _float_field(table, "width")
-    if "smoothing" in table:
-        kwargs["smoothing"] = _float_field(table, "smoothing")
-    if "file" in table:
-        kwargs["probe_file"] = table["file"]
-    if "n_points" in table:
-        kwargs["n_points"] = _int_field(table, "n_points")
-    if "support_m" in table:
-        kwargs["support_extent"] = _int_field(table, "support_m")
-    if "n_range" in table:
-        kwargs["n_range"] = _int_field(table, "n_range")
-    if "output" in table:
-        kwargs["output"] = table["output"]
-    if "format" in table:
-        kwargs["fmt"] = table["format"]
+    for field in _FIELDS:
+        if field.key in table:
+            kwargs[field.attr] = field.parse(table[field.key], field.key)
+    if "aw.real" in kwargs or "aw.imag" in kwargs:
+        kwargs["aw"] = complex(kwargs.pop("aw.real", 0.0), kwargs.pop("aw.imag", 0.0))
     config = ScenarioConfig(**kwargs)
     config.validate()
     return config
@@ -288,28 +250,10 @@ def scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     table: dict[str, str] = {}
     if getattr(args, "config", None):
         table.update(load_config_file(args.config))
-    overrides = {
-        "g": args.g,
-        "aw_re": args.aw_re,
-        "aw_im": args.aw_im,
-        "chi": args.chi,
-        "varphi": args.varphi,
-        "pre": args.pre,
-        "post": args.post,
-        "obs": args.obs,
-        "probe": args.probe,
-        "width": args.width,
-        "smoothing": args.smoothing,
-        "file": args.file,
-        "n_points": args.n_points,
-        "support_m": args.support_m,
-        "n_range": args.n_range,
-        "output": args.output,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
+    for field in _FIELDS:
+        value = getattr(args, field.key)
         if value is not None:
-            table[key] = str(value)
+            table[field.key] = value
     return scenario_from_table(table)
 
 
@@ -320,25 +264,32 @@ def scenario_weak_value(config: ScenarioConfig) -> WeakValue:
     if mode == "mach_zehnder":
         pre, post, obs = mach_zehnder_setup(config.chi, config.varphi)
         return compute_weak_value(pre, post, obs)
-    return compute_weak_value(
-        SystemState(config.pre), SystemState(config.post), Observable(config.obs)
-    )
+    try:
+        pre, post, obs = SystemState(config.pre), SystemState(config.post), Observable(config.obs)
+    except ValueError as exc:
+        raise ConfigError(f"pre/post/obs: {exc}") from exc
+    return compute_weak_value(pre, post, obs)
+
+
+_DUMP_HEADER = ["space", "coordinate", "re", "im"]
 
 
 def read_probe_csv(path: str) -> ProbeWavefunction:
     """Load a probe from a dump file (its initial momentum-space rows)."""
     coords: list[float] = []
     values: list[complex] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _open(path) as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames != ["space", "coordinate", "re", "im"]:
-            raise ConfigError(f"{path}: expected header space,coordinate,re,im")
+        if reader.fieldnames != _DUMP_HEADER:
+            raise ConfigError(f"{path}: expected header {','.join(_DUMP_HEADER)}")
         for row in reader:
             if row["space"] == "momentum_initial":
-                coords.append(float(row["coordinate"]))
-                values.append(complex(float(row["re"]), float(row["im"])))
-    if len(coords) < 3:
-        raise ConfigError(f"{path}: fewer than three momentum_initial samples")
+                where = f"{path}:{reader.line_num}"
+                q, re_part, im_part = (_finite(row[name], where) for name in _DUMP_HEADER[1:])
+                coords.append(q)
+                values.append(complex(re_part, im_part))
+    if len(coords) < 5:
+        raise ConfigError(f"{path}: the derivative stencil needs five momentum_initial samples")
     if len(coords) % 2 == 0:
         raise ConfigError(f"{path}: momentum sample count must be odd")
     p = np.array(coords)
@@ -386,6 +337,16 @@ def _csv_writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
+@contextmanager
+def _csv_output(path: str | None):
+    """CSV writer on the file at ``path``, or on stdout when no path is set."""
+    if not path:
+        yield _csv_writer(sys.stdout)
+        return
+    with _open(path, "w") as handle:
+        yield _csv_writer(handle)
+
+
 def _optional(value: float | None) -> str:
     return "" if value is None else format_number(value)
 
@@ -396,6 +357,8 @@ def cmd_shift(config: ScenarioConfig) -> int:
     probe = scenario_probe(config, wv)
     report = shift_report(evo, probe)
     ref_q, ref_p = analytic_reference(config, wv)
+    diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
+    diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
 
     print(f"probe          {probe.label}")
     print(f"g              {format_number(config.coupling)}")
@@ -404,61 +367,52 @@ def cmd_shift(config: ScenarioConfig) -> int:
     print(f"q_final        {format_number(report.q_final)}")
     print(f"p_initial      {format_number(report.p_initial)}")
     print(f"p_final        {format_number(report.p_final)}")
-    for name, value, ref in (
-        ("delta_q", report.delta_q, ref_q),
-        ("delta_p", report.delta_p, ref_p),
+    for name, value, ref, diff in (
+        ("delta_q", report.delta_q, ref_q, diff_q),
+        ("delta_p", report.delta_p, ref_p, diff_p),
     ):
         if ref is None:
             print(f"{name}        {format_number(value)}")
         else:
             print(
                 f"{name}        {format_number(value)}  analytic {format_number(ref)}"
-                f"  |diff| {format_number(abs(value - ref))}"
+                f"  |diff| {format_number(diff)}"
             )
     print(f"weight         {format_number(report.weight)}")
 
     if config.output:
-        with open(config.output, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv_writer(handle)
-            writer.writerow(
-                [
-                    "probe",
-                    "g",
-                    "aw_re",
-                    "aw_im",
-                    "q_initial",
-                    "q_final",
-                    "p_initial",
-                    "p_final",
-                    "delta_q",
-                    "delta_p",
-                    "weight",
-                    "analytic_delta_q",
-                    "analytic_delta_p",
-                    "abs_diff_delta_q",
-                    "abs_diff_delta_p",
-                ]
-            )
-            writer.writerow(
-                [
-                    probe.label,
-                    format_number(config.coupling),
-                    format_number(wv.value.real),
-                    format_number(wv.value.imag),
-                    format_number(report.q_initial),
-                    format_number(report.q_final),
-                    format_number(report.p_initial),
-                    format_number(report.p_final),
-                    format_number(report.delta_q),
-                    format_number(report.delta_p),
-                    format_number(report.weight),
-                    _optional(ref_q),
-                    _optional(ref_p),
-                    _optional(None if ref_q is None else abs(report.delta_q - ref_q)),
-                    _optional(None if ref_p is None else abs(report.delta_p - ref_p)),
-                ]
-            )
+        # The scenario as run, under the first four config keys.
+        scenario = (
+            probe.label,
+            format_number(config.coupling),
+            format_number(wv.value.real),
+            format_number(wv.value.imag),
+        )
+        columns = [
+            *zip((field.key for field in _FIELDS), scenario),
+            ("q_initial", format_number(report.q_initial)),
+            ("q_final", format_number(report.q_final)),
+            ("p_initial", format_number(report.p_initial)),
+            ("p_final", format_number(report.p_final)),
+            ("delta_q", format_number(report.delta_q)),
+            ("delta_p", format_number(report.delta_p)),
+            ("weight", format_number(report.weight)),
+            ("analytic_delta_q", _optional(ref_q)),
+            ("analytic_delta_p", _optional(ref_p)),
+            ("abs_diff_delta_q", _optional(diff_q)),
+            ("abs_diff_delta_p", _optional(diff_p)),
+        ]
+        with _csv_output(config.output) as writer:
+            writer.writerow([name for name, _ in columns])
+            writer.writerow([value for _, value in columns])
     return 0
+
+
+def _sample_rows(space: str, coordinates, values) -> list[list[str]]:
+    return [
+        [space, format_number(q), format_number(v.real), format_number(v.imag)]
+        for q, v in zip(coordinates, values)
+    ]
 
 
 def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
@@ -467,38 +421,11 @@ def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
     probe = scenario_probe(config, wv)
     evolved = apply_postselection(evo, probe)
     final_values = evolved.values / math.sqrt(evolved.weight)
-
-    rows: list[list[str]] = []
-
-    def emit(space: str, coordinate: float, value: complex) -> None:
-        rows.append(
-            [
-                space,
-                format_number(coordinate),
-                format_number(value.real),
-                format_number(value.imag),
-            ]
-        )
-
-    p = probe.grid.points
-    for j in range(probe.grid.n_points):
-        emit("momentum_initial", p[j], probe.values[j])
-    for j in range(probe.grid.n_points):
-        emit("momentum_final", p[j], final_values[j])
+    final_probe = ProbeWavefunction.normalized(probe.grid, final_values, label="final")
 
     if config.probe in ("optimal", "smoothed"):
         # Discrete position samples on the comb q = 2 g n.
-        offsets = np.arange(-config.n_range, config.n_range + 1)
-        positions = 2.0 * config.coupling * offsets
-        initial_amps = position_amplitudes(probe, positions)
-        final_probe_like = ProbeWavefunction.normalized(
-            probe.grid, final_values, label="final"
-        )
-        final_amps = position_amplitudes(final_probe_like, positions)
-        for q, amp in zip(positions, initial_amps):
-            emit("position_initial", q, amp)
-        for q, amp in zip(positions, final_amps):
-            emit("position_final", q, amp)
+        positions = 2.0 * config.coupling * np.arange(-config.n_range, config.n_range + 1)
     else:
         # Continuous position samples covering initial and shifted densities.
         sigma = 1.0 / (2.0 * config.width) if config.probe == "gaussian" else 2.0
@@ -507,46 +434,40 @@ def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
         lo = min(0.0, center) - 8.0 * sigma
         hi = max(0.0, center) + 8.0 * sigma
         positions = np.linspace(lo, hi, 801)
-        initial_amps = position_amplitudes(probe, positions)
-        final_probe_like = ProbeWavefunction.normalized(
-            probe.grid, final_values, label="final"
-        )
-        final_amps = position_amplitudes(final_probe_like, positions)
-        for q, amp in zip(positions, initial_amps):
-            emit("position_initial", q, amp)
-        for q, amp in zip(positions, final_amps):
-            emit("position_final", q, amp)
-    return rows
+    return [
+        *_sample_rows("momentum_initial", probe.grid.points, probe.values),
+        *_sample_rows("momentum_final", probe.grid.points, final_values),
+        *_sample_rows("position_initial", positions, position_amplitudes(probe, positions)),
+        *_sample_rows("position_final", positions, position_amplitudes(final_probe, positions)),
+    ]
 
 
 def cmd_dump(config: ScenarioConfig) -> int:
     rows = _dump_rows(config)
-    if config.output:
-        handle = open(config.output, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        handle = sys.stdout
-        close = False
-    try:
-        writer = _csv_writer(handle)
-        writer.writerow(["space", "coordinate", "re", "im"])
+    with _csv_output(config.output) as writer:
+        writer.writerow(_DUMP_HEADER)
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
 _SWEEP_AXES = ("postselection_angle", "smoothing_s", "coupling_g", "grid_n")
 
 
+def _parsed(config: ScenarioConfig, **changes) -> ScenarioConfig:
+    """``replace`` with each new value checked by its field's parser."""
+    for field in _FIELDS:
+        if field.attr in changes:
+            changes[field.attr] = field.parse(changes[field.attr], field.key)
+    return replace(config, **changes)
+
+
 def _sweep_scenario(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "coupling_g":
-        return replace(config, coupling=value)
+        return _parsed(config, coupling=value)
     if axis == "smoothing_s":
         if config.probe != "smoothed":
             raise ConfigError("axis=smoothing_s needs probe=smoothed")
-        return replace(config, smoothing=value)
+        return _parsed(config, smoothing=value)
     if axis == "grid_n":
         n = int(round(value))
         if n % 2 == 0:
@@ -604,34 +525,14 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         values = list(np.linspace(args.start, args.stop, args.count))
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 samples")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("sweep values must be finite")
     return values
 
 
-def _map_rows(fn: Callable[[float], list[str]], values: Sequence[float]) -> list[list[str]]:
-    threads = os.environ.get("WVA_THREADS")
-    if threads is None:
-        return [fn(v) for v in values]
-    workers = int(threads)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
-    if axis not in _SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {_SWEEP_AXES}")
-    rows = _map_rows(lambda v: _sweep_row(config, axis, v), values)
-    if config.output:
-        handle = open(config.output, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        handle = sys.stdout
-        close = False
-    try:
-        writer = _csv_writer(handle)
+    rows = [_sweep_row(config, axis, value) for value in values]
+    with _csv_output(config.output) as writer:
         writer.writerow(
             [
                 "axis",
@@ -645,9 +546,6 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
             ]
         )
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
     return 0 if all(row[-1] == "" for row in rows) else 1
 
 
@@ -676,26 +574,15 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
     print(f"grad_norm      {format_number(last_norm)}")
 
     if config.output:
-        with open(config.output, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv_writer(handle)
+        with _csv_output(config.output) as writer:
             writer.writerow(["iter", "objective", "grad_norm"])
             for index, value, norm in trace.iterations:
                 writer.writerow([str(index), format_number(value), format_number(norm)])
     if args.probe_output:
         fixed = gauge_fix(trace.final_probe)
-        with open(args.probe_output, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv_writer(handle)
-            writer.writerow(["space", "coordinate", "re", "im"])
-            p = grid.points
-            for j in range(grid.n_points):
-                writer.writerow(
-                    [
-                        "momentum_initial",
-                        format_number(p[j]),
-                        format_number(fixed.values[j].real),
-                        format_number(fixed.values[j].imag),
-                    ]
-                )
+        with _csv_output(args.probe_output) as writer:
+            writer.writerow(_DUMP_HEADER)
+            writer.writerows(_sample_rows("momentum_initial", grid.points, fixed.values))
     return 0
 
 
@@ -711,23 +598,8 @@ def cmd_mach_zehnder(chi: float, varphi: float) -> int:
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value scenario file")
-    parser.add_argument("--g", type=float, help="coupling constant")
-    parser.add_argument("--aw-re", dest="aw_re", type=float, help="weak value, real part")
-    parser.add_argument("--aw-im", dest="aw_im", type=float, help="weak value, imaginary part")
-    parser.add_argument("--chi", type=float, help="injection angle (radians)")
-    parser.add_argument("--varphi", type=float, help="polarizer angle (radians)")
-    parser.add_argument("--pre", help="pre-selected state, comma-separated complex entries")
-    parser.add_argument("--post", help="post-selected state, comma-separated complex entries")
-    parser.add_argument("--obs", help="observable matrix, ';'-separated rows")
-    parser.add_argument("--probe", choices=_PROBE_KINDS, help="probe family")
-    parser.add_argument("--width", type=float, help="gaussian momentum width")
-    parser.add_argument("--smoothing", type=float, help="smoothing rate for probe=smoothed")
-    parser.add_argument("--file", help="probe CSV for probe=file")
-    parser.add_argument("--n-points", dest="n_points", type=int, help="grid points (odd)")
-    parser.add_argument("--support-m", dest="support_m", type=int, help="support multiplier")
-    parser.add_argument("--n-range", dest="n_range", type=int, help="discrete position range")
-    parser.add_argument("--output", help="output CSV path (default: stdout or none)")
-    parser.add_argument("--format", choices=["csv"], help="output format")
+    for field in _FIELDS:
+        parser.add_argument("--" + field.key.replace("_", "-"), help=field.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

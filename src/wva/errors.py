@@ -34,3 +34,7 @@ class DegenerateDenominator(WvaError):
 
 class NonFinite(WvaError):
     """An optimization step produced a non-finite objective or gradient."""
+
+
+class GridTooLarge(WvaError):
+    """A requested grid has more points than the package's budget allows."""

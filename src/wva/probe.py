@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .analytic import evolution_factor, evolution_factor_derivative, max_shift
-from .errors import TailMassTooLarge, ZeroNorm, ZeroRealPart
+from .analytic import _require_real_part, evolution_factor, evolution_factor_derivative, max_shift
+from .errors import GridTooLarge, TailMassTooLarge, ZeroNorm
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
 NORMALIZATION_TOL = 1e-8
 #: Largest truncated probability mass a constructor grid may discard.
 TAIL_MASS_TOL = 1e-10
+#: Largest point count a grid may have; checked before any sample is allocated.
+MAX_GRID_POINTS = 1 << 24
 
 _ZERO_NORM_FLOOR = 1e-14
 
@@ -46,6 +47,8 @@ class MomentumGrid:
             raise ValueError("p_max must exceed p_min")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and at least 3")
+        if self.n_points > MAX_GRID_POINTS:
+            raise GridTooLarge(f"{self.n_points} grid points exceed the budget {MAX_GRID_POINTS}")
 
     @property
     def spacing(self) -> float:
@@ -82,25 +85,20 @@ class MomentumGrid:
         return cls(-half, half, n_points)
 
 
-@lru_cache(maxsize=64)
-def differentiation_matrix(grid: MomentumGrid) -> sparse.csr_matrix:
-    """Fourth-order first-derivative operator on the grid (5-point central
-    stencils, one-sided stencils of the same order at the edges)."""
-    n = grid.n_points
-    c = 1.0 / (12.0 * grid.spacing)
-    mat = sparse.diags(
-        [c, -8.0 * c, 0.0, 8.0 * c, -c], offsets=[-2, -1, 0, 1, 2], shape=(n, n)
-    ).tolil()
-    mat[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) * c
-    mat[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) * c
-    mat[n - 2, n - 5 :] = np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) * c
-    mat[n - 1, n - 5 :] = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) * c
-    return mat.tocsr()
-
-
 def numeric_derivative(values: np.ndarray, grid: MomentumGrid) -> np.ndarray:
-    """Fourth-order finite-difference derivative of grid samples."""
-    return differentiation_matrix(grid) @ np.asarray(values, dtype=np.complex128)
+    """Fourth-order finite-difference derivative of grid samples (5-point
+    central stencils, one-sided stencils of the same order at the edges)."""
+    f = np.asarray(values, dtype=np.complex128)
+    if f.size < 5:
+        raise ValueError("the derivative stencil needs at least five grid points")
+    c = 1.0 / (12.0 * grid.spacing)
+    out = np.empty_like(f)
+    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) * c
+    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) * c
+    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) * c
+    out[-2] = (-f[-5] + 6.0 * f[-4] - 18.0 * f[-3] + 10.0 * f[-2] + 3.0 * f[-1]) * c
+    out[-1] = (3.0 * f[-5] - 16.0 * f[-4] + 36.0 * f[-3] - 48.0 * f[-2] + 25.0 * f[-1]) * c
+    return out
 
 
 def _check_finite_complex(arr: np.ndarray, what: str) -> None:
@@ -249,9 +247,7 @@ def optimal_probe(
     ZeroRealPart
         If |Re weak_value| < 1e-12 (not normalizable in that case).
     """
-    aw = complex(weak_value)
-    if abs(aw.real) < 1e-12:
-        raise ZeroRealPart(f"|Re A| = {abs(aw.real):.3e}")
+    aw = _require_real_part(weak_value)
     grid = MomentumGrid.for_support(coupling, n_points, extent)
     shift = max_shift(coupling, aw)
     p = grid.points
@@ -268,9 +264,7 @@ def final_probe_momentum(
 ) -> ProbeWavefunction:
     """Post-selected final state of the optimal probe: flat modulus
     sqrt(g/pi) times the linear phase, on the same support."""
-    aw = complex(weak_value)
-    if abs(aw.real) < 1e-12:
-        raise ZeroRealPart(f"|Re A| = {abs(aw.real):.3e}")
+    aw = _require_real_part(weak_value)
     grid = MomentumGrid.for_support(coupling, n_points)
     shift = max_shift(coupling, aw)
     p = grid.points
@@ -325,9 +319,7 @@ def smoothed_optimal_probe(
     TailMassTooLarge
         If the grid truncates the exponential tails beyond tolerance.
     """
-    aw = complex(weak_value)
-    if abs(aw.real) < 1e-12:
-        raise ZeroRealPart(f"|Re A| = {abs(aw.real):.3e}")
+    aw = _require_real_part(weak_value)
     if smoothing <= 0:
         raise ValueError("smoothing must be positive")
     half = math.pi / (2.0 * coupling)
@@ -429,9 +421,7 @@ def final_probe_position(
     """
     if n_range < 1:
         raise ValueError("n_range must be at least 1")
-    aw = complex(weak_value)
-    if abs(aw.real) < 1e-12:
-        raise ZeroRealPart(f"|Re A| = {abs(aw.real):.3e}")
+    aw = _require_real_part(weak_value)
     shift = max_shift(coupling, aw)
     offsets = np.arange(-n_range, n_range + 1)
     positions = 2.0 * coupling * offsets

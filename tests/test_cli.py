@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wva
+from wva import cli
 from wva.cli import (
     ConfigError,
     format_number,
@@ -89,6 +91,42 @@ class TestConfigParsing:
         path.write_text(config.to_text())
         reparsed = scenario_from_table(load_config_file(str(path)))
         assert reparsed.to_text() == config.to_text()
+
+    @given(st.data())
+    def test_round_trip_property(self, tmp_path_factory, data):
+        # A text strategy per field parser, so every row of the table is drawn.
+        entries = st.complex_numbers(allow_nan=False, allow_infinity=False)
+        vectors = st.lists(entries, min_size=2, max_size=3)
+        matrices = st.integers(2, 3).flatmap(
+            lambda d: st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=3)
+        )
+        text_for = {
+            cli._finite: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            cli._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr),
+            cli._count: st.integers(1, 10**6).map(str),
+            cli._odd_count: st.integers(1, 10**6).map(lambda k: str(2 * k + 1)),
+            cli._vector: vectors.map(lambda v: ",".join(map(repr, v))),
+            cli._matrix: matrices.map(lambda m: ";".join(",".join(map(repr, r)) for r in m)),
+            cli._probe_kind: st.sampled_from(cli._PROBE_KINDS),
+            cli._text: st.text("abc_./-0123456789", min_size=1, max_size=12),
+        }
+        table = {f.key: data.draw(text_for[f.parse], label=f.key) for f in cli._FIELDS}
+        # One selection mode, and the probe keys only for the probes that take them.
+        modes = [("aw_re", "aw_im"), ("chi", "varphi"), ("pre", "post", "obs")]
+        chosen = data.draw(st.sampled_from(modes), label="selection")
+        dropped = [key for mode in modes if mode != chosen for key in mode]
+        for key, kind in (("smoothing", "smoothed"), ("file", "file")):
+            if table["probe"] != kind:
+                dropped.append(key)
+        for key in ("aw_im", "g", "width", "n_points", "support_m", "n_range", "output"):
+            if not data.draw(st.booleans(), label=f"set {key}"):
+                dropped.append(key)
+        for key in dropped:
+            table.pop(key, None)
+        config = scenario_from_table(table)
+        path = tmp_path_factory.mktemp("roundtrip") / "scenario.cfg"
+        path.write_text(config.to_text())
+        assert scenario_from_table(load_config_file(str(path))).to_text() == config.to_text()
 
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.cfg"
@@ -341,32 +379,6 @@ class TestSweepCommand:
         errors = [abs(float(r["delta_q"]) - ref) for r, ref in zip(rows, reference)]
         assert errors[0] / errors[1] >= 8.0
 
-    def test_parallel_rows_match_sequential(self, tmp_path, monkeypatch):
-        args = [
-            "sweep",
-            "--axis",
-            "coupling_g",
-            "--aw-re",
-            "2",
-            "--probe",
-            "gaussian",
-            "--width",
-            "1",
-            "--start",
-            "0.05",
-            "--stop",
-            "0.3",
-            "--count",
-            "6",
-        ]
-        sequential = tmp_path / "seq.csv"
-        parallel = tmp_path / "par.csv"
-        monkeypatch.delenv("WVA_THREADS", raising=False)
-        assert main(args + ["--output", str(sequential)]) == 0
-        monkeypatch.setenv("WVA_THREADS", "0")
-        assert main(args + ["--output", str(parallel)]) == 0
-        assert sequential.read_bytes() == parallel.read_bytes()
-
 
 class TestOptimizeCommand:
     def test_trace_and_probe_outputs(self, tmp_path, capsys):
@@ -462,3 +474,56 @@ class TestMachZehnderCommand:
         )
         assert rc == 1
         assert "OrthogonalSelection" in capsys.readouterr().err
+
+
+def _probe_file(tmp_path, name, rows):
+    path = tmp_path / name
+    lines = ["space,coordinate,re,im"] + [f"momentum_initial,{q},{re},0" for q, re in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing_config",
+        "missing_probe_file",
+        "non_numeric_cell",
+        "width_inf",
+        "width_nan",
+        "smoothing_negative",
+        "smoothing_nan",
+        "three_samples",
+        "four_samples",
+    ],
+)
+def test_bad_input_is_a_config_error(case, tmp_path, capsys):
+    file_probe = ["shift", "--aw-re", "2", "--probe", "file", "--file"]
+    smoothed = ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing"]
+    argv = {
+        "missing_config": ["shift", "--config", str(tmp_path / "missing.cfg")],
+        "missing_probe_file": file_probe + [str(tmp_path / "missing.csv")],
+        "non_numeric_cell": file_probe + [_probe_file(tmp_path, "bad.csv", [(0, "abc")])],
+        "width_inf": ["shift", "--aw-re", "2", "--width", "inf"],
+        "width_nan": ["shift", "--aw-re", "2", "--width", "nan"],
+        "smoothing_negative": smoothed + ["-1"],
+        "smoothing_nan": smoothed + ["nan"],
+        "three_samples": file_probe + [_probe_file(tmp_path, "p3.csv", [(q, 1) for q in range(3)])],
+        "four_samples": file_probe + [_probe_file(tmp_path, "p4.csv", [(q, 1) for q in range(4)])],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
+        ["--probe", "optimal", "--support-m", "100000000"],  # 4.1e11 points
+    ],
+)
+def test_oversized_grid_is_refused_before_allocation(argv, capsys):
+    assert main(["shift", "--aw-re", "2", *argv]) == 1
+    assert "GridTooLarge" in capsys.readouterr().err

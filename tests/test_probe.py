@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wva import (
+    GridTooLarge,
     MomentumGrid,
     ProbeWavefunction,
     TailMassTooLarge,
@@ -17,12 +18,14 @@ from wva import (
     optimal_probe,
     position_amplitudes,
     recommended_gaussian_grid,
+    recommended_support_points,
     smoothed_optimal_probe,
     smoothed_support_grid,
     to_position_density,
 )
 from wva.evolution import PostSelectedEvolution
 from wva.expectation import expect_p, expect_q, shift_report
+from wva.probe import MAX_GRID_POINTS
 from wva.system import WeakValue
 
 G = 0.1
@@ -310,3 +313,23 @@ class TestPositionDensity:
             deficits.append(1.0 - float(q_grid.integrate(density)))
         assert deficits[0] > 1e-4  # genuinely missing mass, not quadrature noise
         assert deficits[0] / deficits[1] == pytest.approx(2.0, rel=0.15)
+
+
+@pytest.mark.parametrize("n", [5, 7, 513])
+def test_numeric_derivative_exact_on_quartics(n):
+    # The stencils are fourth order, so p^k with k <= 4 differentiates exactly
+    # at every point, the one-sided edge rows included, up to round-off.
+    grid = MomentumGrid(-1.3, 2.1, n)
+    p = grid.points
+    for k in range(5):
+        derivative = numeric_derivative(p**k, grid)
+        # Stencil weights sum to 128/12 in magnitude; allow a few times the round-off.
+        tolerance = 64.0 * np.finfo(float).eps * 2.1**k / grid.spacing
+        np.testing.assert_allclose(derivative, k * p ** max(k - 1, 0), rtol=0, atol=tolerance)
+
+
+def test_grid_budget_checked_before_allocation():
+    with pytest.raises(GridTooLarge):
+        MomentumGrid(-1.0, 1.0, MAX_GRID_POINTS + 1)
+    with pytest.raises(GridTooLarge):
+        MomentumGrid.for_support(G, recommended_support_points(1e-9 + 1j))
