@@ -29,6 +29,7 @@ from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
     MomentumGrid,
     ProbeWavefunction,
+    check_point_budget,
     optimal_probe,
     gaussian_probe,
     position_amplitudes,
@@ -61,12 +62,19 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
+@contextmanager
 def _open(path: str, mode: str = "r"):
-    """Open a user-named file; a missing or unwritable one is a configuration error."""
+    """Open a user-named UTF-8 file; a missing, unwritable or non-UTF-8 one is
+    a configuration error."""
     try:
-        return open(path, mode, newline="", encoding="utf-8")
+        handle = open(path, mode, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:  # text is decoded as it is read
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _checked(convert: Callable, ok: Callable, need: str) -> Callable:
@@ -425,6 +433,7 @@ def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
 
     if config.probe in ("optimal", "smoothed"):
         # Discrete position samples on the comb q = 2 g n.
+        check_point_budget(2 * config.n_range + 1, "position samples")
         positions = 2.0 * config.coupling * np.arange(-config.n_range, config.n_range + 1)
     else:
         # Continuous position samples covering initial and shifted densities.
@@ -522,6 +531,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
             raise ConfigError("sweep needs either --values or --start/--stop/--count")
         if args.count < 2:
             raise ConfigError("sweep needs at least 2 samples")
+        check_point_budget(args.count, "sweep samples")
         values = list(np.linspace(args.start, args.stop, args.count))
     if len(values) < 2:
         raise ConfigError("sweep needs at least 2 samples")

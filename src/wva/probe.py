@@ -24,8 +24,18 @@ NORMALIZATION_TOL = 1e-8
 TAIL_MASS_TOL = 1e-10
 #: Largest point count a grid may have; checked before any sample is allocated.
 MAX_GRID_POINTS = 1 << 24
+#: Largest positions-times-momenta count that :func:`position_amplitudes` sums
+#: densely on uniformly spaced positions; larger sums run as a chirp-z transform.
+DENSE_SUM_MAX_TERMS = 1 << 16
 
 _ZERO_NORM_FLOOR = 1e-14
+
+
+def check_point_budget(count: int, what: str) -> None:
+    """Raise :class:`GridTooLarge` when ``count`` samples exceed
+    ``MAX_GRID_POINTS``; call it before allocating them."""
+    if count > MAX_GRID_POINTS:
+        raise GridTooLarge(f"{count} {what} exceed the budget {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,7 @@ class MomentumGrid:
             raise ValueError("p_max must exceed p_min")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be odd and at least 3")
-        if self.n_points > MAX_GRID_POINTS:
-            raise GridTooLarge(f"{self.n_points} grid points exceed the budget {MAX_GRID_POINTS}")
+        check_point_budget(self.n_points, "grid points")
 
     @property
     def spacing(self) -> float:
@@ -418,11 +427,14 @@ def final_probe_position(
     ------
     ZeroRealPart
         If |Re weak_value| < 1e-12.
+    GridTooLarge
+        If the 2 * n_range + 1 samples exceed ``MAX_GRID_POINTS``.
     """
     if n_range < 1:
         raise ValueError("n_range must be at least 1")
     aw = _require_real_part(weak_value)
     shift = max_shift(coupling, aw)
+    check_point_budget(2 * n_range + 1, "position samples")
     offsets = np.arange(-n_range, n_range + 1)
     positions = 2.0 * coupling * offsets
     # sinc handles the removable singularity at q == shift.
@@ -434,27 +446,94 @@ def final_probe_position(
     momentum_values = math.sqrt(coupling / math.pi) * np.exp(-1j * shift * p)
     demodulated = momentum_values * np.exp(1j * shift * p)
     weighted = grid.simpson_weights * demodulated
-    phases = np.exp(1j * 2.0 * coupling * np.outer(offsets, p))
-    coefficients = math.sqrt(coupling / math.pi) * (phases @ weighted)
+    coefficients = math.sqrt(coupling / math.pi) * _fourier_sum(positions, grid, weighted)
 
     return PositionSamples(coupling, offsets, positions, values, coefficients)
 
 
-def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
-    """Position-space amplitudes by direct Fourier quadrature.
+def _chirp(alpha: float, n: int) -> np.ndarray:
+    """exp(-i alpha m^2 / 2) for m = 0..n-1.
 
-    Accurate while grid-spacing * |q| stays well below one radian; beyond
-    that the oscillatory integrand is unresolved.
+    The phase is reduced modulo 2 pi in exact arithmetic (for m below 2^24,
+    i.e. within ``MAX_GRID_POINTS``), so its rounding error stays at a few
+    ulps of one turn instead of growing with alpha m^2.
     """
-    q = np.atleast_1d(np.asarray(positions, dtype=float))
-    weighted = probe.grid.simpson_weights * probe.values
-    p = probe.grid.points
+    turns = -alpha / (4.0 * math.pi)  # the phase is 2 pi * turns * m^2
+    split = 134217729.0 * turns  # Veltkamp split: turns_hi keeps 26 bits
+    turns_hi = split - (split - turns)
+    turns_lo = turns - turns_hi
+    m2 = np.arange(n, dtype=np.int64) ** 2
+    m2_lo = m2 & ((1 << 26) - 1)
+    m2_hi = (m2 - m2_lo).astype(float)
+    m2_lo = m2_lo.astype(float)
+    # Three of the four partial products are exact; drop their whole turns.
+    frac = turns_lo * m2_lo
+    for exact in (turns_hi * m2_hi, turns_hi * m2_lo, turns_lo * m2_hi):
+        frac += exact - np.round(exact)
+    return np.exp(2j * math.pi * frac)
+
+
+def _chirp_z_sum(
+    q0: float, step: float, n_q: int, grid: MomentumGrid, weighted: np.ndarray
+) -> np.ndarray:
+    """sum_j weighted[j] exp(i q_k p_j) at q_k = q0 + k*step, k < n_q, by
+    Bluestein's chirp-z transform.
+
+    With p_j = p_0 + j*h, q_k p_j = q0 p_j + k step p_0 + alpha k j where
+    alpha = step*h, and k j = (k^2 + j^2 - (k - j)^2) / 2: the first two terms
+    and the k^2, j^2 chirps are pre- and post-phases, and the (k - j)^2 chirp
+    makes the sum one convolution, done by FFT at a power-of-two length.
+    """
+    p = grid.points
+    n_p = p.size
+    chirp = _chirp(step * grid.spacing, max(n_q, n_p))
+    size = 1 << (n_q + n_p - 2).bit_length()  # no wrap-around: size >= n_q + n_p - 1
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:n_q] = chirp[:n_q]
+    kernel[size - n_p + 1 :] = chirp[n_p - 1 : 0 : -1]
+    pre = weighted * np.exp(1j * q0 * p) * chirp[:n_p].conj()
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[:n_q]
+    return conv * np.exp(1j * step * p[0] * np.arange(n_q)) * chirp[:n_q].conj()
+
+
+def _fourier_sum(q: np.ndarray, grid: MomentumGrid, weighted: np.ndarray) -> np.ndarray:
+    """sum_j weighted[j] exp(i q[k] p[j]) over the grid points p[j], for each q[k];
+    the path is chosen as :func:`position_amplitudes` describes."""
+    if q.size > 1 and q.size * grid.n_points > DENSE_SUM_MAX_TERMS:
+        step = (q[-1] - q[0]) / (q.size - 1)
+        drift = np.max(np.abs(q - (q[0] + step * np.arange(q.size))))
+        # np.linspace and 2g*arange stay within 2.5 eps of the larger end.
+        if drift <= 8.0 * np.finfo(float).eps * max(abs(q[0]), abs(q[-1])):
+            return _chirp_z_sum(q[0], step, q.size, grid, weighted)
+    p = grid.points
     out = np.empty(q.size, dtype=np.complex128)
     chunk = max(1, int(4e6) // max(p.size, 1))
     for start in range(0, q.size, chunk):
         block = q[start : start + chunk]
         out[start : start + chunk] = np.exp(1j * np.outer(block, p)) @ weighted
-    return out / math.sqrt(2.0 * math.pi)
+    return out
+
+
+def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
+    """Position-space amplitudes by Fourier quadrature.
+
+    Accurate while grid-spacing * |q| stays well below one radian; beyond
+    that the oscillatory integrand is unresolved.
+
+    The Simpson-weighted sum over the momentum grid runs one of two ways,
+    picked from the input alone.  When the positions are uniformly spaced
+    (to a few ulps, as ``np.linspace`` and the comb q = 2 g n give them) and
+    positions times momenta exceed ``DENSE_SUM_MAX_TERMS``, it is a chirp-z
+    transform: one FFT convolution of length about Nq + Np, agreeing with the
+    dense sum to about 1e-13 of the largest amplitude.  Otherwise it is the dense sum
+    over an Nq x Np matrix of exponentials, built in chunks.  The dense sum
+    stays because it is the only path for arbitrary positions, and because
+    small dumps print its exact rounding: the 17 x 257 figure dump of
+    ``tests/data/golden_dump.csv`` holds 1e-17 imaginary parts at 12 digits.
+    """
+    q = np.atleast_1d(np.asarray(positions, dtype=float))
+    weighted = probe.grid.simpson_weights * probe.values
+    return _fourier_sum(q, probe.grid, weighted) / math.sqrt(2.0 * math.pi)
 
 
 def to_position_density(

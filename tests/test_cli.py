@@ -483,6 +483,12 @@ def _probe_file(tmp_path, name, rows):
     return str(path)
 
 
+def _bytes_file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -495,6 +501,8 @@ def _probe_file(tmp_path, name, rows):
         "smoothing_nan",
         "three_samples",
         "four_samples",
+        "non_utf8_config",
+        "non_utf8_probe_file",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
@@ -510,6 +518,9 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "smoothing_nan": smoothed + ["nan"],
         "three_samples": file_probe + [_probe_file(tmp_path, "p3.csv", [(q, 1) for q in range(3)])],
         "four_samples": file_probe + [_probe_file(tmp_path, "p4.csv", [(q, 1) for q in range(4)])],
+        "non_utf8_config": ["shift", "--config", _bytes_file(tmp_path, "bad.cfg", b"g=0.1\naw_re=2\xff\n")],
+        "non_utf8_probe_file": file_probe
+        + [_bytes_file(tmp_path, "bad.csv", b"space,coordinate,re,im\nmomentum_initial,0,1\xff,0\n")],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -520,10 +531,13 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
-        ["--probe", "optimal", "--support-m", "100000000"],  # 4.1e11 points
+        ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
+        ["shift", "--aw-re", "2", "--probe", "optimal", "--support-m", "100000000"],  # 4.1e11 points
+        ["dump", "--aw-re", "2", "--probe", "optimal", "--n-range", "100000000"],  # 2e8 positions
+        ["sweep", "--aw-re", "2", "--axis", "coupling_g", "--start", "0.1", "--stop", "0.2",
+         "--count", "100000000"],
     ],
 )
 def test_oversized_grid_is_refused_before_allocation(argv, capsys):
-    assert main(["shift", "--aw-re", "2", *argv]) == 1
+    assert main(argv) == 1
     assert "GridTooLarge" in capsys.readouterr().err

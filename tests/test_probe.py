@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wva import (
     GridTooLarge,
@@ -25,7 +27,7 @@ from wva import (
 )
 from wva.evolution import PostSelectedEvolution
 from wva.expectation import expect_p, expect_q, shift_report
-from wva.probe import MAX_GRID_POINTS
+from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum
 from wva.system import WeakValue
 
 G = 0.1
@@ -273,6 +275,79 @@ class TestSmoothedProbe:
             smoothed_optimal_probe(G, AW, 100.0, grid)
 
 
+def _dense_sum(q, grid, weighted):
+    """The direct sum the chirp-z transform replaces: one exponential per (q, p) pair."""
+    return np.exp(1j * np.outer(q, grid.points)) @ weighted
+
+
+odd_counts = st.integers(1, 2728).map(lambda k: 2 * k + 1)  # 3 .. 5,457 momenta
+
+
+class TestChirpZ:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q0=st.floats(-20.0, 20.0),
+        span=st.floats(0.01, 40.0),
+        n_q=st.integers(2, 801),
+        p_min=st.floats(-60.0, -0.5),
+        p_max=st.floats(0.5, 60.0),
+        n_p=odd_counts,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_sum_on_uniform_positions(self, q0, span, n_q, p_min, p_max, n_p, seed):
+        # Ascending grids, with or without zero inside, from two points up.
+        grid = MomentumGrid(p_min, p_max, n_p)
+        rng = np.random.default_rng(seed)
+        weighted = grid.simpson_weights * (rng.normal(size=n_p) + 1j * rng.normal(size=n_p))
+        q = np.linspace(q0, q0 + span, n_q)
+        step = (q[-1] - q[0]) / (n_q - 1)
+        dense = _dense_sum(q, grid, weighted)
+        fast = _chirp_z_sum(q[0], step, n_q, grid, weighted)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        coupling=st.floats(0.05, 1.0),
+        aw_re=st.floats(0.5, 4.0),
+        aw_im=st.floats(-4.0, 4.0),
+        n_range=st.integers(1, 400),
+        n_p=odd_counts,
+    )
+    def test_matches_dense_sum_on_the_comb(self, coupling, aw_re, aw_im, n_range, n_p):
+        probe = optimal_probe(coupling, complex(aw_re, aw_im), n_points=n_p)
+        weighted = probe.grid.simpson_weights * probe.values
+        q = 2.0 * coupling * np.arange(-n_range, n_range + 1)
+        dense = _dense_sum(q, probe.grid, weighted)
+        fast = _chirp_z_sum(q[0], 2.0 * coupling, q.size, probe.grid, weighted)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_non_uniform_positions_take_the_dense_sum(self):
+        probe = optimal_probe(G, AW)
+        q = np.linspace(-20.0, 20.0, 801)
+        q[400] += 0.05  # one position off the uniform spacing
+        assert q.size * probe.grid.n_points > DENSE_SUM_MAX_TERMS
+        dense = _dense_sum(q, probe.grid, probe.grid.simpson_weights * probe.values)
+        amplitudes = position_amplitudes(probe, q) * math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(amplitudes - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_large_transform_memory(self):
+        # A dense 801 x 40,001 sum holds one 99-row chunk of exponentials
+        # (over 120 MiB); the chirp-z transform needs a few length-65,536 arrays.
+        probe = gaussian_probe(1.0, MomentumGrid(-7.5, 7.5, 40001))
+        positions = np.linspace(-8.0, 8.0, 801)
+        probe.grid.simpson_weights, probe.grid.points  # cached before tracing
+        tracemalloc.start()
+        try:
+            amplitudes = position_amplitudes(probe, positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        weighted = probe.grid.simpson_weights * probe.values
+        dense = _dense_sum(positions[::40], probe.grid, weighted) / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(amplitudes[::40] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 class TestPositionDensity:
     def test_gaussian_density(self):
         width = 1.0
@@ -333,3 +408,5 @@ def test_grid_budget_checked_before_allocation():
         MomentumGrid(-1.0, 1.0, MAX_GRID_POINTS + 1)
     with pytest.raises(GridTooLarge):
         MomentumGrid.for_support(G, recommended_support_points(1e-9 + 1j))
+    with pytest.raises(GridTooLarge):
+        final_probe_position(G, AW, n_range=MAX_GRID_POINTS)
