@@ -10,6 +10,7 @@ maximizer of the shift.
 from .analytic import (
     GaussianShiftPrediction,
     evolution_factor,
+    evolution_factor_and_derivative,
     evolution_factor_derivative,
     extrapolate_orthogonality_limit,
     gaussian_exact_shifts,
@@ -26,6 +27,7 @@ from .errors import (
     NonFinite,
     OrthogonalSelection,
     TailMassTooLarge,
+    UnderResolvedGrid,
     WvaError,
     ZeroNorm,
     ZeroRealPart,

@@ -19,17 +19,24 @@ from .system import Observable, SystemState, compute_weak_value
 ZERO_REAL_EPS = 1e-12
 
 
-def evolution_factor(coupling: float, weak_value: complex, p):
-    """Momentum-space factor cos(g p) - i A sin(g p) applied by post-selection
-    when the observable squares to the identity."""
+def evolution_factor_and_derivative(coupling: float, weak_value: complex, p):
+    """Momentum-space factor B = cos(g p) - i A sin(g p) applied by
+    post-selection when the observable squares to the identity, and its
+    momentum derivative B' = g (-sin(g p) - i A cos(g p)), from one cos/sin
+    evaluation."""
     gp = coupling * np.asarray(p, dtype=float)
-    return np.cos(gp) - 1j * weak_value * np.sin(gp)
+    cos, sin = np.cos(gp), np.sin(gp)
+    return cos - 1j * weak_value * sin, coupling * (-sin - 1j * weak_value * cos)
+
+
+def evolution_factor(coupling: float, weak_value: complex, p):
+    """B of :func:`evolution_factor_and_derivative`."""
+    return evolution_factor_and_derivative(coupling, weak_value, p)[0]
 
 
 def evolution_factor_derivative(coupling: float, weak_value: complex, p):
-    """Derivative of :func:`evolution_factor` with respect to momentum."""
-    gp = coupling * np.asarray(p, dtype=float)
-    return coupling * (-np.sin(gp) - 1j * weak_value * np.cos(gp))
+    """B' of :func:`evolution_factor_and_derivative`."""
+    return evolution_factor_and_derivative(coupling, weak_value, p)[1]
 
 
 def _require_real_part(weak_value: complex) -> complex:

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import csv
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import gaussian_exact_shifts, max_shift
-from .errors import WvaError
+from .errors import UnderResolvedGrid, WvaError
 from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
@@ -329,6 +330,29 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     return read_probe_csv(config.probe_file)
 
 
+def _resolved_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefunction:
+    """:func:`scenario_probe` for a reported shift.
+
+    A set ``n_points`` below :func:`recommended_support_points` would let an
+    optimal probe report a shift off the closed form by more than the printed
+    digits (at A = 2 and 3 points, 0.183 against 0.125), so it is refused.
+    ``dump`` samples wavefunctions at any odd count and does not come here.
+
+    Raises
+    ------
+    UnderResolvedGrid
+        If an optimal probe is asked for on too few points.
+    """
+    if config.probe == "optimal" and config.n_points is not None:
+        needed = recommended_support_points(weak_value.value, config.support_extent)
+        if config.n_points < needed:
+            raise UnderResolvedGrid(
+                f"n_points = {config.n_points} is below the {needed} points the optimal "
+                f"probe needs at A = {complex(weak_value.value)}"
+            )
+    return scenario_probe(config, weak_value)
+
+
 def analytic_reference(
     config: ScenarioConfig, weak_value: WeakValue
 ) -> tuple[float | None, float | None]:
@@ -362,7 +386,7 @@ def _optional(value: float | None) -> str:
 def cmd_shift(config: ScenarioConfig) -> int:
     wv = scenario_weak_value(config)
     evo = PostSelectedEvolution(config.coupling, wv)
-    probe = scenario_probe(config, wv)
+    probe = _resolved_probe(config, wv)
     report = shift_report(evo, probe)
     ref_q, ref_p = analytic_reference(config, wv)
     diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
@@ -499,7 +523,7 @@ def _sweep_row(config: ScenarioConfig, axis: str, value: float) -> list[str]:
         variant.validate()
         wv = scenario_weak_value(variant)
         evo = PostSelectedEvolution(variant.coupling, wv)
-        probe = scenario_probe(variant, wv)
+        probe = _resolved_probe(variant, wv)
         report = shift_report(evo, probe)
         ref_q, _ = analytic_reference(variant, wv)
         overlap_q = (
@@ -612,6 +636,28 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + field.key.replace("_", "-"), help=field.help)
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -1e-3`` into ``--flag=-1e-3``.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number such as -1 or -.5, so a value in scientific
+    notation or a list such as ``--values -1,0.1`` would be refused.  No
+    option of ``wva`` starts with a digit, so such a token is the value of
+    the flag before it.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if _NEGATIVE_VALUE.match(token) and flag.startswith("--") and "=" not in flag:
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wva",
@@ -652,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "mach-zehnder":
             return cmd_mach_zehnder(args.chi, args.varphi)

@@ -38,3 +38,8 @@ class NonFinite(WvaError):
 
 class GridTooLarge(WvaError):
     """A requested grid has more points than the package's budget allows."""
+
+
+class UnderResolvedGrid(WvaError):
+    """A requested grid has fewer points than the probe's resolution law
+    needs for its shift to hold to the reported digits."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import evolution_factor, evolution_factor_derivative
+from .analytic import evolution_factor, evolution_factor_and_derivative, evolution_factor_derivative
 from .probe import MomentumGrid, ProbeWavefunction
 from .system import WeakValue
 
@@ -39,11 +39,14 @@ class PostSelectedEvolution:
         """Momentum derivative of :meth:`factor`."""
         return evolution_factor_derivative(self.coupling, self.weak.value, p)
 
+    def factor_and_derivative(self, p):
+        """:meth:`factor` and :meth:`factor_derivative` from one cos/sin evaluation."""
+        return evolution_factor_and_derivative(self.coupling, self.weak.value, p)
+
     def density_factor_derivative(self, p):
         """d/dp of |factor|^2 via the closed form 2ig Re A + 2 conj(B) B';
         the imaginary parts cancel identically, leaving the real derivative."""
-        b = self.factor(p)
-        bd = self.factor_derivative(p)
+        b, bd = self.factor_and_derivative(p)
         z = 2j * self.coupling * complex(self.weak.value).real + 2.0 * np.conj(b) * bd
         return z.real
 
@@ -51,12 +54,19 @@ class PostSelectedEvolution:
 @dataclass(frozen=True, eq=False)
 class EvolvedProbe:
     """Unnormalized post-selected probe plus its squared norm (the
-    post-selection success weight)."""
+    post-selection success weight) and its density |values|^2, whose
+    quadrature that weight is."""
 
     grid: MomentumGrid
     values: np.ndarray
     derivative: np.ndarray
     weight: float
+    density: np.ndarray
+
+
+def _evolved(grid: MomentumGrid, values: np.ndarray, derivative: np.ndarray) -> EvolvedProbe:
+    density = np.abs(values) ** 2
+    return EvolvedProbe(grid, values, derivative, float(grid.integrate(density)), density)
 
 
 def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:
@@ -67,13 +77,11 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
     derivative.  ``weight`` is the quadrature of |output|^2.
     """
     p = probe.grid.points
-    b = evo.factor(p)
-    bd = evo.factor_derivative(p)
+    b, bd = evo.factor_and_derivative(p)
     overlap = evo.weak.overlap
     values = overlap * b * probe.values
     derivative = overlap * (bd * probe.values + b * probe.derivative_or_numeric())
-    weight = float(probe.grid.integrate(np.abs(values) ** 2))
-    return EvolvedProbe(probe.grid, values, derivative, weight)
+    return _evolved(probe.grid, values, derivative)
 
 
 def apply_weak_order(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:
@@ -92,5 +100,4 @@ def apply_weak_order(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> Ev
     derivative = overlap * (
         -1j * evo.coupling * aw * phase * probe.values + phase * probe.derivative_or_numeric()
     )
-    weight = float(probe.grid.integrate(np.abs(values) ** 2))
-    return EvolvedProbe(probe.grid, values, derivative, weight)
+    return _evolved(probe.grid, values, derivative)

@@ -20,11 +20,36 @@ from .probe import MomentumGrid, ProbeWavefunction
 _ZERO_NORM_FLOOR = 1e-14
 
 
-def _norm_squared(values: np.ndarray, grid: MomentumGrid) -> float:
-    norm_sq = float(grid.integrate(np.abs(values) ** 2))
+def _checked_norm(norm_sq: float) -> float:
     if norm_sq < _ZERO_NORM_FLOOR:
         raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero")
     return norm_sq
+
+
+def _density_and_norm(values: np.ndarray, grid: MomentumGrid) -> tuple[np.ndarray, float]:
+    """|values|^2 and its quadrature, computed once for every expectation of
+    one state."""
+    density = np.abs(values) ** 2
+    return density, _checked_norm(float(grid.integrate(density)))
+
+
+def _position_moment(
+    values: np.ndarray, derivative: np.ndarray, grid: MomentumGrid, norm_sq: float
+) -> complex:
+    integrand = np.conj(values)
+    integrand *= derivative  # in place: one grid-sized temporary, not two
+    return 1j * complex(grid.integrate(integrand)) / norm_sq
+
+
+def _mean_momentum(density: np.ndarray, grid: MomentumGrid, norm_sq: float) -> float:
+    return float(grid.integrate(grid.points * density)) / norm_sq
+
+
+def _means(
+    grid: MomentumGrid, values: np.ndarray, derivative: np.ndarray, density: np.ndarray, norm_sq: float
+) -> tuple[float, float]:
+    """Mean position and momentum of one state whose density and norm are known."""
+    return _position_moment(values, derivative, grid, norm_sq).real, _mean_momentum(density, grid, norm_sq)
 
 
 def expect_q_with_residual(
@@ -36,8 +61,8 @@ def expect_q_with_residual(
     values at the two grid ends; it is surfaced as a diagnostic rather than
     subtracted.
     """
-    norm_sq = _norm_squared(values, grid)
-    moment = 1j * complex(grid.integrate(np.conj(values) * derivative)) / norm_sq
+    _, norm_sq = _density_and_norm(values, grid)
+    moment = _position_moment(values, derivative, grid, norm_sq)
     return moment.real, moment.imag
 
 
@@ -54,8 +79,8 @@ def expect_q(values: np.ndarray, derivative: np.ndarray, grid: MomentumGrid) -> 
 
 def expect_p(values: np.ndarray, grid: MomentumGrid) -> float:
     """Mean momentum, integral(p |psi|^2) / integral(|psi|^2)."""
-    norm_sq = _norm_squared(values, grid)
-    return float(grid.integrate(grid.points * np.abs(values) ** 2)) / norm_sq
+    density, norm_sq = _density_and_norm(values, grid)
+    return _mean_momentum(density, grid, norm_sq)
 
 
 @dataclass(frozen=True)
@@ -94,7 +119,9 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
 
     Final-state expectations are taken on the unnormalized evolved values;
     the expectation quotients make that legitimate, and the weight stays
-    available as the success probability.
+    available as the success probability.  Each state's density and norm
+    are computed once: the evolved state's are the weight and the density
+    that :func:`apply_postselection` returns.
 
     Raises
     ------
@@ -102,12 +129,14 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
         If post-selection annihilated the state.
     """
     grid = probe.grid
-    derivative = probe.derivative_or_numeric()
-    q_initial = expect_q(probe.values, derivative, grid)
-    p_initial = expect_p(probe.values, grid)
+    # The initial density is not kept alive through the evolution.
+    q_initial, p_initial = _means(
+        grid, probe.values, probe.derivative_or_numeric(), *_density_and_norm(probe.values, grid)
+    )
     evolved = apply_postselection(evo, probe)
-    q_final = expect_q(evolved.values, evolved.derivative, grid)
-    p_final = expect_p(evolved.values, grid)
+    q_final, p_final = _means(
+        grid, evolved.values, evolved.derivative, evolved.density, _checked_norm(evolved.weight)
+    )
     return ShiftReport(
         q_initial=q_initial,
         q_final=q_final,

@@ -150,8 +150,7 @@ def objective(
     the evolved one.  Invariant under rescaling of the input.
     """
     p = grid.points
-    b = evo.factor(p)
-    bd = evo.factor_derivative(p)
+    b, bd = evo.factor_and_derivative(p)
     final_values = b * values
     final_derivative = bd * values + b * derivative
     return expect_q(final_values, final_derivative, grid) - expect_q(values, derivative, grid)

@@ -11,6 +11,8 @@ from wva import (
     WeakValue,
     ZeroRealPart,
     evolution_factor,
+    evolution_factor_and_derivative,
+    evolution_factor_derivative,
     extrapolate_orthogonality_limit,
     gaussian_exact_shifts,
     gaussian_probe,
@@ -240,3 +242,15 @@ class TestStationarity:
         ]
         slope = np.polyfit(np.log(epsilons), np.log(changes), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, -0.5 + 0.25j])
+def test_factor_and_derivative_equal_the_separate_views(value):
+    grids = (MomentumGrid.for_support(G, 4097), recommended_gaussian_grid(G, 1.0))
+    for grid in grids:
+        factor, derivative = evolution_factor_and_derivative(G, value, grid.points)
+        gp = G * grid.points  # the two factors as written before they shared one cos/sin
+        assert np.array_equal(factor, evolution_factor(G, value, grid.points))
+        assert np.array_equal(factor, np.cos(gp) - 1j * value * np.sin(gp))
+        assert np.array_equal(derivative, evolution_factor_derivative(G, value, grid.points))
+        assert np.array_equal(derivative, G * (-np.sin(gp) - 1j * value * np.cos(gp)))

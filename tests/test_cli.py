@@ -541,3 +541,42 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
 def test_oversized_grid_is_refused_before_allocation(argv, capsys):
     assert main(argv) == 1
     assert "GridTooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["--aw-re", "2", "--n-points", "3"], 4097),  # delta_q 0.183 against 0.125
+        (["--aw-re", "2", "--aw-im", "30", "--n-points", "4097"], 18081),  # 22.636 against 22.625
+    ],
+)
+def test_shift_refuses_an_under_resolved_optimal_probe(argv, needed, capsys):
+    assert main(["shift", "--probe", "optimal", *argv]) == 1
+    captured = capsys.readouterr()
+    assert "UnderResolvedGrid" in captured.err
+    assert f"the {needed} points" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_row_reports_an_under_resolved_optimal_probe(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "grid_n", "--aw-re", "2", "--probe", "optimal", "--values", "3,4097"]
+    assert main(argv + ["--output", str(out)]) == 1
+    rows = list(csv.DictReader(open(out, newline="")))
+    assert [r["error"] for r in rows] == ["UnderResolvedGrid", ""]
+    assert rows[0]["delta_q"] == ""
+    assert float(rows[1]["delta_q"]) == pytest.approx(0.125, rel=1e-9)
+
+
+def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
+    assert main(["shift", "--aw-re", "2", "--aw-im", "-1e-3"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["shift", "--aw-re", "2", "--aw-im=-1e-3"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert "weak_value     2 -0.001j" in spaced
+
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "coupling_g", "--aw-re", "2", "--values", "-1,0.1", "--output", str(out)]
+    assert main(argv) == 1
+    rows = list(csv.DictReader(open(out, newline="")))
+    assert [(r["axis_value"], r["error"]) for r in rows] == [("-1", "ConfigError"), ("0.1", "")]

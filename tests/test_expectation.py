@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wva
 from wva import (
     MomentumGrid,
     PostSelectedEvolution,
@@ -194,3 +199,50 @@ class TestShiftLandscape:
             )
             report = shift_report(evo_for(AW), perturbed)
             assert abs(report.delta_q - reference) < 100.0 * eps
+
+
+# 200 shift reports at A = 2 + 30i on 40,001 points, with the CPU time of
+# every thread of the process read from /proc before and after the loop.
+_THREAD_CPU_SCRIPT = """
+import os
+import time
+import wva
+
+def cpu_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks
+
+value = 2.0 + 30.0j
+probe = wva.optimal_probe(0.1, value, n_points=40001)
+evo = wva.PostSelectedEvolution(0.1, wva.WeakValue.from_value(value))
+wva.shift_report(evo, probe)
+# An idle BLAS helper thread spins for a while after start-up before it
+# sleeps; wait that out so the loop is charged only for threads it wakes.
+time.sleep(1.0)
+before = cpu_ticks()
+for _ in range(200):
+    wva.shift_report(evo, probe)
+after = cpu_ticks()
+main = os.getpid()
+others = sum(t - before.get(tid, 0) for tid, t in after.items() if tid != main)
+print(after[main] - before[main], others)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times")
+def test_shift_reports_keep_quadrature_on_the_calling_thread():
+    # A threaded BLAS dot product in the quadrature wakes helper threads that
+    # spin for as long as the loop runs, about doubling its CPU time.
+    src = str(Path(wva.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_CPU_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    main_ticks, other_ticks = map(int, done.stdout.split())
+    assert main_ticks > 0
+    assert other_ticks < 0.1 * main_ticks

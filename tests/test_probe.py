@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wva import (
     GridTooLarge,
@@ -49,6 +49,32 @@ class TestMomentumGrid:
         assert np.allclose(grid.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
         # Simpson integrates cubics exactly.
         assert grid.integrate(grid.points**3 + 1.0) == pytest.approx(2.0, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_panels=st.integers(1, 20000),
+        complex_samples=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(half_panels=1, complex_samples=False, seed=0)
+    @example(half_panels=1, complex_samples=True, seed=0)
+    @example(half_panels=2, complex_samples=False, seed=0)
+    @example(half_panels=2, complex_samples=True, seed=0)
+    def test_integrate_matches_weighted_sum(self, half_panels, complex_samples, seed):
+        # n = 2 * half_panels + 1 runs over the odd counts 3..40,001.
+        n = 2 * half_panels + 1
+        grid = MomentumGrid(-3.0, 5.0, n)
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n)
+        if complex_samples:
+            samples = samples + 1j * rng.normal(size=n)
+        weights = np.full(n, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        weights *= grid.spacing / 3.0
+        result = grid.integrate(samples)
+        assert np.iscomplexobj(result) == complex_samples
+        assert abs(result - weights @ samples) <= 1e-14 * np.sum(np.abs(weights * samples))
 
     def test_for_support(self):
         grid = MomentumGrid.for_support(G, 101)
