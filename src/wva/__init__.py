@@ -37,7 +37,6 @@ from .expectation import ShiftReport, expect_p, expect_q, expect_q_with_residual
 from .optimizer import (
     OptimizerConfig,
     OptimizerTrace,
-    SupportCircle,
     default_position_cap,
     final_position,
     gauge_fix,

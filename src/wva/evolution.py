@@ -2,9 +2,14 @@
 
 Because the observable squares to the identity, post-selection acts on the
 momentum wavefunction as multiplication by overlap * (cos gp - i A sin gp).
-States come back unnormalized together with their squared norm: that weight
-is the post-selection success probability and carrying it explicitly keeps
-the measurement back-action testable.
+States come back unnormalized together with their squared norm, the weight
+|overlap|^2 * integral(|factor * psi|^2); carrying it explicitly keeps the
+measurement back-action testable.  The weight is the post-selection success
+probability only when the overlap comes from a physical selection (as from
+:func:`wva.system.compute_weak_value`).  :meth:`wva.system.WeakValue.from_value`
+sets the overlap to one, so the weight is the factor integral alone.  For the
+optimal probe the weight is |overlap|^2 * |Re A| (|overlap|^2 * Re A when
+Re A > 0): 2 at A = 2 under ``from_value``.
 """
 
 from __future__ import annotations
@@ -53,9 +58,10 @@ class PostSelectedEvolution:
 
 @dataclass(frozen=True, eq=False)
 class EvolvedProbe:
-    """Unnormalized post-selected probe plus its squared norm (the
-    post-selection success weight) and its density |values|^2, whose
-    quadrature that weight is."""
+    """Unnormalized post-selected probe plus its squared norm ``weight`` and
+    its density |values|^2, whose quadrature that weight is.  The weight is a
+    success probability only for a physical selection (see the module
+    docstring)."""
 
     grid: MomentumGrid
     values: np.ndarray

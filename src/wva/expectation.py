@@ -15,13 +15,11 @@ import numpy as np
 
 from .errors import ZeroNorm
 from .evolution import PostSelectedEvolution, apply_postselection
-from .probe import MomentumGrid, ProbeWavefunction
-
-_ZERO_NORM_FLOOR = 1e-14
+from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction
 
 
 def _checked_norm(norm_sq: float) -> float:
-    if norm_sq < _ZERO_NORM_FLOOR:
+    if norm_sq < ZERO_NORM_FLOOR:
         raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero")
     return norm_sq
 
@@ -85,8 +83,12 @@ def expect_p(values: np.ndarray, grid: MomentumGrid) -> float:
 
 @dataclass(frozen=True)
 class ShiftReport:
-    """Initial/final expectations, their differences, and the post-selection
-    success weight for one probe-evolution pair."""
+    """Initial/final expectations, their differences, and the weight (squared
+    norm) of the post-selected state for one probe-evolution pair.
+
+    The weight is the success probability only for a physical selection; with
+    :meth:`wva.system.WeakValue.from_value` the overlap is one and, for the
+    optimal probe, the weight is |Re A| (see :mod:`wva.evolution`)."""
 
     q_initial: float
     q_final: float
@@ -118,10 +120,11 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     """Initial expectations, post-selected evolution, final expectations.
 
     Final-state expectations are taken on the unnormalized evolved values;
-    the expectation quotients make that legitimate, and the weight stays
-    available as the success probability.  Each state's density and norm
-    are computed once: the evolved state's are the weight and the density
-    that :func:`apply_postselection` returns.
+    the expectation quotients make that legitimate, and the weight, their
+    squared norm, stays available: |overlap|^2 * |Re A| for the optimal
+    probe, a success probability only for a physical selection.  Each state's
+    density and norm are computed once: the evolved state's are the weight
+    and the density that :func:`apply_postselection` returns.
 
     Raises
     ------

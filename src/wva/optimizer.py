@@ -31,93 +31,93 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFinite, ZeroNorm
 from .evolution import PostSelectedEvolution
-from .expectation import expect_q
-from .probe import MomentumGrid, ProbeWavefunction
+from .expectation import expect_q, shift_report
+from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction
+from .system import all_finite
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 
 
-@dataclass(frozen=True, eq=False)
-class SupportCircle:
-    """Endpoint-identified view of a support grid.
+class _AscentCore:
+    """The ascent functional on the endpoint-identified support, built once
+    per (grid, evolution, window cap).
 
-    Drops the duplicated last grid point; the remaining samples live on a
-    circle of circumference n * spacing, where the position operator is
-    diagonal in the Fourier basis with eigenvalues on the 2g/extent comb.
+    The duplicated last grid point is dropped; the remaining n samples live on
+    a circle of circumference n * spacing, where position is diagonal in the
+    Fourier basis with eigenvalues on the 2g/extent comb.  Post-selection
+    multiplies the samples by a periodic modulation: the evolution factor,
+    which changes sign over each support period pi/g, times a
+    twist-compensating phase when the circle spans an odd number of those
+    periods; the phase shifts every mean position by a constant offset.
     """
 
-    grid: MomentumGrid
+    def __init__(
+        self, grid: MomentumGrid, evo: PostSelectedEvolution, cap: float | None = None
+    ) -> None:
+        self.n = grid.n_points - 1
+        self.spacing = grid.spacing
+        self.length = self.n * self.spacing
+        self.points = grid.points[: self.n]
+        self.positions = -2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        self.modulation = evo.factor(self.points)
+        self.offset = 0.0
+        if int(round(self.length * evo.coupling / math.pi)) % 2:
+            twist = np.exp(-1j * math.pi * (self.points - grid.p_min) / self.length)
+            self.modulation = self.modulation * twist
+            self.offset = math.pi / self.length
+        if cap is None:
+            cap = default_position_cap(grid, evo)
+        self.inside = np.abs(self.positions) <= cap
 
-    @property
-    def n(self) -> int:
-        return self.grid.n_points - 1
+    def circle(self, values: np.ndarray) -> np.ndarray:
+        """Circle samples of ``values``, a closed-grid vector losing its wrap point."""
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape == (self.n + 1,):
+            return values[: self.n]
+        if values.shape == (self.n,):
+            return values
+        raise ValueError("values must match the grid (with or without the wrap point)")
 
-    @property
-    def spacing(self) -> float:
-        return self.grid.spacing
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        pts = self.grid.points[: self.n].copy()
-        pts.flags.writeable = False
-        return pts
-
-    @property
-    def circumference(self) -> float:
-        return self.n * self.spacing
-
-    @cached_property
-    def position_values(self) -> np.ndarray:
-        vals = -2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        vals.flags.writeable = False
-        return vals
-
-    def position_apply(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.position_values * np.fft.fft(values))
-
-    def window_mask(self, cap: float) -> np.ndarray:
-        return np.abs(self.position_values) <= cap
-
-    def window_project(self, values: np.ndarray, cap: float) -> np.ndarray:
+    def window(self, values: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the position window |q| <= cap."""
         spectrum = np.fft.fft(values)
-        spectrum[~self.window_mask(cap)] = 0.0
+        spectrum[~self.inside] = 0.0
         return np.fft.ifft(spectrum)
 
+    def _moment(self, values: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """Mean position of ``values``, their squared norm, and position applied to them."""
+        norm = np.vdot(values, values).real
+        if norm < ZERO_NORM_FLOOR:
+            raise ZeroNorm(f"norm^2 = {norm:.3e} is numerically zero")
+        applied = np.fft.ifft(self.positions * np.fft.fft(values))
+        return np.vdot(values, applied).real / norm, norm, applied
 
-def _as_circle_values(values: np.ndarray, circle: SupportCircle) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape == (circle.n + 1,):
-        return values[: circle.n]
-    if values.shape == (circle.n,):
-        return values
-    raise ValueError("values must match the grid (with or without the wrap point)")
+    def mean_position(self, values: np.ndarray) -> float:
+        return self._moment(values)[0]
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean position of the post-selected state (the ascent functional)
+        and its Wirtinger gradient in the conjugate circle samples."""
+        u = self.modulation * x
+        mean, norm, applied = self._moment(u)
+        return mean - self.offset, np.conj(self.modulation) * (applied - mean * u) / norm
 
-def _modulation(circle: SupportCircle, evo: PostSelectedEvolution) -> tuple[np.ndarray, float]:
-    """Periodic modulation carrying the evolution factor, and the constant
-    position offset its twist-compensating phase introduces."""
-    length = circle.circumference
-    extent = length * evo.coupling / math.pi
-    parity = int(round(extent)) % 2
-    factor = evo.factor(circle.points)
-    if parity:
-        twist = np.exp(-1j * math.pi * (circle.points - circle.grid.p_min) / length)
-        return factor * twist, math.pi / length
-    return factor, 0.0
-
-
-def _rayleigh(circle: SupportCircle, values: np.ndarray) -> float:
-    norm = np.vdot(values, values).real
-    if norm < 1e-14:
-        raise ZeroNorm(f"norm^2 = {norm:.3e} is numerically zero")
-    return np.vdot(values, circle.position_apply(values)).real / norm
+    def project(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+        """Windowed gradient with the scale and phase directions of ``x``
+        removed, and its L2 norm."""
+        grad = self.window(grad)
+        for d in (x, 1j * x):
+            norm = math.sqrt(np.vdot(d, d).real)
+            if norm > ZERO_NORM_FLOOR:
+                d = d / norm
+                grad = grad - d * np.vdot(d, grad).real
+        return grad, math.sqrt(np.vdot(grad, grad).real / self.spacing)
 
 
 def periodic_representative(probe: ProbeWavefunction) -> np.ndarray:
@@ -143,17 +143,10 @@ def objective(
     grid: MomentumGrid,
     evo: PostSelectedEvolution,
 ) -> float:
-    """Shift delta_q of a (not necessarily normalized) probe.
-
-    Same quadrature as the expectation pipeline: Simpson weights on the
-    closed grid, supplied derivative for the initial state, product rule for
-    the evolved one.  Invariant under rescaling of the input.
-    """
-    p = grid.points
-    b, bd = evo.factor_and_derivative(p)
-    final_values = b * values
-    final_derivative = bd * values + b * derivative
-    return expect_q(final_values, final_derivative, grid) - expect_q(values, derivative, grid)
+    """Shift delta_q of a (not necessarily normalized) probe: the
+    :func:`~wva.expectation.shift_report` shift of its normalized samples,
+    so invariant under rescaling of the input."""
+    return shift_report(evo, ProbeWavefunction.normalized(grid, values, derivative)).delta_q
 
 
 def final_position(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
@@ -162,32 +155,22 @@ def final_position(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvol
     ``values`` are circle samples (a closed-grid vector is accepted, its wrap
     point ignored).  Computed spectrally on the endpoint-identified support.
     """
-    circle = SupportCircle(grid)
-    x = _as_circle_values(values, circle)
-    mod, offset = _modulation(circle, evo)
-    return _rayleigh(circle, mod * x) - offset
+    core = _AscentCore(grid, evo)
+    return core.value_and_gradient(core.circle(values))[0]
 
 
 def shift_on_circle(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
     """delta_q evaluated spectrally on the endpoint-identified support."""
-    circle = SupportCircle(grid)
-    x = _as_circle_values(values, circle)
-    mod, offset = _modulation(circle, evo)
-    return _rayleigh(circle, mod * x) - offset - _rayleigh(circle, x)
+    core = _AscentCore(grid, evo)
+    x = core.circle(values)
+    return core.value_and_gradient(x)[0] - core.mean_position(x)
 
 
 def gradient(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> np.ndarray:
     """Wirtinger gradient of :func:`final_position` in the conjugate circle
     samples: d(final_position)/d(Re x_k) = 2 Re(gradient_k), likewise Im."""
-    circle = SupportCircle(grid)
-    x = _as_circle_values(values, circle)
-    mod, _ = _modulation(circle, evo)
-    u = mod * x
-    norm = np.vdot(u, u).real
-    if norm < 1e-14:
-        raise ZeroNorm("post-selection annihilated the state")
-    mean = np.vdot(u, circle.position_apply(u)).real / norm
-    return np.conj(mod) * (circle.position_apply(u) - mean * u) / norm
+    core = _AscentCore(grid, evo)
+    return core.value_and_gradient(core.circle(values))[1]
 
 
 def default_position_cap(grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
@@ -209,18 +192,9 @@ def projected_gradient_norm(
 ) -> float:
     """L2 norm of the functional gradient with the window cutoff applied and
     the scale/phase null directions removed."""
-    circle = SupportCircle(grid)
-    x = _as_circle_values(values, circle)
-    grad = gradient(x, grid, evo)
-    if cap is None:
-        cap = default_position_cap(grid, evo)
-    grad = circle.window_project(grad, cap)
-    for d in (x, 1j * x):
-        norm = math.sqrt(np.vdot(d, d).real)
-        if norm > 1e-14:
-            d = d / norm
-            grad = grad - d * np.vdot(d, grad).real
-    return math.sqrt(np.vdot(grad, grad).real / circle.spacing)
+    core = _AscentCore(grid, evo, cap)
+    x = core.circle(values)
+    return core.project(x, core.value_and_gradient(x)[1])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,29 +242,23 @@ class OptimizerTrace:
     converged: bool
 
 
-def _initial_circle_vector(config: OptimizerConfig, circle: SupportCircle) -> np.ndarray:
-    p = circle.points
+def _initial_circle_vector(config: OptimizerConfig, core: _AscentCore) -> np.ndarray:
+    p = core.points
     if config.init == "gaussian":
         # Periodized so the seam stays smooth even for wide widths.
-        width = circle.circumference / 12.0
-        length = circle.circumference
-        x = np.zeros(circle.n, dtype=np.complex128)
+        width = core.length / 12.0
+        x = np.zeros(core.n, dtype=np.complex128)
         for image in (-1, 0, 1):
-            center = image * length
+            center = image * core.length
             x += np.exp(-((p - center) ** 2) / (4.0 * width**2))
         return x
     if config.init == "custom":
-        values = np.asarray(config.initial_values, dtype=np.complex128)
-        if values.shape == (circle.n + 1,):
-            values = values[: circle.n]
-        if values.shape != (circle.n,):
-            raise ValueError("initial_values must match the grid point count")
-        return values.copy()
+        return core.circle(config.initial_values)
     rng = np.random.default_rng(config.seed)
-    x = np.zeros(circle.n, dtype=np.complex128)
+    x = np.zeros(core.n, dtype=np.complex128)
     for mode in rng.integers(-40, 41, size=24):
         coeff = rng.standard_normal() + 1j * rng.standard_normal()
-        x += coeff * np.exp(2j * math.pi * mode * np.arange(circle.n) / circle.n)
+        x += coeff * np.exp(2j * math.pi * mode * np.arange(core.n) / core.n)
     return x
 
 
@@ -310,44 +278,20 @@ def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTr
     NonFinite
         If the objective or gradient degenerates.
     """
-    circle = SupportCircle(config.grid)
-    mod, offset = _modulation(circle, evo)
-    cap = config.position_cap if config.position_cap is not None else default_position_cap(
-        config.grid, evo
-    )
-    if int(np.count_nonzero(circle.window_mask(cap))) < 3:
+    core = _AscentCore(config.grid, evo, config.position_cap)
+    if int(np.count_nonzero(core.inside)) < 3:
         raise ValueError("position window holds fewer than three modes; refine the grid")
 
-    def ascent_value(x: np.ndarray) -> float:
-        return _rayleigh(circle, mod * x) - offset
-
-    def shift_value(x: np.ndarray) -> float:
-        return ascent_value(x) - _rayleigh(circle, x)
-
-    def raw_gradient(x: np.ndarray) -> np.ndarray:
-        u = mod * x
-        norm = np.vdot(u, u).real
-        mean = np.vdot(u, circle.position_apply(u)).real / norm
-        return np.conj(mod) * (circle.position_apply(u) - mean * u) / norm
-
-    def projected(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        grad = circle.window_project(grad, cap)
-        for d in (x, 1j * x):
-            d = d / math.sqrt(np.vdot(d, d).real)
-            grad = grad - d * np.vdot(d, grad).real
-        return grad
-
-    x = circle.window_project(_initial_circle_vector(config, circle), cap)
+    x = core.window(_initial_circle_vector(config, core))
     norm = math.sqrt(np.vdot(x, x).real)
-    if norm < 1e-14:
+    if norm < ZERO_NORM_FLOOR:
         raise ZeroNorm("initialization vanished inside the position window")
     x = x / norm
 
-    current = ascent_value(x)
-    grad = projected(x, raw_gradient(x))
-    if not (math.isfinite(current) and np.all(np.isfinite(grad.view(np.float64)))):
+    current, raw = core.value_and_gradient(x)
+    grad, grad_norm = core.project(x, raw)
+    if not (math.isfinite(current) and all_finite(grad)):
         raise NonFinite("non-finite functional or gradient at the initial iterate")
-    grad_norm = math.sqrt(np.vdot(grad, grad).real / circle.spacing)
 
     iterations: list[tuple[int, float, float]] = []
     converged = grad_norm < config.tol
@@ -357,38 +301,32 @@ def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTr
         if converged:
             break
         slope = 2.0 * np.vdot(grad, grad).real
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            candidate = circle.window_project(x + step * grad, cap)
+            candidate = core.window(x + step * grad)
             candidate = candidate / math.sqrt(np.vdot(candidate, candidate).real)
-            value = ascent_value(candidate)
+            value, raw = core.value_and_gradient(candidate)
             if math.isfinite(value) and value >= current + _ARMIJO_C1 * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
         x, current = candidate, value
-        grad = projected(x, raw_gradient(x))
-        if not np.all(np.isfinite(grad.view(np.float64))):
+        grad, grad_norm = core.project(x, raw)
+        if not all_finite(grad):
             raise NonFinite("non-finite gradient")
-        grad_norm = math.sqrt(np.vdot(grad, grad).real / circle.spacing)
-        iterations.append((iteration, shift_value(x), grad_norm))
+        iterations.append((iteration, current - core.mean_position(x), grad_norm))
         converged = grad_norm < config.tol
         step = min(step * 2.0, 1e6)
 
     if not iterations:
-        iterations.append((0, shift_value(x), grad_norm))
+        iterations.append((0, current - core.mean_position(x), grad_norm))
 
-    closed = np.empty(circle.n + 1, dtype=np.complex128)
-    closed[: circle.n] = x
-    closed[circle.n] = x[0]
-    derivative = np.fft.ifft(1j * (-circle.position_values) * np.fft.fft(x))
-    closed_derivative = np.empty_like(closed)
-    closed_derivative[: circle.n] = derivative
-    closed_derivative[circle.n] = derivative[0]
+    derivative = np.fft.ifft(1j * (-core.positions) * np.fft.fft(x))
     final_probe = ProbeWavefunction.normalized(
-        config.grid, closed, derivative=closed_derivative, label="optimized"
+        config.grid,
+        np.append(x, x[0]),
+        derivative=np.append(derivative, derivative[0]),
+        label="optimized",
     )
     return OptimizerTrace(iterations, final_probe, converged)
 

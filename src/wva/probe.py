@@ -17,6 +17,7 @@ import numpy as np
 
 from .analytic import _require_real_part, evolution_factor_and_derivative, max_shift
 from .errors import GridTooLarge, TailMassTooLarge, ZeroNorm
+from .system import all_finite
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
 NORMALIZATION_TOL = 1e-8
@@ -27,8 +28,8 @@ MAX_GRID_POINTS = 1 << 24
 #: Largest positions-times-momenta count that :func:`position_amplitudes` sums
 #: densely on uniformly spaced positions; larger sums run as a chirp-z transform.
 DENSE_SUM_MAX_TERMS = 1 << 16
-
-_ZERO_NORM_FLOOR = 1e-14
+#: Squared norms below this are numerically zero (raises :class:`ZeroNorm`).
+ZERO_NORM_FLOOR = 1e-14
 
 
 def check_point_budget(count: int, what: str) -> None:
@@ -120,9 +121,9 @@ def numeric_derivative(values: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     return out
 
 
-def _check_finite_complex(arr: np.ndarray, what: str) -> None:
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError(f"{what} must be finite everywhere")
+def _require_finite(samples: np.ndarray, what: str) -> None:
+    if not all_finite(samples):
+        raise ValueError(f"wavefunction {what} must be finite everywhere")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,7 @@ class ProbeWavefunction:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values must match the grid point count")
-        _check_finite_complex(values, "wavefunction values")
+        _require_finite(values, "values")
         norm_sq = float(self.grid.integrate(np.abs(values) ** 2))
         if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
@@ -155,7 +156,7 @@ class ProbeWavefunction:
             deriv = np.asarray(self.derivative, dtype=np.complex128)
             if deriv.shape != values.shape:
                 raise ValueError("derivative must match the grid point count")
-            _check_finite_complex(deriv, "wavefunction derivative")
+            _require_finite(deriv, "derivative")
             deriv.flags.writeable = False
             object.__setattr__(self, "derivative", deriv)
 
@@ -175,12 +176,17 @@ class ProbeWavefunction:
             If the raw samples carry no usable norm.
         """
         values = np.asarray(values, dtype=np.complex128)
-        _check_finite_complex(values, "wavefunction values")
+        _require_finite(values, "values")
         norm_sq = float(grid.integrate(np.abs(values) ** 2))
-        if norm_sq < _ZERO_NORM_FLOOR:
+        if norm_sq < ZERO_NORM_FLOOR:
             raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero")
         scale = 1.0 / math.sqrt(norm_sq)
-        deriv = None if derivative is None else np.asarray(derivative, np.complex128) * scale
+        deriv = None
+        if derivative is not None:
+            # Checked before scaling: inf * scale is a complex product with NaN parts.
+            deriv = np.asarray(derivative, np.complex128)
+            _require_finite(deriv, "derivative")
+            deriv = deriv * scale
         return cls(grid, values * scale, deriv, label)
 
     def norm_squared(self) -> float:
@@ -190,7 +196,14 @@ class ProbeWavefunction:
         """Analytic derivative samples when present, stencil fallback otherwise."""
         if self.derivative is not None:
             return self.derivative
-        return numeric_derivative(self.values, self.grid)
+        return self._stencil_derivative
+
+    @cached_property
+    def _stencil_derivative(self) -> np.ndarray:
+        """:func:`numeric_derivative` of the values, computed once per instance."""
+        deriv = numeric_derivative(self.values, self.grid)
+        deriv.flags.writeable = False
+        return deriv
 
 
 def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:

@@ -21,8 +21,9 @@ ORTHOGONALITY_EPS = 1e-12
 _MATRIX_TOL = 1e-12
 
 
-def _finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite; a complex entry needs both parts finite."""
+    return bool(np.all(np.isfinite(arr)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,7 @@ class SystemState:
         arr = np.asarray(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a state needs a 1-d amplitude vector of dimension >= 2")
-        if not _finite(arr):
+        if not all_finite(arr):
             raise ValueError("state amplitudes must be finite")
         norm = math.sqrt(np.vdot(arr, arr).real)
         if norm < 1e-12:
@@ -67,7 +68,7 @@ class Observable:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError("observable must be a square matrix of dimension >= 2")
-        if not _finite(m):
+        if not all_finite(m):
             raise ValueError("observable entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > _MATRIX_TOL:
             raise ValueError("observable must be Hermitian")

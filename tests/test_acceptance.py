@@ -19,6 +19,12 @@ from wva.cli import format_number, main
 
 DATA = Path(__file__).parent / "data"
 
+
+def _read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 G_FIG = 0.1
 AW_FIG = math.sqrt(3) + 2.0 * math.sqrt(3) * 1j
 
@@ -222,7 +228,7 @@ def test_criterion_08_orthogonality_extrapolation(tmp_path):
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = _read_rows(out)
         samples = []
         for row in rows:
             theta = float(row["axis_value"])
@@ -280,7 +286,7 @@ def test_criterion_10_figure_data(tmp_path):
     golden = (DATA / "golden_dump.csv").read_bytes()
     assert out.read_bytes() == golden
 
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = _read_rows(out)
     spaces = {row["space"] for row in rows}
     assert spaces == {
         "momentum_initial",

@@ -19,6 +19,12 @@ from wva.cli import (
 
 DATA = Path(__file__).parent / "data"
 
+
+def _read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 AW_RE = "1.7320508075688772"
 AW_IM = "3.4641016151377544"
 
@@ -156,8 +162,7 @@ class TestShiftCommand:
             ]
         )
         assert rc == 0
-        with open(out, newline="") as handle:
-            row = list(csv.DictReader(handle))[0]
+        row = _read_rows(out)[0]
         assert float(row["delta_q"]) == pytest.approx(0.194230954135, abs=1e-9)
         assert float(row["analytic_delta_q"]) == pytest.approx(0.194230954135, abs=1e-9)
         assert float(row["abs_diff_delta_q"]) < 1e-9
@@ -222,7 +227,7 @@ class TestDumpCommand:
         assert out.read_bytes() == (DATA / "golden_dump.csv").read_bytes()
 
     def test_dump_families_and_peak(self):
-        rows = list(csv.DictReader(open(DATA / "golden_dump.csv", newline="")))
+        rows = _read_rows(DATA / "golden_dump.csv")
         spaces = {row["space"] for row in rows}
         assert spaces == {
             "momentum_initial",
@@ -257,7 +262,7 @@ class TestDumpCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = _read_rows(out)
         positions = [float(r["coordinate"]) for r in rows if r["space"] == "position_initial"]
         assert len(positions) == 801
 
@@ -312,7 +317,7 @@ class TestSweepCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = _read_rows(out)
         reference = float(rows[0]["analytic_delta_q"])
         gaps = [abs(float(r["delta_q"]) - reference) for r in rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -345,7 +350,7 @@ class TestSweepCommand:
             ]
         )
         assert rc == 1  # the final row hits exact orthogonality
-        rows = list(csv.DictReader(open(out, newline="")))
+        rows = _read_rows(out)
         assert rows[-1]["error"] == "OrthogonalSelection"
         assert all(r["error"] == "" for r in rows[:-1])
         assert rows[0]["overlap_times_q_final"] != ""
@@ -374,7 +379,7 @@ class TestSweepCommand:
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert b"\r\n" not in first.read_bytes()
-        rows = list(csv.DictReader(open(first, newline="")))
+        rows = _read_rows(first)
         reference = [float(r["analytic_delta_q"]) for r in rows]
         errors = [abs(float(r["delta_q"]) - ref) for r, ref in zip(rows, reference)]
         assert errors[0] / errors[1] >= 8.0
@@ -402,7 +407,7 @@ class TestOptimizeCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "converged      true" in out
-        rows = list(csv.DictReader(open(trace_path, newline="")))
+        rows = _read_rows(trace_path)
         assert float(rows[-1]["objective"]) == pytest.approx(0.125, abs=1e-3 * 0.125)
         # the gauge-fixed probe dump can be re-read as a file probe
         probe = read_probe_csv(str(probe_path))
@@ -428,7 +433,7 @@ class TestOptimizeCommand:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(open(trace_path, newline="")))
+        rows = _read_rows(trace_path)
         assert len(rows) == 1
 
     def test_seed_variation(self, capsys):
@@ -562,7 +567,7 @@ def test_sweep_row_reports_an_under_resolved_optimal_probe(tmp_path):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--axis", "grid_n", "--aw-re", "2", "--probe", "optimal", "--values", "3,4097"]
     assert main(argv + ["--output", str(out)]) == 1
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = _read_rows(out)
     assert [r["error"] for r in rows] == ["UnderResolvedGrid", ""]
     assert rows[0]["delta_q"] == ""
     assert float(rows[1]["delta_q"]) == pytest.approx(0.125, rel=1e-9)
@@ -578,5 +583,5 @@ def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--axis", "coupling_g", "--aw-re", "2", "--values", "-1,0.1", "--output", str(out)]
     assert main(argv) == 1
-    rows = list(csv.DictReader(open(out, newline="")))
+    rows = _read_rows(out)
     assert [(r["axis_value"], r["error"]) for r in rows] == [("-1", "ConfigError"), ("0.1", "")]

@@ -142,6 +142,41 @@ class TestShiftReport:
         assert moved.q_initial == pytest.approx(base.q_initial + a, abs=1e-8)
 
 
+    def test_file_probe_takes_one_stencil_derivative_per_report(self, monkeypatch):
+        # A probe without an analytic derivative (as read from a CSV file)
+        # feeds the stencil derivative to both states of the report.
+        calls = []
+        stencil = wva.probe.numeric_derivative
+
+        def counted(values, grid):
+            calls.append(values.size)
+            return stencil(values, grid)
+
+        monkeypatch.setattr(wva.probe, "numeric_derivative", counted)
+        source = gaussian_probe(1.0, MomentumGrid(-10.0, 10.0, 4001))
+        probe = ProbeWavefunction.normalized(source.grid, source.values)
+        report = shift_report(evo_for(AW), probe)
+        assert calls == [4001]
+        assert report.delta_q == pytest.approx(
+            shift_report(evo_for(AW), source).delta_q, rel=1e-6
+        )
+
+    @pytest.mark.parametrize("value", [2.0, -0.5 + 3.0j, AW])
+    def test_optimal_probe_weight_is_overlap_squared_times_real_part(self, value):
+        # Under from_value the overlap is one, so the weight is |Re A| and
+        # exceeds one: it is not a success probability.
+        report = shift_report(evo_for(value), optimal_probe(G, value))
+        assert report.weight == pytest.approx(abs(complex(value).real), rel=1e-12)
+
+    @pytest.mark.parametrize("angles", [(0.3, 1.2), (0.7, 0.9), (1.1, 0.5)])
+    def test_optimal_probe_weight_under_a_physical_selection(self, angles):
+        weak = wva.compute_weak_value(*wva.mach_zehnder_setup(*angles))
+        report = shift_report(PostSelectedEvolution(G, weak), optimal_probe(G, weak.value))
+        expected = abs(weak.overlap) ** 2 * abs(weak.value.real)
+        assert report.weight == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < report.weight <= 1.0
+
+
 class TestQuadratureConvergence:
     def test_simpson_order_against_closed_form(self):
         # Halving the spacing must cut the error by at least 8x while it sits

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wva import (
     MomentumGrid,
@@ -21,6 +22,7 @@ from wva import (
     periodic_representative,
     projected_gradient_norm,
     recommended_gaussian_grid,
+    shift_lower_bound,
     shift_on_circle,
 )
 
@@ -101,6 +103,64 @@ class TestGradient:
         c = 2.0 - 3.0j
         scaled = gradient(c * x, grid, evo)
         assert np.allclose(scaled, base / np.conj(c), atol=1e-12)
+
+
+real_parts = st.floats(0.05, 20.0).flatmap(lambda r: st.sampled_from([r, -r]))
+weak_values = st.builds(complex, real_parts, st.floats(-20.0, 20.0))
+scales = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestScaleProperties:
+    """Every functional is a quotient, so rescaling the probe by any nonzero
+    complex c leaves it unchanged and divides its Wirtinger gradient by conj(c)."""
+
+    GRID = MomentumGrid.for_support(G, 65)
+    # Largest position eigenvalue: the natural size of a mean position here.
+    SCALE = math.pi / GRID.spacing
+
+    @staticmethod
+    def _samples(seed, size):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
+    def test_functionals_are_scale_invariant(self, seed, value, c):
+        evo = evo_for(value)
+        x = self._samples(seed, 64)
+        for functional in (final_position, shift_on_circle):
+            base = functional(x, self.GRID, evo)
+            assert functional(c * x, self.GRID, evo) == pytest.approx(
+                base, rel=1e-10, abs=1e-12 * self.SCALE
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
+    def test_objective_is_scale_invariant(self, seed, value, c):
+        evo = evo_for(value)
+        values, derivative = self._samples(seed, 65), self._samples(seed + 1, 65)
+        base = objective(values, derivative, self.GRID, evo)
+        scaled = objective(c * values, c * derivative, self.GRID, evo)
+        assert scaled == pytest.approx(base, rel=1e-10, abs=1e-12 * self.SCALE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
+    def test_gradient_scales_inversely_with_conjugate(self, seed, value, c):
+        evo = evo_for(value)
+        x = self._samples(seed, 64)
+        expected = gradient(x, self.GRID, evo) / np.conj(c)
+        scaled = gradient(c * x, self.GRID, evo)
+        assert np.max(np.abs(scaled - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling=st.floats(1e-4, 10.0), value=weak_values)
+def test_bound_chain(coupling, value):
+    # g <= g sqrt((Im A)^2 + 1) <= |max_shift|, the last up to rounding at
+    # its equality point |Re A| = sqrt((Im A)^2 + 1).
+    lower = shift_lower_bound(coupling, value)
+    assert coupling <= lower
+    assert lower <= abs(max_shift(coupling, value)) * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 class TestMaximize:

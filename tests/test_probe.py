@@ -103,6 +103,24 @@ def test_wavefunction_requires_normalization():
     assert probe.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)], ids=["nan", "inf", "imag-inf"])
+def test_wavefunction_rejects_non_finite_samples(bad):
+    grid = MomentumGrid(-1.0, 1.0, 21)
+    probe = ProbeWavefunction.normalized(grid, np.ones(21, dtype=complex))
+    spoiled = probe.values.copy()
+    spoiled[7] = bad
+    with pytest.raises(ValueError, match="wavefunction values must be finite"):
+        ProbeWavefunction(grid, spoiled)
+    with pytest.raises(ValueError, match="wavefunction values must be finite"):
+        ProbeWavefunction.normalized(grid, spoiled)
+    derivative = np.zeros(21, dtype=complex)
+    derivative[7] = bad
+    with pytest.raises(ValueError, match="wavefunction derivative must be finite"):
+        ProbeWavefunction(grid, probe.values, derivative)
+    with pytest.raises(ValueError, match="wavefunction derivative must be finite"):
+        ProbeWavefunction.normalized(grid, probe.values, derivative)
+
+
 class TestGaussianProbe:
     def test_normalized_on_grid(self):
         grid = MomentumGrid(-20.0, 20.0, 4001)
