@@ -17,6 +17,7 @@ from .analytic import (
     inverse_fourth_factor_integral,
     inverse_square_factor_integral,
     max_shift,
+    optimal_initial_momentum,
     orthogonality_limit_check,
     shift_lower_bound,
 )
@@ -26,6 +27,7 @@ from .errors import (
     GridTooLarge,
     NonFinite,
     OrthogonalSelection,
+    ScaleOutOfRange,
     TailMassTooLarge,
     UnderResolvedGrid,
     WvaError,
@@ -51,6 +53,7 @@ from .probe import (
     MomentumGrid,
     PositionSamples,
     ProbeWavefunction,
+    QuadratureNodes,
     final_probe_momentum,
     final_probe_position,
     gaussian_probe,
@@ -61,6 +64,8 @@ from .probe import (
     recommended_support_points,
     smoothed_optimal_probe,
     smoothed_support_grid,
+    support_nodes,
+    theta_nodes,
     to_position_density,
 )
 from .system import (

@@ -22,12 +22,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analytic import gaussian_exact_shifts, max_shift
+from .analytic import gaussian_exact_shifts, max_shift, optimal_initial_momentum
 from .errors import UnderResolvedGrid, WvaError
 from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
+    SCALE_RANGE,
     MomentumGrid,
     ProbeWavefunction,
     check_point_budget,
@@ -97,6 +98,9 @@ _PROBE_KINDS = ("gaussian", "optimal", "smoothed", "file")
 
 _finite = _checked(float, math.isfinite, "finite")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_scale = _checked(
+    float, lambda x: SCALE_RANGE[0] <= x <= SCALE_RANGE[1], "within [{:g}, {:g}]".format(*SCALE_RANGE)
+)
 _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _odd_count = _checked(int, lambda n: n >= 3 and n % 2 == 1, "odd and at least 3")
 _entry = _checked(lambda text: complex(text.strip()), cmath.isfinite, "a finite complex number")
@@ -142,7 +146,7 @@ _FIELDS = (
     _Field("pre", "pre", _vector, "pre-selected state, comma-separated complex entries"),
     _Field("post", "post", _vector, "post-selected state, comma-separated complex entries"),
     _Field("obs", "obs", _matrix, "observable matrix, ';'-separated rows"),
-    _Field("width", "width", _positive, "gaussian momentum width"),
+    _Field("width", "width", _scale, "gaussian momentum width"),
     _Field("smoothing", "smoothing", _positive, "smoothing rate for probe=smoothed"),
     _Field("file", "probe_file", _text, "probe CSV for probe=file"),
     _Field("n_points", "n_points", _odd_count, "grid points (odd)"),
@@ -333,17 +337,22 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
 def _resolved_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefunction:
     """:func:`scenario_probe` for a reported shift.
 
-    A set ``n_points`` below :func:`recommended_support_points` would let an
-    optimal probe report a shift off the closed form by more than the printed
-    digits (at A = 2 and 3 points, 0.183 against 0.125), so it is refused.
-    ``dump`` samples wavefunctions at any odd count and does not come here.
+    An optimal probe without a set ``n_points`` is sampled on theta nodes,
+    where no p-grid resolution law applies (:func:`optimal_probe` with
+    ``n_points=None``).  A set ``n_points`` below
+    :func:`recommended_support_points` would let an optimal probe report a
+    shift off the closed form by more than the printed digits (at A = 2 and
+    3 points, 0.183 against 0.125), so it is refused.  ``dump`` samples
+    wavefunctions on p-grids at any odd count and does not come here.
 
     Raises
     ------
     UnderResolvedGrid
         If an optimal probe is asked for on too few points.
     """
-    if config.probe == "optimal" and config.n_points is not None:
+    if config.probe == "optimal":
+        if config.n_points is None:
+            return optimal_probe(config.coupling, weak_value.value, None, config.support_extent)
         needed = recommended_support_points(weak_value.value, config.support_extent)
         if config.n_points < needed:
             raise UnderResolvedGrid(
@@ -356,10 +365,14 @@ def _resolved_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavef
 def analytic_reference(
     config: ScenarioConfig, weak_value: WeakValue
 ) -> tuple[float | None, float | None]:
-    """Closed-form (delta_q, delta_p) reference for the scenario's probe."""
+    """Closed-form (delta_q, delta_p) reference for the scenario's probe; the
+    optimal probe's delta_p has one on supports of odd extent."""
     if config.probe == "gaussian":
         prediction = gaussian_exact_shifts(config.coupling, config.width, weak_value.value)
         return prediction.delta_q, prediction.delta_p
+    if config.probe == "optimal" and config.support_extent % 2:
+        delta_p = -optimal_initial_momentum(config.coupling, weak_value.value)
+        return max_shift(config.coupling, weak_value.value), delta_p
     if config.probe in ("optimal", "smoothed"):
         return max_shift(config.coupling, weak_value.value), None
     return None, None

@@ -42,4 +42,10 @@ class GridTooLarge(WvaError):
 
 class UnderResolvedGrid(WvaError):
     """A requested grid has fewer points than the probe's resolution law
-    needs for its shift to hold to the reported digits."""
+    needs for its shift to hold to the reported digits, or a node set's
+    halving error estimate exceeds its tolerance."""
+
+
+class ScaleOutOfRange(WvaError):
+    """A probe's momentum scale is so small or so large that its samples and
+    their moments would leave the normal range of double precision."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import evolution_factor, evolution_factor_and_derivative, evolution_factor_derivative
-from .probe import MomentumGrid, ProbeWavefunction
+from .probe import Nodes, ProbeWavefunction
 from .system import WeakValue
 
 
@@ -63,14 +63,14 @@ class EvolvedProbe:
     success probability only for a physical selection (see the module
     docstring)."""
 
-    grid: MomentumGrid
+    grid: Nodes
     values: np.ndarray
     derivative: np.ndarray
     weight: float
     density: np.ndarray
 
 
-def _evolved(grid: MomentumGrid, values: np.ndarray, derivative: np.ndarray) -> EvolvedProbe:
+def _evolved(grid: Nodes, values: np.ndarray, derivative: np.ndarray) -> EvolvedProbe:
     density = np.abs(values) ** 2
     return EvolvedProbe(grid, values, derivative, float(grid.integrate(density)), density)
 
@@ -80,14 +80,18 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
 
     The output values are overlap * factor(p) * probe values, pointwise; the
     derivative follows by the product rule with the analytic factor
-    derivative.  ``weight`` is the quadrature of |output|^2.
+    derivative.  ``weight`` is the quadrature of |output|^2.  The output is
+    on the node set of the probe's ``evolution_view`` when it has one, and on
+    the probe's own grid otherwise.
     """
-    p = probe.grid.points
-    b, bd = evo.factor_and_derivative(p)
+    view = probe.evolution_view
+    if view is None:
+        grid, values, derivative = probe.grid, probe.values, probe.derivative_or_numeric()
+    else:
+        grid, values, derivative = view.grid, view.values, view.derivative
+    b, bd = evo.factor_and_derivative(grid.points)
     overlap = evo.weak.overlap
-    values = overlap * b * probe.values
-    derivative = overlap * (bd * probe.values + b * probe.derivative_or_numeric())
-    return _evolved(probe.grid, values, derivative)
+    return _evolved(grid, overlap * b * values, overlap * (bd * values + b * derivative))
 
 
 def apply_weak_order(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:

@@ -1,22 +1,38 @@
-"""Momentum-space probe wavefunctions: grids, constructors, position views.
+"""Momentum-space probe wavefunctions: node sets, constructors, position views.
 
-Every wavefunction lives on a uniform momentum grid with an odd number of
-points and is normalized under that grid's composite-Simpson rule, so all
-downstream quadrature is self-consistent.  Constructed probes carry analytic
-derivatives; user-supplied samples fall back to fourth-order finite
-differences.
+A wavefunction is sampled on a node set: momenta ``points``, their count
+``n_points`` and a quadrature rule ``integrate`` on them.  It is normalized
+under that rule, so all downstream quadrature is self-consistent.  Two kinds
+of node set exist:
+
+- :class:`MomentumGrid`, a uniform grid with an odd point count under
+  composite Simpson.  Gaussian, file and smoothed probes, dumps and an
+  optimal probe on an explicit point count live here; the position transform
+  and the finite-difference derivative need its uniform spacing.
+- :class:`QuadratureNodes`, Clenshaw-Curtis nodes with a halving error
+  estimate.  The default optimal probe lives on nodes in theta = arg B(p),
+  where its density is uniform (:func:`theta_nodes`), and its post-selected
+  state on a small rule in p over the support (:func:`support_nodes`).
+
+Constructed probes carry analytic derivatives; user-supplied samples fall back
+to fourth-order finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .analytic import _require_real_part, evolution_factor_and_derivative, max_shift
-from .errors import GridTooLarge, TailMassTooLarge, ZeroNorm
+from .analytic import (
+    _require_real_part,
+    evolution_factor_and_derivative,
+    evolution_factor_derivative,
+    max_shift,
+)
+from .errors import GridTooLarge, ScaleOutOfRange, TailMassTooLarge, UnderResolvedGrid, ZeroNorm
 from .system import all_finite
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
@@ -30,6 +46,17 @@ MAX_GRID_POINTS = 1 << 24
 DENSE_SUM_MAX_TERMS = 1 << 16
 #: Squared norms below this are numerically zero (raises :class:`ZeroNorm`).
 ZERO_NORM_FLOOR = 1e-14
+#: Range of a probe's momentum scale (a Gaussian width, or 1/g for the support
+#: probes; the range is symmetric, so g may be checked in its place).  Samples,
+#: derivatives and their quadrature products grow like up to the third power
+#: of the scale or of its inverse, and within this range they all stay normal
+#: doubles (above 1e-300 and below 1e300).
+SCALE_RANGE = (1e-100, 1e100)
+#: Clenshaw-Curtis interval counts per support period tried, in order; each
+#: rule nests the previous one.
+NODE_COUNTS = tuple(16 << k for k in range(13))  # 16 .. 65,536
+#: Largest halving estimate, relative to its scale, of a mean on node sets.
+HALVING_TOL = 1e-10
 
 
 def check_point_budget(count: int, what: str) -> None:
@@ -37,6 +64,17 @@ def check_point_budget(count: int, what: str) -> None:
     ``MAX_GRID_POINTS``; call it before allocating them."""
     if count > MAX_GRID_POINTS:
         raise GridTooLarge(f"{count} {what} exceed the budget {MAX_GRID_POINTS}")
+
+
+def check_scale(scale: float, what: str) -> None:
+    """Raise :class:`ScaleOutOfRange` when a probe's momentum scale lies
+    outside ``SCALE_RANGE``."""
+    low, high = SCALE_RANGE
+    if not low <= scale <= high:
+        raise ScaleOutOfRange(
+            f"{what} = {scale:.3e} lies outside [{low:g}, {high:g}], where the probe's "
+            "samples and their moments stay normal doubles"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,6 +143,138 @@ class MomentumGrid:
         return cls(-half, half, n_points)
 
 
+@dataclass(frozen=True, eq=False)
+class QuadratureNodes:
+    """Momenta with quadrature weights, and the weights of the nested rule on
+    half as many intervals (zero on the nodes it skips).
+
+    The difference of the two rules is the halving error estimate.  Sums are
+    numpy pairwise sums of weights times samples, as in
+    :meth:`MomentumGrid.integrate`.
+    """
+
+    points: np.ndarray
+    weights: np.ndarray
+    coarse_weights: np.ndarray
+
+    @property
+    def n_points(self) -> int:
+        return self.points.size
+
+    def integrate(self, samples: np.ndarray):
+        return (self.weights * samples).sum()
+
+    def halving_error(self, samples: np.ndarray) -> float:
+        """|fine rule - nested coarse rule| of the samples."""
+        return float(abs(((self.weights - self.coarse_weights) * samples).sum()))
+
+    @classmethod
+    def mapped(cls, n: int, p: np.ndarray, jacobian) -> "QuadratureNodes":
+        """The rule of :func:`_periods` mapped to momenta ``p``, given dp/dt."""
+        _, w, w_coarse = _clenshaw_curtis(n)
+        scale = np.broadcast_to(math.pi * jacobian, p.shape)
+        return cls(p.ravel(), (scale * w).ravel(), (scale * w_coarse).ravel())
+
+
+#: A node set: what probes, evolution and expectations use of it is
+#: ``points``, ``n_points`` and ``integrate``.
+Nodes = MomentumGrid | QuadratureNodes
+
+
+@dataclass(frozen=True, eq=False)
+class NodeSamples:
+    """Values and derivative of a wavefunction at the points of a node set,
+    with no normalization implied on that set."""
+
+    grid: Nodes
+    values: np.ndarray
+    derivative: np.ndarray
+
+
+@lru_cache(maxsize=len(NODE_COUNTS))
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis rule with ``n`` (even) intervals on [0, 1].
+
+    Returns the n + 1 increasing nodes, their weights, and the weights of the
+    n/2-interval rule on the even-index nodes, which it shares.  The weights are
+    the DCT-I of the even Chebyshev moments 2 / (1 - k^2), one real FFT
+    (Waldvogel, BIT 46, 2006).  Nodes are 1/2 + sin(...)/2 so that the rule is
+    exactly symmetric about 1/2.  Rules are cached (read-only): a sweep builds
+    the same few for every row.
+    """
+    k = np.arange(n + 1)
+    nodes = 0.5 + 0.5 * np.sin(math.pi * (2 * k - n) / (2 * n))
+
+    def weights(m: int) -> np.ndarray:
+        moments = np.zeros(m + 1)
+        moments[::2] = 2.0 / (1.0 - np.arange(0, m + 1, 2) ** 2.0)
+        w = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real / (2 * m)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+    coarse = np.zeros(n + 1)
+    coarse[::2] = weights(n // 2)
+    rule = nodes, weights(n), coarse
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _periods(extent: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [0, pi] of the Clenshaw-Curtis rule with ``n`` intervals,
+    and a column of the period indices 0..extent-1 over which it repeats."""
+    check_point_budget(extent * (n + 1), "quadrature nodes")
+    return math.pi * _clenshaw_curtis(n)[0], np.arange(extent)[:, None]
+
+
+def theta_nodes(
+    coupling: float, weak_value: complex, extent: int, n: int
+) -> tuple[QuadratureNodes, np.ndarray]:
+    """Nodes uniform in theta = arg B(p) over the support [-pi*extent/2g,
+    pi*extent/2g], and the evolution factor B at them.
+
+    theta falls by pi over each period of B, with dtheta/dp = -g Re A / |B|^2,
+    so the optimal probe's density g |Re A| / (pi extent |B|^2) is uniform in
+    theta.  For Re A = a > 0 and Im A = b, theta in the central window
+    [arg A - pi/2, arg A + pi/2] maps to the central period by
+    gp = atan2(-sin theta, a cos theta + b sin theta), with
+    |B|^2 = a^2 / (sin^2 theta + (a cos theta + b sin theta)^2); each window
+    to its left is a period to the right.  Re A < 0 is the mirror image
+    p -> -p of -A.  On an odd extent every theta period is the central window,
+    so the nodes repeat exactly; on an even one the periods end on multiples
+    of pi and are reduced into the window node by node.  The weights are the
+    theta rule's times dp/dtheta = |B|^2 / (g |a|).  B comes from theta, not
+    from cos(gp) and sin(gp), whose difference loses digits where |B| is small.
+    """
+    aw = complex(weak_value)
+    sign = math.copysign(1.0, aw.real)
+    a, b = abs(aw.real), sign * aw.imag
+    centre = math.atan2(b, a)
+    t, period = _periods(extent, n)
+    if extent % 2:
+        theta = centre - 0.5 * math.pi + t
+        turns = 0.5 * (extent - 1) - period
+    else:
+        theta = t + math.pi * (period - 0.5 * extent)
+        turns = np.round((centre - theta) / math.pi)
+        theta = theta + math.pi * turns
+    sin = np.sin(theta)
+    cross = a * np.cos(theta) + b * sin
+    p = sign * (np.arctan2(-sin, cross) + math.pi * turns) / coupling
+    inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
+    phase = np.exp(1j * theta) * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
+    factor = a / np.sqrt(inverse_density) * phase
+    return QuadratureNodes.mapped(n, p, a / (coupling * inverse_density)), factor.ravel()
+
+
+def support_nodes(coupling: float, extent: int, n: int) -> QuadratureNodes:
+    """Clenshaw-Curtis rule in p on each period of [-pi*extent/2g, pi*extent/2g]."""
+    t, period = _periods(extent, n)
+    p = (t + math.pi * period) / coupling - 0.5 * math.pi * extent / coupling
+    return QuadratureNodes.mapped(n, p, 1.0 / coupling)
+
+
 def numeric_derivative(values: np.ndarray, grid: MomentumGrid) -> np.ndarray:
     """Fourth-order finite-difference derivative of grid samples (5-point
     central stencils, one-sided stencils of the same order at the edges)."""
@@ -128,17 +298,21 @@ def _require_finite(samples: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ProbeWavefunction:
-    """Complex momentum-space wavefunction sampled on a grid.
+    """Complex momentum-space wavefunction sampled on a node set.
 
-    Instances are immutable and normalized: the Simpson quadrature of
+    Instances are immutable and normalized: the node set's quadrature of
     |values|^2 equals one within ``NORMALIZATION_TOL``.  ``derivative`` holds
     analytic derivative samples when the constructor knows them.
+    ``evolution_view``, when set, holds the same wavefunction's samples on
+    the node set on which :func:`wva.evolution.apply_postselection` integrates
+    its post-selected state.
     """
 
-    grid: MomentumGrid
+    grid: Nodes
     values: np.ndarray
     derivative: np.ndarray | None = None
     label: str = ""
+    evolution_view: NodeSamples | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -163,7 +337,7 @@ class ProbeWavefunction:
     @classmethod
     def normalized(
         cls,
-        grid: MomentumGrid,
+        grid: Nodes,
         values: np.ndarray,
         derivative: np.ndarray | None = None,
         label: str = "",
@@ -193,7 +367,8 @@ class ProbeWavefunction:
         return float(self.grid.integrate(np.abs(self.values) ** 2))
 
     def derivative_or_numeric(self) -> np.ndarray:
-        """Analytic derivative samples when present, stencil fallback otherwise."""
+        """Analytic derivative samples when present, stencil fallback (on a
+        :class:`MomentumGrid` only) otherwise."""
         if self.derivative is not None:
             return self.derivative
         return self._stencil_derivative
@@ -216,11 +391,14 @@ def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:
 
     Raises
     ------
+    ScaleOutOfRange
+        If ``width`` lies outside ``SCALE_RANGE``.
     TailMassTooLarge
         If the grid truncates the Gaussian beyond tolerance.
     """
     if width <= 0:
         raise ValueError("width must be positive")
+    check_scale(width, "width")
     scale = width * math.sqrt(2.0)
     tail = 0.5 * math.erfc(grid.p_max / scale) + 0.5 * math.erfc(-grid.p_min / scale)
     if tail > TAIL_MASS_TOL:
@@ -247,11 +425,14 @@ def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
 
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
-    """Point count for hard-support probes.
+    """Point count of a :class:`MomentumGrid` for a hard-support probe: the
+    floor for an optimal probe's shift on an explicit point count, and the
+    default count of a ``dump``.
 
     The inverse evolution factor peaks like |A|^2 / (Re A)^2 over a narrow
     angular window, so resolution must grow with |A|^2 / |Re A| to keep the
-    quadrature at the part-per-million level.
+    Simpson quadrature at the part-per-million level.  The default optimal
+    probe escapes this law on :func:`theta_nodes`.
     """
     aw = complex(weak_value)
     sharpness = abs(aw) ** 2 / max(abs(aw.real), 1e-12)
@@ -261,10 +442,25 @@ def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     return n
 
 
+def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, factor=None):
+    """The optimal probe's values and derivative at momenta p, with the
+    analytic amplitude sqrt(g |Re A| / (pi extent)); B(p) is ``factor`` when
+    given."""
+    shift = max_shift(coupling, aw)
+    if factor is None:
+        factor, factor_d = evolution_factor_and_derivative(coupling, aw, p)
+    else:
+        factor_d = evolution_factor_derivative(coupling, aw, p)
+    amplitude = math.sqrt(coupling * abs(aw.real) / (math.pi * extent))
+    values = amplitude * np.exp(-1j * shift * p) / factor
+    derivative = values * (-(factor_d / factor) - 1j * shift)
+    return values, derivative
+
+
 def optimal_probe(
     coupling: float,
     weak_value: complex,
-    n_points: int = 4097,
+    n_points: int | None = 4097,
     extent: int = 1,
 ) -> ProbeWavefunction:
     """Back-action-cancelling probe on the support [-pi*extent/2g, pi*extent/2g].
@@ -274,20 +470,49 @@ def optimal_probe(
     attains :func:`wva.analytic.max_shift` exactly and starts with zero mean
     position.  Any integer ``extent`` reproduces the same shift.
 
+    With a point count the probe is sampled on a :class:`MomentumGrid` and
+    renormalized there.  With ``n_points=None`` it keeps its analytic
+    amplitude on :func:`theta_nodes`, with 16, 32, ... intervals per period:
+    the first count at which the halving estimates of its mean position and
+    momentum are within ``HALVING_TOL`` of |max_shift| and of pi/2g.  Its
+    ``evolution_view`` is then the probe on the 16-interval
+    :func:`support_nodes`, on which the post-selected state (flat density,
+    linear phase) integrates exactly.
+
     Raises
     ------
     ZeroRealPart
         If |Re weak_value| < 1e-12 (not normalizable in that case).
+    ScaleOutOfRange
+        If the coupling lies outside ``SCALE_RANGE``.
+    GridTooLarge
+        If the grid or the node set exceeds ``MAX_GRID_POINTS``.
+    UnderResolvedGrid
+        If the halving estimates exceed the tolerance at 65,536 intervals.
     """
     aw = _require_real_part(weak_value)
-    grid = MomentumGrid.for_support(coupling, n_points, extent)
-    shift = max_shift(coupling, aw)
-    p = grid.points
-    factor, factor_d = evolution_factor_and_derivative(coupling, aw, p)
-    amplitude = math.sqrt(coupling * abs(aw.real) / (math.pi * extent))
-    values = amplitude * np.exp(-1j * shift * p) / factor
-    derivative = values * (-(factor_d / factor) - 1j * shift)
-    return ProbeWavefunction.normalized(grid, values, derivative, label="optimal")
+    check_scale(coupling, "coupling")
+    if n_points is not None:
+        grid = MomentumGrid.for_support(coupling, n_points, extent)
+        values, derivative = _optimal_samples(coupling, aw, extent, grid.points)
+        return ProbeWavefunction.normalized(grid, values, derivative, label="optimal")
+
+    support = support_nodes(coupling, extent, NODE_COUNTS[0])
+    view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
+    q_scale, p_scale = abs(max_shift(coupling, aw)), 0.5 * math.pi / coupling
+    for n in NODE_COUNTS:
+        nodes, factor = theta_nodes(coupling, aw, extent, n)
+        values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+        probe = ProbeWavefunction(nodes, values, derivative, "optimal", view)
+        q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
+        p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale
+        if max(q_error, p_error) <= HALVING_TOL:
+            return probe
+    raise UnderResolvedGrid(
+        f"at {n} intervals per period the halving estimates of the mean position and "
+        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g, "
+        f"above {HALVING_TOL:g}"
+    )
 
 
 def final_probe_momentum(

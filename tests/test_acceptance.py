@@ -201,9 +201,11 @@ def test_criterion_07_shift_bounds():
     print("[criterion 07] PASS - bound chain holds on 200 draws, tight at A = +/-1")
 
 
-def test_criterion_08_orthogonality_extrapolation(tmp_path):
+def _orthogonality_limits(tmp_path, offsets):
+    """(g, extrapolated limit) of an optimal-probe post-selection-angle sweep
+    at the angles 3 pi/4 + offsets, for g = 0.1 and 0.2."""
+    limits = []
     for coupling in (0.1, 0.2):
-        offsets = np.geomspace(1e-3, 3e-2, 9)
         angles = 3.0 * math.pi / 4.0 + offsets
         out = tmp_path / f"sweep_{coupling}.csv"
         rc = main(
@@ -234,9 +236,22 @@ def test_criterion_08_orthogonality_extrapolation(tmp_path):
             theta = float(row["axis_value"])
             overlap = abs(math.cos(theta) + math.sin(theta)) / math.sqrt(2.0)
             samples.append((overlap, float(row["overlap_times_q_final"])))
-        limit = wva.extrapolate_orthogonality_limit(samples)
+        limits.append((coupling, wva.extrapolate_orthogonality_limit(samples)))
+    return limits
+
+
+def test_criterion_08_orthogonality_extrapolation(tmp_path):
+    for coupling, limit in _orthogonality_limits(tmp_path, np.geomspace(1e-3, 3e-2, 9)):
         assert abs(limit - coupling / 2.0) <= 0.01 * (coupling / 2.0), (coupling, limit)
     print("[criterion 08] PASS - sweep products extrapolate to g/2 within 1%")
+
+
+def test_criterion_08_near_orthogonality(tmp_path):
+    # Offsets down to 1e-7 (|A| about 1e7): 4e8 p-grid points under the
+    # resolution law, 33 theta nodes.
+    for coupling, limit in _orthogonality_limits(tmp_path, np.geomspace(1e-7, 1e-3, 9)):
+        assert abs(limit - coupling / 2.0) <= 0.01 * (coupling / 2.0), (coupling, limit)
+    print("[criterion 08] PASS - near-orthogonal sweep products extrapolate to g/2 within 1%")
 
 
 def test_criterion_09_mach_zehnder_agreement():

@@ -19,6 +19,7 @@ from wva import (
     inverse_fourth_factor_integral,
     inverse_square_factor_integral,
     max_shift,
+    optimal_initial_momentum,
     optimal_probe,
     orthogonality_limit_check,
     recommended_gaussian_grid,
@@ -254,3 +255,26 @@ def test_factor_and_derivative_equal_the_separate_views(value):
         assert np.array_equal(factor, np.cos(gp) - 1j * value * np.sin(gp))
         assert np.array_equal(derivative, evolution_factor_derivative(G, value, grid.points))
         assert np.array_equal(derivative, G * (-np.sin(gp) - 1j * value * np.cos(gp)))
+
+
+def _simpson_mean_momentum(coupling, value, extent, n_points):
+    grid = MomentumGrid.for_support(coupling, n_points, extent)
+    density = 1.0 / np.abs(evolution_factor(coupling, value, grid.points)) ** 2
+    return float(grid.integrate(grid.points * density)) / float(grid.integrate(density))
+
+
+@pytest.mark.parametrize(
+    "value, n_points",
+    [(AW, 8193), (2.0 + 30.0j, 36161), (1e-3 + 1.0j, 400001), (-1.5 + 2.0j, 8193)],
+)
+def test_optimal_initial_momentum_matches_p_grid(value, n_points):
+    oracle = optimal_initial_momentum(G, value)
+    assert _simpson_mean_momentum(G, value, 1, n_points) == pytest.approx(oracle, abs=1e-13)
+    # Odd extents repeat the central period symmetrically; an even one does not.
+    assert _simpson_mean_momentum(G, value, 3, 3 * n_points - 2) == pytest.approx(oracle, abs=1e-12)
+    assert abs(_simpson_mean_momentum(G, value, 2, 2 * n_points - 1) - oracle) > 1.0
+
+
+def test_optimal_initial_momentum_of_a_real_weak_value_is_zero():
+    assert optimal_initial_momentum(G, 2.0) == 0.0
+    assert optimal_initial_momentum(G, -7.0) == 0.0

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,7 @@ class TestConfigParsing:
         text_for = {
             cli._finite: st.floats(allow_nan=False, allow_infinity=False).map(repr),
             cli._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr),
+            cli._scale: st.floats(*wva.probe.SCALE_RANGE).map(repr),
             cli._count: st.integers(1, 10**6).map(str),
             cli._odd_count: st.integers(1, 10**6).map(lambda k: str(2 * k + 1)),
             cli._vector: vectors.map(lambda v: ",".join(map(repr, v))),
@@ -502,6 +506,8 @@ def _bytes_file(tmp_path, name, data):
         "non_numeric_cell",
         "width_inf",
         "width_nan",
+        "width_zero_square",
+        "width_subnormal_square",
         "smoothing_negative",
         "smoothing_nan",
         "three_samples",
@@ -519,6 +525,8 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "non_numeric_cell": file_probe + [_probe_file(tmp_path, "bad.csv", [(0, "abc")])],
         "width_inf": ["shift", "--aw-re", "2", "--width", "inf"],
         "width_nan": ["shift", "--aw-re", "2", "--width", "nan"],
+        "width_zero_square": ["shift", "--aw-re", "2", "--width", "1e-300"],
+        "width_subnormal_square": ["shift", "--aw-re", "2", "--width", "1e-160"],
         "smoothing_negative": smoothed + ["-1"],
         "smoothing_nan": smoothed + ["nan"],
         "three_samples": file_probe + [_probe_file(tmp_path, "p3.csv", [(q, 1) for q in range(3)])],
@@ -585,3 +593,69 @@ def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
     assert main(argv) == 1
     rows = _read_rows(out)
     assert [(r["axis_value"], r["error"]) for r in rows] == [("-1", "ConfigError"), ("0.1", "")]
+
+
+def _report(out: str) -> dict[str, str]:
+    """Label -> first value of each line of a ``shift`` report."""
+    return {line.split()[0]: line.split()[1] for line in out.splitlines()}
+
+
+def test_near_orthogonal_optimal_shift_is_reported(capsys):
+    # 40,000,001 p-grid points under the resolution law; 32,769 theta nodes.
+    value = 1e-6 + 1.0j
+    assert main(["shift", "--probe", "optimal", "--aw-re", "1e-6", "--aw-im", "1"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert float(report["delta_q"]) == pytest.approx(wva.max_shift(0.1, value), rel=1e-9)
+    delta_p = -wva.optimal_initial_momentum(0.1, value)
+    assert float(report["delta_p"]) == pytest.approx(delta_p, abs=1e-9 * math.pi / 0.2)
+
+
+def test_default_optimal_shift_and_sweep_build_no_p_grid(tmp_path, monkeypatch, capsys):
+    def refuse(grid):
+        raise AssertionError(f"a {grid.n_points}-point p-grid was built")
+
+    monkeypatch.setattr(wva.probe.MomentumGrid, "__post_init__", refuse)
+    assert main(["shift", "--probe", "optimal", "--aw-re", AW_RE, "--aw-im", AW_IM]) == 0
+    argv = ["sweep", "--axis", "postselection_angle", "--pre", "1,1", "--post", "1,0", "--obs", "1,0;0,-1",
+            "--probe", "optimal", "--values", "2.3571,2.3562", "--output", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    with pytest.raises(AssertionError, match="p-grid"):
+        main(["shift", "--probe", "optimal", "--aw-re", "2", "--n-points", "4097"])
+
+
+def test_optimal_shift_prints_the_momentum_oracle(capsys):
+    assert main(["shift", "--probe", "optimal", "--aw-re", AW_RE, "--aw-im", AW_IM]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("delta_p"))
+    fields = line.split()
+    assert fields[2] == "analytic" and float(fields[3]) == pytest.approx(float(fields[1]), abs=1e-11)
+    assert float(fields[5]) < 1e-11
+    # An even support has no closed form for delta_p.
+    assert main(["shift", "--probe", "optimal", "--aw-re", "2", "--aw-im", "1", "--support-m", "2"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("delta_p"))
+    assert "analytic" not in line
+
+
+def test_tiny_coupling_is_a_domain_error(tmp_path, capsys):
+    # At g = 1e-300 the derivative samples underflow; the shift once printed 0.
+    assert main(["shift", "--probe", "optimal", "--aw-re", "2", "--g", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert "ScaleOutOfRange" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--probe", "optimal", "--aw-re", "2", "--axis", "coupling_g", "--values", "1e-300,0.1"]
+    assert main(argv + ["--output", str(out)]) == 1
+    rows = _read_rows(out)
+    assert [r["error"] for r in rows] == ["ScaleOutOfRange", ""]
+    assert rows[0]["delta_q"] == "" and float(rows[1]["delta_q"]) == pytest.approx(0.125, rel=1e-12)
+
+
+def test_import_loads_no_fft_or_polynomial_module():
+    # ``cli`` and in-process ``sweep`` runs pay for every module imported.
+    src = str(Path(wva.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, wva, wva.cli; print(len(sys.modules), 'numpy.fft' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, fft, polynomial = done.stdout.split()
+    assert (fft, polynomial) == ("False", "False")
+    assert int(count) <= 226

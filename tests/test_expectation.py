@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wva
 from wva import (
@@ -13,6 +14,7 @@ from wva import (
     PostSelectedEvolution,
     ProbeWavefunction,
     ShiftReport,
+    UnderResolvedGrid,
     WeakValue,
     ZeroNorm,
     expect_p,
@@ -21,6 +23,7 @@ from wva import (
     gaussian_exact_shifts,
     gaussian_probe,
     max_shift,
+    optimal_initial_momentum,
     optimal_probe,
     recommended_gaussian_grid,
     shift_report,
@@ -234,6 +237,31 @@ class TestShiftLandscape:
             )
             report = shift_report(evo_for(AW), perturbed)
             assert abs(report.delta_q - reference) < 100.0 * eps
+
+
+class TestThetaNodeReport:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_real=st.floats(-4.0, 3.0),
+        real_sign=st.sampled_from([-1.0, 1.0]),
+        imag=st.floats(-1e3, 1e3),
+        overlap_modulus=st.floats(1e-3, 1.0),
+        overlap_phase=st.floats(-math.pi, math.pi),
+    )
+    def test_report_meets_the_closed_forms(self, log_real, real_sign, imag, overlap_modulus, overlap_phase):
+        value = complex(real_sign * 10.0**log_real, imag)
+        overlap = overlap_modulus * complex(math.cos(overlap_phase), math.sin(overlap_phase))
+        weak = WeakValue(value, overlap, overlap_modulus**2)
+        report = shift_report(PostSelectedEvolution(G, weak), optimal_probe(G, value, None))
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-9)
+        # The node count is chosen for a halving estimate within 1e-10 of pi/2g.
+        assert report.delta_p == pytest.approx(-optimal_initial_momentum(G, value), abs=1e-9 * math.pi / (2 * G))
+        assert report.weight == pytest.approx(overlap_modulus**2 * abs(value.real), rel=1e-12)
+
+    def test_evolution_the_probe_does_not_cancel_is_refused(self):
+        # The evolved state is exact on the support nodes only when it is flat.
+        with pytest.raises(UnderResolvedGrid, match="post-selected"):
+            shift_report(evo_for(AW + 1.0), optimal_probe(G, AW, None))
 
 
 # 200 shift reports at A = 2 + 30i on 40,001 points, with the CPU time of

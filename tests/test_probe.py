@@ -9,7 +9,10 @@ from wva import (
     GridTooLarge,
     MomentumGrid,
     ProbeWavefunction,
+    QuadratureNodes,
+    ScaleOutOfRange,
     TailMassTooLarge,
+    UnderResolvedGrid,
     ZeroRealPart,
     evolution_factor,
     final_probe_momentum,
@@ -23,8 +26,11 @@ from wva import (
     recommended_support_points,
     smoothed_optimal_probe,
     smoothed_support_grid,
+    support_nodes,
+    theta_nodes,
     to_position_density,
 )
+from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
 from wva.evolution import PostSelectedEvolution
 from wva.expectation import expect_p, expect_q, shift_report
 from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum
@@ -454,3 +460,70 @@ def test_grid_budget_checked_before_allocation():
         MomentumGrid.for_support(G, recommended_support_points(1e-9 + 1j))
     with pytest.raises(GridTooLarge):
         final_probe_position(G, AW, n_range=MAX_GRID_POINTS)
+
+
+class TestNodeSets:
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_clenshaw_curtis_is_exact_to_its_degree(self, n):
+        # n intervals integrate polynomials of degree n exactly; the nested
+        # rule on n/2 intervals those of degree n/2, so the halving estimate
+        # vanishes there.
+        nodes = support_nodes(G, 1, n)
+        half = math.pi / (2.0 * G)
+        x = nodes.points / half
+        assert nodes.points[0] == -half and nodes.points[-1] == half
+        for k in range(n + 1):
+            exact = half * (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert float(nodes.integrate(x**k)) == pytest.approx(exact, abs=1e-13 * half)
+            if k <= n // 2:
+                assert nodes.halving_error(x**k) <= 1e-13 * half
+        runge = 1.0 / (1.0 + 25.0 * x**2)  # unresolved on 16 intervals
+        assert (nodes.halving_error(runge) > 1e-4 * half) == (n == 16)
+
+    @pytest.mark.parametrize("extent", [1, 2, 3])
+    @pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, 1e-3 + 1.0j, -1.5 + 2.0j, 5.0])
+    def test_theta_nodes_map_onto_the_support(self, extent, value):
+        nodes, factor = theta_nodes(G, value, extent, 64)
+        half = extent * math.pi / (2.0 * G)
+        assert np.all(np.abs(nodes.points) <= half * (1.0 + 1e-15))
+        assert nodes.points.min() == pytest.approx(-half) and nodes.points.max() == pytest.approx(half)
+        # B from theta is B(p) at the mapped momenta.
+        np.testing.assert_allclose(factor, evolution_factor(G, value, nodes.points), rtol=1e-9, atol=1e-12)
+        # The optimal density is uniform in theta, so |B|^-2 integrates exactly;
+        # |B|^-4 is a trigonometric polynomial of degree 2 in theta.
+        density = 1.0 / np.abs(factor) ** 2
+        assert float(nodes.integrate(density)) == pytest.approx(
+            extent * inverse_square_factor_integral(G, value), rel=1e-13
+        )
+        assert float(nodes.integrate(density**2)) == pytest.approx(
+            extent * inverse_fourth_factor_integral(G, value), rel=1e-12
+        )
+
+    def test_default_optimal_probe_lives_on_theta_nodes(self):
+        probe = optimal_probe(G, AW, None)
+        assert isinstance(probe.grid, QuadratureNodes)
+        assert probe.grid.n_points <= 257
+        # The analytic amplitude is normalized on the nodes without rescaling.
+        assert probe.norm_squared() == pytest.approx(1.0, abs=1e-14)
+        view = probe.evolution_view
+        assert isinstance(view.grid, QuadratureNodes) and view.grid.n_points == 17
+        assert isinstance(optimal_probe(G, AW, 4097).grid, MomentumGrid)  # an explicit count keeps its p-grid
+
+    def test_node_budget_is_checked_before_allocation(self):
+        with pytest.raises(GridTooLarge):
+            optimal_probe(G, 2.0, None, extent=10**8)
+
+    def test_unresolved_mean_momentum_is_refused(self):
+        # At |Re A| = 1e-9 the mean momentum needs more than 65,536 intervals.
+        with pytest.raises(UnderResolvedGrid, match="momentum"):
+            optimal_probe(G, 1e-9 + 1.0j, None)
+
+    def test_scales_outside_double_range_are_refused(self):
+        with pytest.raises(ScaleOutOfRange):
+            optimal_probe(1e-300, 2.0, None)
+        with pytest.raises(ScaleOutOfRange):
+            optimal_probe(1e-300, 2.0, 4097)
+        grid = MomentumGrid(-1.0, 1.0, 5)
+        for width in (1e-300, 1e-160, 1e120):
+            with pytest.raises(ScaleOutOfRange):
+                gaussian_probe(width, grid)
