@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,7 +31,6 @@ from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
-    SCALE_RANGE,
     MomentumGrid,
     ProbeWavefunction,
     check_point_budget,
@@ -41,9 +43,11 @@ from .probe import (
     smoothed_support_grid,
 )
 from .system import (
+    SCALE_RANGE,
     Observable,
     SystemState,
     WeakValue,
+    all_finite,
     compute_weak_value,
     mach_zehnder_setup,
     mach_zehnder_weak_value,
@@ -54,14 +58,50 @@ class ConfigError(Exception):
     """Invalid scenario configuration (bad key, value, or combination)."""
 
 
+# Number formats by kind: zero (-0.0 included), scientific and general.  The
+# zero format takes its argument and prints none of it, so every kind takes
+# one argument of a ``%`` format.
+_FORMATS = ("0%.0s", "%.11e", "%.12g")
+_SCIENTIFIC_BELOW, _SCIENTIFIC_FROM = 1e-3, 1e6
+
+
 def format_number(x: float) -> str:
     """12 significant digits; scientific for |x| < 1e-3 or >= 1e6."""
     if x == 0:
-        return "0"
-    ax = abs(x)
-    if ax < 1e-3 or ax >= 1e6:
-        return f"{x:.11e}"
-    return f"{x:.12g}"
+        kind = 0
+    elif abs(x) < _SCIENTIFIC_BELOW or abs(x) >= _SCIENTIFIC_FROM:
+        kind = 1
+    else:
+        kind = 2
+    return _FORMATS[kind] % x
+
+
+@cache
+def _line_formats(label: str, n_columns: int) -> np.ndarray:
+    """The CSV line format for each combination of the kinds of its cells,
+    indexed by the kinds read as base-3 digits, first column first."""
+    lines = (
+        ",".join((label.replace("%", "%%"), *cells)) + "\n"
+        for cells in itertools.product(_FORMATS, repeat=n_columns)
+    )
+    formats = np.array(list(lines), dtype=object)
+    formats.flags.writeable = False  # shared by every call
+    return formats
+
+
+def _csv_block(label: str, *columns: np.ndarray) -> str:
+    """CSV lines ``label,x1,x2,...``, one per row of the float ``columns``;
+    the same text as :func:`format_number` on every cell, written by one
+    ``%`` format.  ``label`` is a plain CSV field: no comma, quote or line
+    break."""
+    table = np.column_stack(columns)
+    size = np.abs(table)
+    kinds = np.where(
+        table == 0, 0, np.where((size < _SCIENTIFIC_BELOW) | (size >= _SCIENTIFIC_FROM), 1, 2)
+    )
+    digits = 3 ** np.arange(table.shape[1] - 1, -1, -1)
+    template = "".join(_line_formats(label, table.shape[1])[kinds @ digits].tolist())
+    return template % tuple(table.ravel().tolist())
 
 
 @contextmanager
@@ -289,28 +329,36 @@ _DUMP_HEADER = ["space", "coordinate", "re", "im"]
 
 def read_probe_csv(path: str) -> ProbeWavefunction:
     """Load a probe from a dump file (its initial momentum-space rows)."""
-    coords: list[float] = []
-    values: list[complex] = []
     with _open(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != _DUMP_HEADER:
+        reader = csv.reader(handle)
+        if next(reader, None) != _DUMP_HEADER:
             raise ConfigError(f"{path}: expected header {','.join(_DUMP_HEADER)}")
+        lines, cells = [], []
         for row in reader:
-            if row["space"] == "momentum_initial":
-                where = f"{path}:{reader.line_num}"
-                q, re_part, im_part = (_finite(row[name], where) for name in _DUMP_HEADER[1:])
-                coords.append(q)
-                values.append(complex(re_part, im_part))
-    if len(coords) < 5:
+            if row[:1] == ["momentum_initial"]:
+                lines.append(reader.line_num)
+                cells.append(row[1:4])
+    try:  # every row has three cells exactly when there are 3 * len(cells) of them
+        flat = np.fromiter(map(float, itertools.chain.from_iterable(cells)), float, 3 * len(cells))
+    except ValueError:  # a short row, or a cell that is no number
+        flat = None
+    if flat is None or not all_finite(flat):
+        # Name the first bad cell, as the field parser words it.
+        for line, row in zip(lines, cells):
+            for text in row + [None] * (3 - len(row)):
+                _finite(text, f"{path}:{line}")
+    table = flat.reshape(-1, 3)
+    if len(cells) < 5:
         raise ConfigError(f"{path}: the derivative stencil needs five momentum_initial samples")
-    if len(coords) % 2 == 0:
+    if len(cells) % 2 == 0:
         raise ConfigError(f"{path}: momentum sample count must be odd")
-    p = np.array(coords)
+    p = table[:, 0]
     spacing = np.diff(p)
     if spacing.min() <= 0 or (spacing.max() - spacing.min()) > 1e-6 * spacing.mean():
         raise ConfigError(f"{path}: momentum samples must be uniformly increasing")
-    grid = MomentumGrid(p[0], p[-1], len(coords))
-    return ProbeWavefunction.normalized(grid, np.array(values), label="file")
+    grid = MomentumGrid(p[0], p[-1], len(p))
+    values = np.ascontiguousarray(table[:, 1:]).view(complex).ravel()
+    return ProbeWavefunction.normalized(grid, values, label="file")
 
 
 def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefunction:
@@ -383,12 +431,19 @@ def _csv_writer(handle):
 
 
 @contextmanager
-def _csv_output(path: str | None):
-    """CSV writer on the file at ``path``, or on stdout when no path is set."""
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout when no path is set."""
     if not path:
-        yield _csv_writer(sys.stdout)
+        yield sys.stdout
         return
     with _open(path, "w") as handle:
+        yield handle
+
+
+@contextmanager
+def _csv_output(path: str | None):
+    """CSV writer on the file at ``path``, or on stdout when no path is set."""
+    with _output(path) as handle:
         yield _csv_writer(handle)
 
 
@@ -453,14 +508,16 @@ def cmd_shift(config: ScenarioConfig) -> int:
     return 0
 
 
-def _sample_rows(space: str, coordinates, values) -> list[list[str]]:
-    return [
-        [space, format_number(q), format_number(v.real), format_number(v.imag)]
-        for q, v in zip(coordinates, values)
-    ]
+def _write_samples(path: str | None, sections) -> None:
+    """Write a dump CSV: the header, then one block of ``space,q,re,im``
+    lines per ``(space, coordinates, values)`` section, one section at a time."""
+    with _output(path) as handle:
+        handle.write(",".join(_DUMP_HEADER) + "\n")
+        for space, coordinates, values in sections:
+            handle.write(_csv_block(space, coordinates, values.real, values.imag))
 
 
-def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
+def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
     wv = scenario_weak_value(config)
     evo = PostSelectedEvolution(config.coupling, wv)
     probe = scenario_probe(config, wv)
@@ -481,18 +538,15 @@ def _dump_rows(config: ScenarioConfig) -> list[list[str]]:
         hi = max(0.0, center) + 8.0 * sigma
         positions = np.linspace(lo, hi, 801)
     return [
-        *_sample_rows("momentum_initial", probe.grid.points, probe.values),
-        *_sample_rows("momentum_final", probe.grid.points, final_values),
-        *_sample_rows("position_initial", positions, position_amplitudes(probe, positions)),
-        *_sample_rows("position_final", positions, position_amplitudes(final_probe, positions)),
+        ("momentum_initial", probe.grid.points, probe.values),
+        ("momentum_final", probe.grid.points, final_values),
+        ("position_initial", positions, position_amplitudes(probe, positions)),
+        ("position_final", positions, position_amplitudes(final_probe, positions)),
     ]
 
 
 def cmd_dump(config: ScenarioConfig) -> int:
-    rows = _dump_rows(config)
-    with _csv_output(config.output) as writer:
-        writer.writerow(_DUMP_HEADER)
-        writer.writerows(rows)
+    _write_samples(config.output, _dump_sections(config))
     return 0
 
 
@@ -627,9 +681,7 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
                 writer.writerow([str(index), format_number(value), format_number(norm)])
     if args.probe_output:
         fixed = gauge_fix(trace.final_probe)
-        with _csv_output(args.probe_output) as writer:
-            writer.writerow(_DUMP_HEADER)
-            writer.writerows(_sample_rows("momentum_initial", grid.points, fixed.values))
+        _write_samples(args.probe_output, [("momentum_initial", grid.points, fixed.values)])
     return 0
 
 
@@ -712,6 +764,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    try:
+        code = _run(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``wva dump | head``).  Point stdout at
+        # devnull so that the flush at exit finds no broken pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed command; a typed error is reported on stderr as its
+    exit code (2 for configuration, 1 for a domain error)."""
     try:
         if args.command == "mach-zehnder":
             return cmd_mach_zehnder(args.chi, args.varphi)

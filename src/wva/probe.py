@@ -20,6 +20,7 @@ to fourth-order finite differences.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -33,7 +34,7 @@ from .analytic import (
     max_shift,
 )
 from .errors import GridTooLarge, ScaleOutOfRange, TailMassTooLarge, UnderResolvedGrid, ZeroNorm
-from .system import all_finite
+from .system import SCALE_RANGE, all_finite
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
 NORMALIZATION_TOL = 1e-8
@@ -46,17 +47,16 @@ MAX_GRID_POINTS = 1 << 24
 DENSE_SUM_MAX_TERMS = 1 << 16
 #: Squared norms below this are numerically zero (raises :class:`ZeroNorm`).
 ZERO_NORM_FLOOR = 1e-14
-#: Range of a probe's momentum scale (a Gaussian width, or 1/g for the support
-#: probes; the range is symmetric, so g may be checked in its place).  Samples,
-#: derivatives and their quadrature products grow like up to the third power
-#: of the scale or of its inverse, and within this range they all stay normal
-#: doubles (above 1e-300 and below 1e300).
-SCALE_RANGE = (1e-100, 1e100)
 #: Clenshaw-Curtis interval counts per support period tried, in order; each
 #: rule nests the previous one.
 NODE_COUNTS = tuple(16 << k for k in range(13))  # 16 .. 65,536
 #: Largest halving estimate, relative to its scale, of a mean on node sets.
 HALVING_TOL = 1e-10
+#: Smallest n log(rho) at which one halving estimate on theta nodes is trusted
+#: (see :func:`theta_rule_rate`); below it the estimate must also hold at the
+#: count before.  Rules with n log(rho) near 1.9 can agree with their nested
+#: half to 1e-12 while both are 1e-9 off, as at A = -1.05 + 217i.
+HALVING_TRUST = 4.0
 
 
 def check_point_budget(count: int, what: str) -> None:
@@ -268,6 +268,31 @@ def theta_nodes(
     return QuadratureNodes.mapped(n, p, a / (coupling * inverse_density)), factor.ravel()
 
 
+def theta_rule_rate(weak_value: complex, extent: int) -> float:
+    """log(rho) of the Bernstein ellipse on which the integrands of
+    :func:`theta_nodes` are analytic; their rule errors fall like rho^-n.
+
+    arg B = atan2(-sin theta, a cos theta + b sin theta) is singular where
+    a cos theta + (b -/+ i) sin theta = 0, i.e. at theta = -atan(a / (b - i))
+    modulo pi and its conjugate.  For large |A| these lie within about
+    a / |A|^2 of the ends of a theta period, where the probe's momentum moves
+    through most of the support.  A = +/-1 has no singularity (infinite rate).
+    """
+    aw = complex(weak_value)
+    sign = math.copysign(1.0, aw.real)
+    a, b = abs(aw.real), sign * aw.imag
+    if a == 1.0 and b == 0.0:
+        return math.inf
+    start = math.atan2(b, a) - 0.5 * math.pi if extent % 2 else 0.0
+    pole = -cmath.atan(a / (b - 1j)) - start
+    pole = complex(pole.real % math.pi, pole.imag)
+    rate = math.inf
+    for turn in (-1, 0, 1):
+        x = 2.0 * (pole + turn * math.pi) / math.pi - 1.0
+        rate = min(rate, abs(math.log(abs(x + cmath.sqrt(x * x - 1.0)))))
+    return rate
+
+
 def support_nodes(coupling: float, extent: int, n: int) -> QuadratureNodes:
     """Clenshaw-Curtis rule in p on each period of [-pi*extent/2g, pi*extent/2g]."""
     t, period = _periods(extent, n)
@@ -472,9 +497,13 @@ def optimal_probe(
 
     With a point count the probe is sampled on a :class:`MomentumGrid` and
     renormalized there.  With ``n_points=None`` it keeps its analytic
-    amplitude on :func:`theta_nodes`, with 16, 32, ... intervals per period:
+    amplitude on :func:`theta_nodes`, with 32, 64, ... intervals per period
+    (at 16 the nested 8-interval rule is 1e-7 off or worse for A != +/-1):
     the first count at which the halving estimates of its mean position and
-    momentum are within ``HALVING_TOL`` of |max_shift| and of pi/2g.  Its
+    momentum are within ``HALVING_TOL`` of |max_shift| and of pi/2g, and
+    either were so at the count before or n :func:`theta_rule_rate` is at
+    least ``HALVING_TRUST``; a single halving can pass by chance while
+    neither rule resolves the singularities at the ends of a period.  Its
     ``evolution_view`` is then the probe on the 16-interval
     :func:`support_nodes`, on which the post-selected state (flat density,
     linear phase) integrates exactly.
@@ -488,7 +517,8 @@ def optimal_probe(
     GridTooLarge
         If the grid or the node set exceeds ``MAX_GRID_POINTS``.
     UnderResolvedGrid
-        If the halving estimates exceed the tolerance at 65,536 intervals.
+        If at 65,536 intervals the halving estimates exceed the tolerance,
+        or are within it for the first time below ``HALVING_TRUST``.
     """
     aw = _require_real_part(weak_value)
     check_scale(coupling, "coupling")
@@ -500,18 +530,23 @@ def optimal_probe(
     support = support_nodes(coupling, extent, NODE_COUNTS[0])
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
     q_scale, p_scale = abs(max_shift(coupling, aw)), 0.5 * math.pi / coupling
-    for n in NODE_COUNTS:
+    rate = theta_rule_rate(aw, extent)
+    previous = math.inf
+    for n in NODE_COUNTS[1:]:
         nodes, factor = theta_nodes(coupling, aw, extent, n)
         values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
         probe = ProbeWavefunction(nodes, values, derivative, "optimal", view)
         q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
         p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale
-        if max(q_error, p_error) <= HALVING_TOL:
+        error = max(q_error, p_error)
+        if error <= HALVING_TOL and (previous <= HALVING_TOL or n * rate >= HALVING_TRUST):
             return probe
+        previous = error
     raise UnderResolvedGrid(
         f"at {n} intervals per period the halving estimates of the mean position and "
-        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g, "
-        f"above {HALVING_TOL:g}"
+        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g; they "
+        f"must be within {HALVING_TOL:g} at two successive counts, or at one with "
+        f"n log(rho) = {n * rate:.2g} at least {HALVING_TRUST:g}"
     )
 
 

@@ -13,10 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrthogonalSelection
+from .errors import DimensionMismatch, OrthogonalSelection, ScaleOutOfRange
 
 #: Largest |<post|pre>| treated as orthogonal selection (configurable per call).
 ORTHOGONALITY_EPS = 1e-12
+#: Range of a scale: a probe's momentum scale (a Gaussian width, or 1/g for the
+#: support probes; the range is symmetric, so g may be checked in its place)
+#: and, by its upper end, the modulus of a weak value.  Samples, derivatives
+#: and their quadrature products grow like up to the third power of the scale
+#: or of its inverse, and |A|^2 enters the shifts, so within this range they
+#: all stay normal doubles (above 1e-300 and below 1e300).
+SCALE_RANGE = (1e-100, 1e100)
 
 _MATRIX_TOL = 1e-12
 
@@ -87,9 +94,16 @@ class Observable:
 class WeakValue:
     """Weak value together with the selection overlap that produced it.
 
-    ``value`` is <post|M|pre> / <post|pre> and can be any complex number;
-    ``overlap`` is <post|pre> and ``success_probability`` its squared modulus,
-    i.e. the probability cost of the post-selection.
+    ``value`` is <post|M|pre> / <post|pre> and can be any complex number up
+    to ``SCALE_RANGE[1]`` in modulus; ``overlap`` is <post|pre> and
+    ``success_probability`` its squared modulus, i.e. the probability cost of
+    the post-selection.
+
+    Raises
+    ------
+    ScaleOutOfRange
+        If |value| exceeds ``SCALE_RANGE[1]``: beyond it |A|^2 and the shifts
+        overflow double precision.
     """
 
     value: complex
@@ -102,6 +116,12 @@ class WeakValue:
         for x in (self.value, self.overlap):
             if not (math.isfinite(x.real) and math.isfinite(x.imag)):
                 raise ValueError("weak value fields must be finite")
+        modulus = math.hypot(self.value.real, self.value.imag)
+        if modulus > SCALE_RANGE[1]:
+            raise ScaleOutOfRange(
+                f"|weak value| = {modulus:.3e} exceeds {SCALE_RANGE[1]:g}, beyond which "
+                "|A|^2 and the shifts leave double precision"
+            )
         if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
             raise ValueError("success probability must lie in [0, 1]")
 
@@ -125,6 +145,8 @@ def compute_weak_value(
         If the states and the observable do not share one dimension.
     OrthogonalSelection
         If |<post|pre>| < ``epsilon``; the weak value is undefined there.
+    ScaleOutOfRange
+        If the weak value's modulus exceeds ``SCALE_RANGE[1]``.
     """
     d = observable.dimension
     if pre.dimension != d or post.dimension != d:

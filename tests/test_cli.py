@@ -1,8 +1,11 @@
 import csv
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,43 @@ def _read_rows(path):
         return list(csv.DictReader(handle))
 
 
+def _subprocess_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this ``wva``."""
+    src = str(Path(wva.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _reference_format(x: float) -> str:
+    """The output number format as specified, written with f-strings."""
+    if x == 0:
+        return "0"
+    if abs(x) < 1e-3 or abs(x) >= 1e6:
+        return f"{x:.11e}"
+    return f"{x:.12g}"
+
+
+def _sample_lines(space, coordinates, values) -> str:
+    """CSV lines of a dump section, one ``format_number`` call per cell."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [space, format_number(q), format_number(v.real), format_number(v.imag)]
+        for q, v in zip(coordinates, values)
+    )
+    return text.getvalue()
+
+
+# Floats at the edges of the number formats: signed zeros and infinities, nan,
+# subnormals, the largest doubles, and the scientific-notation thresholds with
+# their neighbours.
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7e308, -1.7e308, sys.float_info.max,
+    *(sign * math.nextafter(edge, toward) for edge in (1e-3, 1e6)
+      for toward in (0.0, edge, math.inf) for sign in (1.0, -1.0)),
+]
+_CELLS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
 AW_RE = "1.7320508075688772"
 AW_IM = "3.4641016151377544"
 
@@ -45,6 +85,15 @@ class TestFormatting:
         assert format_number(999999.5) == "999999.5"
         assert format_number(1e6) == "1.00000000000e+06"
         assert format_number(1e-3) == "0.001"
+
+    @given(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=40))
+    def test_block_is_format_number_per_cell(self, rows):
+        table = np.array(rows, dtype=float).reshape(-1, 3)
+        assert [format_number(x) for x in table.ravel()] == [_reference_format(x) for x in table.ravel()]
+        values = table[:, 1] + 0j
+        values.imag = table[:, 2]
+        expected = _sample_lines("position_final", table[:, 0], values)
+        assert cli._csv_block("position_final", *table.T) == expected
 
 
 class TestConfigParsing:
@@ -295,6 +344,45 @@ class TestDumpCommand:
         assert abs(from_file.delta_q - direct.delta_q) < 1e-9
         assert abs(from_file.delta_p - direct.delta_p) < 1e-9
 
+    def test_stdout_and_output_file_bytes_agree(self, tmp_path):
+        argv = ["dump", "--probe", "smoothed", "--smoothing", "30", "--aw-re", "2", "--aw-im", "-0.5"]
+        out = tmp_path / "dump.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "wva.cli", *argv], env=_subprocess_env(), capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == out.read_bytes()
+
+    def test_dump_into_a_closed_pipe_exits_quietly(self):
+        # ``wva dump ... | head -1``: the reader leaves after the header line.
+        argv = ["dump", "--probe", "gaussian", "--g", "0.1", "--width", "1", "--aw-re", "2"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "wva.cli", *argv],
+            env=_subprocess_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.readline() == b"space,coordinate,re,im\n"
+            child.stdout.close()  # the rest of the ~500 kB dump meets a closed pipe
+            err = child.stderr.read()
+            child.wait(timeout=120)
+        assert child.returncode == 1
+        assert err == b""
+
+    def test_largest_gaussian_dump_stays_small(self, tmp_path):
+        # The largest dump of the (g, W) acceptance grids: 12,517 lines.
+        argv = ["dump", "--probe", "gaussian", "--g", "1", "--width", "8", "--aw-re", "2",
+                "--output", str(tmp_path / "dump.csv")]
+        assert main(argv) == 0  # caches and lazy imports are filled outside the count
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
 
 class TestSweepCommand:
     def test_smoothing_sweep_monotone(self, tmp_path):
@@ -390,9 +478,11 @@ class TestSweepCommand:
 
 
 class TestOptimizeCommand:
-    def test_trace_and_probe_outputs(self, tmp_path, capsys):
+    def test_trace_and_probe_outputs(self, tmp_path, capsys, monkeypatch):
         trace_path = tmp_path / "trace.csv"
         probe_path = tmp_path / "probe.csv"
+        fixed = []  # the gauge-fixed probe that --probe-output writes
+        monkeypatch.setattr(cli, "gauge_fix", lambda probe: fixed.append(wva.gauge_fix(probe)) or fixed[-1])
         rc = main(
             [
                 "optimize",
@@ -414,6 +504,9 @@ class TestOptimizeCommand:
         rows = _read_rows(trace_path)
         assert float(rows[-1]["objective"]) == pytest.approx(0.125, abs=1e-3 * 0.125)
         # the gauge-fixed probe dump can be re-read as a file probe
+        assert probe_path.read_text() == "space,coordinate,re,im\n" + _sample_lines(
+            "momentum_initial", fixed[0].grid.points, fixed[0].values
+        )
         probe = read_probe_csv(str(probe_path))
         target = wva.optimal_probe(0.1, 2.0, n_points=513)
         mismatch = np.max(np.abs(np.abs(probe.values) - np.abs(target.values)))
@@ -651,11 +744,62 @@ def test_tiny_coupling_is_a_domain_error(tmp_path, capsys):
 
 def test_import_loads_no_fft_or_polynomial_module():
     # ``cli`` and in-process ``sweep`` runs pay for every module imported.
-    src = str(Path(wva.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = "import sys, wva, wva.cli; print(len(sys.modules), 'numpy.fft' in sys.modules, 'numpy.polynomial' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True, timeout=120
+    )
     assert done.returncode == 0, done.stderr
     count, fft, polynomial = done.stdout.split()
     assert (fft, polynomial) == ("False", "False")
     assert int(count) <= 226
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--probe", "optimal", "--aw-re", "1e160"],  # was OverflowError in max_shift
+        ["shift", "--probe", "gaussian", "--aw-re", "1e154"],  # was a non-finite shift report
+        ["shift", "--probe", "optimal", "--aw-re", "1e100", "--aw-im", "1e100"],
+        ["dump", "--probe", "gaussian", "--aw-re", "1e160"],
+        ["optimize", "--aw-re", "1e160", "--n-points", "65", "--max-iters", "1"],
+    ],
+)
+def test_weak_value_beyond_the_scale_range_is_a_domain_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ScaleOutOfRange: |weak value|")
+    assert captured.out == ""
+
+
+def test_sweep_rows_carry_the_weak_value_scale_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--probe", "optimal", "--aw-re", "1e160", "--axis", "coupling_g", "--values", "0.1,0.2"]
+    assert main(argv + ["--output", str(out)]) == 1
+    rows = _read_rows(out)
+    assert [(r["delta_q"], r["error"]) for r in rows] == [("", "ScaleOutOfRange")] * 2
+
+
+@pytest.mark.parametrize("probe", ["optimal", "gaussian"])
+def test_weak_value_at_the_scale_limit_reports_its_shift(probe, capsys):
+    assert main(["shift", "--probe", probe, "--aw-re", "1e100"]) == 0
+    report = _report(capsys.readouterr().out)
+    expected = wva.max_shift(0.1, 1e100) if probe == "optimal" else wva.gaussian_exact_shifts(0.1, 1.0, 1e100).delta_q
+    assert float(report["delta_q"]) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("momentum_initial,0.5,abc,0", "cannot parse 'abc'"),
+        ("momentum_initial,0.5,1,inf", "must be finite, got 'inf'"),
+        ("momentum_initial,nan,1,0", "must be finite, got 'nan'"),
+        ("momentum_initial,0.5,1", "cannot parse None"),
+    ],
+)
+def test_bad_probe_cell_names_its_line(row, message, tmp_path):
+    lines = ["space,coordinate,re,im", "momentum_initial,0,1,0", "position_initial,0,x,y", row]
+    lines += [f"momentum_initial,{q},1,0" for q in range(1, 6)]
+    path = tmp_path / "probe.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:4': {message}")):
+        read_probe_csv(str(path))

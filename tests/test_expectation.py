@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wva
 from wva import (
@@ -248,6 +248,11 @@ class TestThetaNodeReport:
         overlap_modulus=st.floats(1e-3, 1.0),
         overlap_phase=st.floats(-math.pi, math.pi),
     )
+    # The 256- and 512-interval rules agree to 5e-12 of pi/2g here, both
+    # 2.7e-9 off; a single halving at that count is not trusted.
+    @example(log_real=0.021484375, real_sign=-1.0, imag=217.0, overlap_modulus=1.0, overlap_phase=0.0)
+    # Re A = 1e-4 needs all 65,536 intervals.
+    @example(log_real=-4.0, real_sign=-1.0, imag=0.001953125, overlap_modulus=1.0, overlap_phase=0.0)
     def test_report_meets_the_closed_forms(self, log_real, real_sign, imag, overlap_modulus, overlap_phase):
         value = complex(real_sign * 10.0**log_real, imag)
         overlap = overlap_modulus * complex(math.cos(overlap_phase), math.sin(overlap_phase))

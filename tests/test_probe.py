@@ -33,7 +33,7 @@ from wva import (
 from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
 from wva.evolution import PostSelectedEvolution
 from wva.expectation import expect_p, expect_q, shift_report
-from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum
+from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum, theta_rule_rate
 from wva.system import WeakValue
 
 G = 0.1
@@ -512,6 +512,21 @@ class TestNodeSets:
     def test_node_budget_is_checked_before_allocation(self):
         with pytest.raises(GridTooLarge):
             optimal_probe(G, 2.0, None, extent=10**8)
+
+    def test_unit_weak_values_have_no_rule_singularity(self):
+        # B(p) = exp(-/+ igp) at A = +/-1: arg B is linear in theta.
+        for value in (1.0, -1.0):
+            assert theta_rule_rate(value, 1) == math.inf
+            probe = optimal_probe(G, value, None)
+            report = shift_report(PostSelectedEvolution(G, WeakValue(value, 1.0, 1.0)), probe)
+            assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+
+    def test_rule_rate_is_the_bernstein_ellipse_of_the_nearest_singularity(self):
+        # For real A > 1 the singularities sit atanh(1/A) off the ends of a
+        # theta period: log(rho) = sqrt(2 atanh(1/A) / pi) to leading order.
+        for value in (30.0, 1000.0, -1000.0):
+            expected = math.sqrt(2.0 * math.atanh(1.0 / abs(value)) / math.pi)
+            assert theta_rule_rate(value, 1) == pytest.approx(expected, rel=0.01)
 
     def test_unresolved_mean_momentum_is_refused(self):
         # At |Re A| = 1e-9 the mean momentum needs more than 65,536 intervals.

@@ -7,6 +7,7 @@ from wva import (
     DimensionMismatch,
     Observable,
     OrthogonalSelection,
+    ScaleOutOfRange,
     SystemState,
     WeakValue,
     compute_weak_value,
@@ -78,6 +79,19 @@ def test_weak_value_dimension_mismatch():
 def test_weak_value_type_rejects_zero_overlap():
     with pytest.raises(ValueError):
         WeakValue(1.0 + 0j, 0.0 + 0j, 0.0)
+
+
+def test_weak_value_beyond_the_scale_range_is_refused():
+    assert WeakValue.from_value(complex(-1e100, 0.0)).value == -1e100
+    with pytest.raises(ScaleOutOfRange):
+        WeakValue.from_value(1e100 + 1e100j)
+    with pytest.raises(ScaleOutOfRange):
+        WeakValue.from_value(complex(1e308, 1e308))  # |A| overflows a double
+    # Computed from pre/post/obs: <post|X|pre> / <post|pre> = 1 / 1e-110.
+    pre, post = SystemState([1.0, 0.0]), SystemState([1e-110, 1.0])
+    pauli_x = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ScaleOutOfRange):
+        compute_weak_value(pre, post, pauli_x, epsilon=0.0)
 
 
 def test_weak_value_global_phase_invariance():
