@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import gaussian_exact_shifts, max_shift, optimal_initial_momentum
-from .errors import UnderResolvedGrid, WvaError
+from .errors import WvaError
 from .evolution import PostSelectedEvolution, apply_postselection
-from .expectation import shift_report
+from .expectation import ShiftReport, shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
     MomentumGrid,
@@ -189,7 +189,7 @@ _FIELDS = (
     _Field("width", "width", _scale, "gaussian momentum width"),
     _Field("smoothing", "smoothing", _positive, "smoothing rate for probe=smoothed"),
     _Field("file", "probe_file", _text, "probe CSV for probe=file"),
-    _Field("n_points", "n_points", _odd_count, "grid points (odd)"),
+    _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian, smoothed, dump, optimize"),
     _Field("support_m", "support_extent", _count, "support multiplier"),
     _Field("n_range", "n_range", _count, "discrete position range"),
     _Field("output", "output", _text, "output CSV path (default: stdout or none)"),
@@ -370,10 +370,7 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
             grid = MomentumGrid(-half, half, config.n_points)
         return gaussian_probe(config.width, grid)
     if config.probe == "optimal":
-        n = config.n_points
-        if n is None:
-            n = recommended_support_points(weak_value.value, config.support_extent)
-        return optimal_probe(config.coupling, weak_value.value, n, config.support_extent)
+        return optimal_probe(config.coupling, weak_value.value, config.n_points, config.support_extent)
     if config.probe == "smoothed":
         grid = smoothed_support_grid(
             config.coupling, config.smoothing, config.n_points or 4097
@@ -382,32 +379,21 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     return read_probe_csv(config.probe_file)
 
 
-def _resolved_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefunction:
-    """:func:`scenario_probe` for a reported shift.
+def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
+    """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
 
-    An optimal probe without a set ``n_points`` is sampled on theta nodes,
-    where no p-grid resolution law applies (:func:`optimal_probe` with
-    ``n_points=None``).  A set ``n_points`` below
-    :func:`recommended_support_points` would let an optimal probe report a
-    shift off the closed form by more than the printed digits (at A = 2 and
-    3 points, 0.183 against 0.125), so it is refused.  ``dump`` samples
-    wavefunctions on p-grids at any odd count and does not come here.
-
-    Raises
-    ------
-    UnderResolvedGrid
-        If an optimal probe is asked for on too few points.
+    Only Gaussian and smoothed probes are sampled on a set ``n_points``.  An
+    optimal probe reports its shift on theta nodes (:func:`optimal_probe`
+    with ``n_points=None``), a file probe on its own grid.
     """
-    if config.probe == "optimal":
-        if config.n_points is None:
-            return optimal_probe(config.coupling, weak_value.value, None, config.support_extent)
-        needed = recommended_support_points(weak_value.value, config.support_extent)
-        if config.n_points < needed:
-            raise UnderResolvedGrid(
-                f"n_points = {config.n_points} is below the {needed} points the optimal "
-                f"probe needs at A = {complex(weak_value.value)}"
-            )
-    return scenario_probe(config, weak_value)
+    if config.n_points is not None and config.probe not in ("gaussian", "smoothed"):
+        raise ConfigError(
+            f"n_points sets the p-grid of a gaussian or smoothed probe; probe={config.probe} "
+            "takes none in shift and sweep"
+        )
+    wv = scenario_weak_value(config)
+    probe = scenario_probe(config, wv)
+    return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
 
 
 def analytic_reference(
@@ -452,10 +438,7 @@ def _optional(value: float | None) -> str:
 
 
 def cmd_shift(config: ScenarioConfig) -> int:
-    wv = scenario_weak_value(config)
-    evo = PostSelectedEvolution(config.coupling, wv)
-    probe = _resolved_probe(config, wv)
-    report = shift_report(evo, probe)
+    wv, probe, report = _reported_shift(config)
     ref_q, ref_p = analytic_reference(config, wv)
     diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
     diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
@@ -519,6 +502,9 @@ def _write_samples(path: str | None, sections) -> None:
 
 def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
     wv = scenario_weak_value(config)
+    if config.probe == "optimal" and config.n_points is None:
+        # A dump samples on a p-grid, which the position transform needs.
+        config = replace(config, n_points=recommended_support_points(wv.value, config.support_extent))
     evo = PostSelectedEvolution(config.coupling, wv)
     probe = scenario_probe(config, wv)
     evolved = apply_postselection(evo, probe)
@@ -588,10 +574,7 @@ def _sweep_row(config: ScenarioConfig, axis: str, value: float) -> list[str]:
     try:
         variant = _sweep_scenario(config, axis, value)
         variant.validate()
-        wv = scenario_weak_value(variant)
-        evo = PostSelectedEvolution(variant.coupling, wv)
-        probe = _resolved_probe(variant, wv)
-        report = shift_report(evo, probe)
+        wv, _, report = _reported_shift(variant)
         ref_q, _ = analytic_reference(variant, wv)
         overlap_q = (
             format_number(abs(wv.overlap) * report.q_final)

@@ -41,9 +41,8 @@ class GridTooLarge(WvaError):
 
 
 class UnderResolvedGrid(WvaError):
-    """A requested grid has fewer points than the probe's resolution law
-    needs for its shift to hold to the reported digits, or a node set's
-    halving error estimate exceeds its tolerance."""
+    """A node set's halving error estimate exceeds its tolerance, so the
+    quantity it integrates would not hold to the reported digits."""
 
 
 class ScaleOutOfRange(WvaError):

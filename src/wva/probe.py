@@ -6,11 +6,11 @@ under that rule, so all downstream quadrature is self-consistent.  Two kinds
 of node set exist:
 
 - :class:`MomentumGrid`, a uniform grid with an odd point count under
-  composite Simpson.  Gaussian, file and smoothed probes, dumps and an
-  optimal probe on an explicit point count live here; the position transform
-  and the finite-difference derivative need its uniform spacing.
+  composite Simpson.  Gaussian, file and smoothed probes and every dump live
+  here; the position transform and the finite-difference derivative need its
+  uniform spacing.
 - :class:`QuadratureNodes`, Clenshaw-Curtis nodes with a halving error
-  estimate.  The default optimal probe lives on nodes in theta = arg B(p),
+  estimate.  The optimal probe of a shift lives on nodes in theta = arg B(p),
   where its density is uniform (:func:`theta_nodes`), and its post-selected
   state on a small rule in p over the support (:func:`support_nodes`).
 
@@ -451,13 +451,12 @@ def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     """Point count of a :class:`MomentumGrid` for a hard-support probe: the
-    floor for an optimal probe's shift on an explicit point count, and the
     default count of a ``dump``.
 
     The inverse evolution factor peaks like |A|^2 / (Re A)^2 over a narrow
     angular window, so resolution must grow with |A|^2 / |Re A| to keep the
-    Simpson quadrature at the part-per-million level.  The default optimal
-    probe escapes this law on :func:`theta_nodes`.
+    Simpson quadrature at the part-per-million level.  The optimal probe
+    escapes this law on :func:`theta_nodes`.
     """
     aw = complex(weak_value)
     sharpness = abs(aw) ** 2 / max(abs(aw.real), 1e-12)
@@ -513,7 +512,8 @@ def optimal_probe(
     ZeroRealPart
         If |Re weak_value| < 1e-12 (not normalizable in that case).
     ScaleOutOfRange
-        If the coupling lies outside ``SCALE_RANGE``.
+        If the coupling or |max_shift| lies outside ``SCALE_RANGE``; the
+        position moment's integrand grows like the square of the shift.
     GridTooLarge
         If the grid or the node set exceeds ``MAX_GRID_POINTS``.
     UnderResolvedGrid
@@ -522,6 +522,8 @@ def optimal_probe(
     """
     aw = _require_real_part(weak_value)
     check_scale(coupling, "coupling")
+    q_scale = abs(max_shift(coupling, aw))
+    check_scale(q_scale, "|max_shift|")
     if n_points is not None:
         grid = MomentumGrid.for_support(coupling, n_points, extent)
         values, derivative = _optimal_samples(coupling, aw, extent, grid.points)
@@ -529,7 +531,7 @@ def optimal_probe(
 
     support = support_nodes(coupling, extent, NODE_COUNTS[0])
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
-    q_scale, p_scale = abs(max_shift(coupling, aw)), 0.5 * math.pi / coupling
+    p_scale = 0.5 * math.pi / coupling
     rate = theta_rule_rate(aw, extent)
     previous = math.inf
     for n in NODE_COUNTS[1:]:
@@ -638,18 +640,11 @@ def smoothed_optimal_probe(
             f"grid truncates {2.0 * tail_mass:.3e} of the tail mass (tolerance {TAIL_MASS_TOL})"
         )
 
-    shift = max_shift(coupling, aw)
     p = grid.points
-    amplitude = math.sqrt(coupling * abs(aw.real) / math.pi)
-
     values = np.empty(grid.n_points, dtype=np.complex128)
     derivative = np.empty_like(values)
-
     interior = slice(i_left, i_right + 1)
-    p_int = p[interior]
-    factor, factor_d = evolution_factor_and_derivative(coupling, aw, p_int)
-    values[interior] = amplitude * np.exp(-1j * shift * p_int) / factor
-    derivative[interior] = values[interior] * (-(factor_d / factor) - 1j * shift)
+    values[interior], derivative[interior] = _optimal_samples(coupling, aw, 1, p[interior])
 
     left_edge = values[i_left]
     right_edge = values[i_right]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wva
 from wva import cli
@@ -22,6 +22,7 @@ from wva.cli import (
     read_probe_csv,
     scenario_from_table,
 )
+from wva.system import SCALE_RANGE
 
 DATA = Path(__file__).parent / "data"
 
@@ -638,7 +639,7 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     "argv",
     [
         ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
-        ["shift", "--aw-re", "2", "--probe", "optimal", "--support-m", "100000000"],  # 4.1e11 points
+        ["shift", "--aw-re", "2", "--probe", "optimal", "--support-m", "100000000"],  # 1.7e9 theta nodes
         ["dump", "--aw-re", "2", "--probe", "optimal", "--n-range", "100000000"],  # 2e8 positions
         ["sweep", "--aw-re", "2", "--axis", "coupling_g", "--start", "0.1", "--stop", "0.2",
          "--count", "100000000"],
@@ -649,29 +650,33 @@ def test_oversized_grid_is_refused_before_allocation(argv, capsys):
     assert "GridTooLarge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, needed",
-    [
-        (["--aw-re", "2", "--n-points", "3"], 4097),  # delta_q 0.183 against 0.125
-        (["--aw-re", "2", "--aw-im", "30", "--n-points", "4097"], 18081),  # 22.636 against 22.625
-    ],
-)
-def test_shift_refuses_an_under_resolved_optimal_probe(argv, needed, capsys):
-    assert main(["shift", "--probe", "optimal", *argv]) == 1
+def _refuse_p_grids(monkeypatch):
+    def refuse(grid):
+        raise AssertionError(f"a {grid.n_points}-point p-grid was built")
+
+    monkeypatch.setattr(wva.probe.MomentumGrid, "__post_init__", refuse)
+
+
+@pytest.mark.parametrize("probe", ["optimal", "file"])
+@pytest.mark.parametrize("source", ["flag", "key"])
+def test_shift_and_sweep_refuse_a_point_count_off_the_p_grid_probes(probe, source, tmp_path, monkeypatch, capsys):
+    # An optimal probe reports its shift on theta nodes, a file probe on its own grid.
+    chosen = ["--probe", probe, "--aw-re", "2"]
+    if probe == "file":
+        chosen += ["--file", _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])]
+    count = ["--n-points", "4097"]
+    if source == "key":
+        config = tmp_path / "points.cfg"
+        config.write_text("n_points=4097\n")
+        count = ["--config", str(config)]
+    _refuse_p_grids(monkeypatch)
+    assert main(["shift", *chosen, *count]) == 2
     captured = capsys.readouterr()
-    assert "UnderResolvedGrid" in captured.err
-    assert f"the {needed} points" in captured.err
+    assert captured.err.startswith("ConfigError: n_points") and f"probe={probe}" in captured.err
     assert captured.out == ""
-
-
-def test_sweep_row_reports_an_under_resolved_optimal_probe(tmp_path):
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--axis", "grid_n", "--aw-re", "2", "--probe", "optimal", "--values", "3,4097"]
-    assert main(argv + ["--output", str(out)]) == 1
-    rows = _read_rows(out)
-    assert [r["error"] for r in rows] == ["UnderResolvedGrid", ""]
-    assert rows[0]["delta_q"] == ""
-    assert float(rows[1]["delta_q"]) == pytest.approx(0.125, rel=1e-9)
+    assert main(["sweep", "--axis", "grid_n", *chosen, "--values", "3,4097", "--output", str(out)]) == 1
+    assert [(r["delta_q"], r["error"]) for r in _read_rows(out)] == [("", "ConfigError")] * 2
 
 
 def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
@@ -704,16 +709,11 @@ def test_near_orthogonal_optimal_shift_is_reported(capsys):
 
 
 def test_default_optimal_shift_and_sweep_build_no_p_grid(tmp_path, monkeypatch, capsys):
-    def refuse(grid):
-        raise AssertionError(f"a {grid.n_points}-point p-grid was built")
-
-    monkeypatch.setattr(wva.probe.MomentumGrid, "__post_init__", refuse)
+    _refuse_p_grids(monkeypatch)
     assert main(["shift", "--probe", "optimal", "--aw-re", AW_RE, "--aw-im", AW_IM]) == 0
     argv = ["sweep", "--axis", "postselection_angle", "--pre", "1,1", "--post", "1,0", "--obs", "1,0;0,-1",
             "--probe", "optimal", "--values", "2.3571,2.3562", "--output", str(tmp_path / "sweep.csv")]
     assert main(argv) == 0
-    with pytest.raises(AssertionError, match="p-grid"):
-        main(["shift", "--probe", "optimal", "--aw-re", "2", "--n-points", "4097"])
 
 
 def test_optimal_shift_prints_the_momentum_oracle(capsys):
@@ -785,6 +785,44 @@ def test_weak_value_at_the_scale_limit_reports_its_shift(probe, capsys):
     report = _report(capsys.readouterr().out)
     expected = wva.max_shift(0.1, 1e100) if probe == "optimal" else wva.gaussian_exact_shifts(0.1, 1.0, 1e100).delta_q
     assert float(report["delta_q"]) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--g", "1e100", "--aw-re", "1e-12", "--aw-im", "1e100"],  # max_shift is inf
+        ["shift", "--g", "1e100", "--aw-re", "1e-6", "--aw-im", "1e60"],  # was a ValueError traceback
+        ["shift", "--aw-re", "1", "--aw-im", "1e100"],  # was a RuntimeWarning and a nan estimate
+        ["sweep", "--aw-re", "1e-6", "--aw-im", "1e60", "--axis", "coupling_g", "--values", "1e100,0.1"],
+    ],
+)
+def test_optimal_shift_beyond_the_scale_range_is_a_domain_error(argv, capsys):
+    assert main([*argv, "--probe", "optimal"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    if argv[0] == "shift":
+        assert captured.err.startswith("ScaleOutOfRange: |max_shift|") and captured.out == ""
+    else:
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [(r["delta_q"], r["error"]) for r in rows] == [("", "ScaleOutOfRange")] * 2
+
+
+_LOG_SCALE = st.floats(math.log10(SCALE_RANGE[0]), math.log10(SCALE_RANGE[1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_g=_LOG_SCALE,
+    log_real=st.floats(-12.0, 100.0),
+    imag=st.one_of(st.just(0.0), st.floats(-100.0, 100.0).map(lambda e: 10.0**e)),
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+)
+@example(log_g=100.0, log_real=-12.0, imag=1e100, signs=(1.0, 1.0))
+def test_optimal_shift_ends_in_a_report_or_a_domain_error(log_g, log_real, imag, signs):
+    # Every input inside the documented ranges; a warning is an error here.
+    aw = complex(signs[0] * 10.0**log_real, signs[1] * imag)
+    argv = ["shift", "--probe", "optimal", f"--g={10.0**log_g!r}", f"--aw-re={aw.real!r}", f"--aw-im={aw.imag!r}"]
+    assert main(argv) in (0, 1)
 
 
 @pytest.mark.parametrize(
