@@ -11,7 +11,6 @@ from .analytic import (
     GaussianShiftPrediction,
     evolution_factor,
     evolution_factor_and_derivative,
-    evolution_factor_derivative,
     extrapolate_orthogonality_limit,
     gaussian_exact_shifts,
     inverse_fourth_factor_integral,

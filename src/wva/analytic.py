@@ -23,7 +23,9 @@ def evolution_factor_and_derivative(coupling: float, weak_value: complex, p):
     """Momentum-space factor B = cos(g p) - i A sin(g p) applied by
     post-selection when the observable squares to the identity, and its
     momentum derivative B' = g (-sin(g p) - i A cos(g p)), from one cos/sin
-    evaluation."""
+    evaluation: the only one in the package.  Where |B| is small the
+    difference loses digits; :func:`wva.probe.theta_nodes` computes B from
+    theta = arg B there instead."""
     gp = coupling * np.asarray(p, dtype=float)
     cos, sin = np.cos(gp), np.sin(gp)
     return cos - 1j * weak_value * sin, coupling * (-sin - 1j * weak_value * cos)
@@ -32,11 +34,6 @@ def evolution_factor_and_derivative(coupling: float, weak_value: complex, p):
 def evolution_factor(coupling: float, weak_value: complex, p):
     """B of :func:`evolution_factor_and_derivative`."""
     return evolution_factor_and_derivative(coupling, weak_value, p)[0]
-
-
-def evolution_factor_derivative(coupling: float, weak_value: complex, p):
-    """B' of :func:`evolution_factor_and_derivative`."""
-    return evolution_factor_and_derivative(coupling, weak_value, p)[1]
 
 
 def _require_real_part(weak_value: complex) -> complex:

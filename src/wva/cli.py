@@ -372,9 +372,8 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     if config.probe == "optimal":
         return optimal_probe(config.coupling, weak_value.value, config.n_points, config.support_extent)
     if config.probe == "smoothed":
-        grid = smoothed_support_grid(
-            config.coupling, config.smoothing, config.n_points or 4097
-        )
+        n_interior = config.n_points or recommended_support_points(weak_value.value)
+        grid = smoothed_support_grid(config.coupling, config.smoothing, n_interior)
         return smoothed_optimal_probe(config.coupling, weak_value.value, config.smoothing, grid)
     return read_probe_csv(config.probe_file)
 
@@ -640,10 +639,10 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
     grid = MomentumGrid.for_support(config.coupling, n, config.support_extent)
     optimizer_config = OptimizerConfig(
         grid=grid,
-        max_iters=args.max_iters,
-        step=args.step,
-        tol=args.tol,
-        seed=args.seed,
+        max_iters=_count(args.max_iters, "max_iters"),
+        step=_positive(args.step, "step"),
+        tol=_positive(args.tol, "tol"),
+        seed=_checked(int, lambda n: n >= 0, "a non-negative integer")(args.seed, "seed"),
         init=args.init,
     )
     trace = maximize(optimizer_config, evo)
@@ -730,16 +729,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="variational search for the optimal probe")
     _add_scenario_arguments(p_opt)
-    p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=4000)
-    p_opt.add_argument("--step", type=float, default=1.0)
-    p_opt.add_argument("--tol", type=float, default=1e-5)
-    p_opt.add_argument("--seed", type=int, default=0)
+    # Parsed by the field parsers in cmd_optimize, so a bad value is a ConfigError.
+    p_opt.add_argument("--max-iters", dest="max_iters", default=4000)
+    p_opt.add_argument("--step", default=1.0)
+    p_opt.add_argument("--tol", default=1e-5)
+    p_opt.add_argument("--seed", default=0)
     p_opt.add_argument("--init", choices=["gaussian", "random"], default="gaussian")
     p_opt.add_argument("--probe-output", dest="probe_output", help="gauge-fixed probe CSV")
 
     p_mz = sub.add_parser("mach-zehnder", help="print the interferometer weak value")
-    p_mz.add_argument("--chi", type=float, required=True)
-    p_mz.add_argument("--varphi", type=float, required=True)
+    p_mz.add_argument("--chi", required=True)
+    p_mz.add_argument("--varphi", required=True)
 
     return parser
 
@@ -763,7 +763,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     exit code (2 for configuration, 1 for a domain error)."""
     try:
         if args.command == "mach-zehnder":
-            return cmd_mach_zehnder(args.chi, args.varphi)
+            return cmd_mach_zehnder(_finite(args.chi, "chi"), _finite(args.varphi, "varphi"))
         config = scenario_from_args(args)
         if args.command == "shift":
             return cmd_shift(config)

@@ -41,8 +41,10 @@ class GridTooLarge(WvaError):
 
 
 class UnderResolvedGrid(WvaError):
-    """A node set's halving error estimate exceeds its tolerance, so the
-    quantity it integrates would not hold to the reported digits."""
+    """A node set resolves too little of what it samples: a halving error
+    estimate exceeds its tolerance, so the quantity it integrates would not
+    hold to the reported digits, or an optimizer grid is so coarse that its
+    position window holds fewer than three Fourier modes."""
 
 
 class ScaleOutOfRange(WvaError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import evolution_factor, evolution_factor_and_derivative, evolution_factor_derivative
+from .analytic import evolution_factor_and_derivative
 from .probe import Nodes, ProbeWavefunction
 from .system import WeakValue
 
@@ -27,7 +27,9 @@ from .system import WeakValue
 @dataclass(frozen=True, eq=False)
 class PostSelectedEvolution:
     """Impulsive coupling of strength ``coupling`` followed by the selection
-    summarized in ``weak``."""
+    summarized in ``weak``: plain data.  Its factor B and B' come from
+    :func:`wva.analytic.evolution_factor_and_derivative` with
+    ``(coupling, weak.value, p)``."""
 
     coupling: float
     weak: WeakValue
@@ -35,25 +37,6 @@ class PostSelectedEvolution:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError("coupling must be positive and finite")
-
-    def factor(self, p):
-        """Multiplicative momentum-space factor cos(gp) - i A sin(gp)."""
-        return evolution_factor(self.coupling, self.weak.value, p)
-
-    def factor_derivative(self, p):
-        """Momentum derivative of :meth:`factor`."""
-        return evolution_factor_derivative(self.coupling, self.weak.value, p)
-
-    def factor_and_derivative(self, p):
-        """:meth:`factor` and :meth:`factor_derivative` from one cos/sin evaluation."""
-        return evolution_factor_and_derivative(self.coupling, self.weak.value, p)
-
-    def density_factor_derivative(self, p):
-        """d/dp of |factor|^2 via the closed form 2ig Re A + 2 conj(B) B';
-        the imaginary parts cancel identically, leaving the real derivative."""
-        b, bd = self.factor_and_derivative(p)
-        z = 2j * self.coupling * complex(self.weak.value).real + 2.0 * np.conj(b) * bd
-        return z.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +72,7 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
         grid, values, derivative = probe.grid, probe.values, probe.derivative_or_numeric()
     else:
         grid, values, derivative = view.grid, view.values, view.derivative
-    b, bd = evo.factor_and_derivative(grid.points)
+    b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, grid.points)
     overlap = evo.weak.overlap
     return _evolved(grid, overlap * b * values, overlap * (bd * values + b * derivative))
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, ZeroNorm
+from .analytic import evolution_factor
+from .errors import NonFinite, UnderResolvedGrid, ZeroNorm
 from .evolution import PostSelectedEvolution
 from .expectation import expect_q, shift_report
 from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction
@@ -65,7 +66,7 @@ class _AscentCore:
         self.length = self.n * self.spacing
         self.points = grid.points[: self.n]
         self.positions = -2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        self.modulation = evo.factor(self.points)
+        self.modulation = evolution_factor(evo.coupling, evo.weak.value, self.points)
         self.offset = 0.0
         if int(round(self.length * evo.coupling / math.pi)) % 2:
             twist = np.exp(-1j * math.pi * (self.points - grid.p_min) / self.length)
@@ -275,12 +276,14 @@ def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTr
 
     Raises
     ------
+    UnderResolvedGrid
+        If the position window holds fewer than three Fourier modes of the grid.
     NonFinite
         If the objective or gradient degenerates.
     """
     core = _AscentCore(config.grid, evo, config.position_cap)
     if int(np.count_nonzero(core.inside)) < 3:
-        raise ValueError("position window holds fewer than three modes; refine the grid")
+        raise UnderResolvedGrid("position window holds fewer than three modes; refine the grid")
 
     x = core.window(_initial_circle_vector(config, core))
     norm = math.sqrt(np.vdot(x, x).real)

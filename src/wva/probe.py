@@ -30,7 +30,6 @@ import numpy as np
 from .analytic import (
     _require_real_part,
     evolution_factor_and_derivative,
-    evolution_factor_derivative,
     max_shift,
 )
 from .errors import GridTooLarge, ScaleOutOfRange, TailMassTooLarge, UnderResolvedGrid, ZeroNorm
@@ -451,15 +450,20 @@ def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     """Point count of a :class:`MomentumGrid` for a hard-support probe: the
-    default count of a ``dump``.
+    default count of a ``dump``, and of the interior of a CLI smoothed probe.
 
     The inverse evolution factor peaks like |A|^2 / (Re A)^2 over a narrow
     angular window, so resolution must grow with |A|^2 / |Re A| to keep the
     Simpson quadrature at the part-per-million level.  The optimal probe
     escapes this law on :func:`theta_nodes`.
+
+    Raises
+    ------
+    ZeroRealPart
+        If |Re weak_value| < 1e-12, where no hard-support probe exists.
     """
-    aw = complex(weak_value)
-    sharpness = abs(aw) ** 2 / max(abs(aw.real), 1e-12)
+    aw = _require_real_part(weak_value)
+    sharpness = abs(aw) ** 2 / abs(aw.real)
     n = max(4097 * extent, int(math.ceil(40.0 * sharpness * extent)))
     if n % 2 == 0:
         n += 1
@@ -468,13 +472,12 @@ def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
 
 def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, factor=None):
     """The optimal probe's values and derivative at momenta p, with the
-    analytic amplitude sqrt(g |Re A| / (pi extent)); B(p) is ``factor`` when
-    given."""
+    analytic amplitude sqrt(g |Re A| / (pi extent)).  B(p) is ``factor`` when
+    given, as :func:`theta_nodes` computes it from theta where |B| is small;
+    B'(p) always comes from :func:`evolution_factor_and_derivative`."""
     shift = max_shift(coupling, aw)
-    if factor is None:
-        factor, factor_d = evolution_factor_and_derivative(coupling, aw, p)
-    else:
-        factor_d = evolution_factor_derivative(coupling, aw, p)
+    b, factor_d = evolution_factor_and_derivative(coupling, aw, p)
+    factor = b if factor is None else factor
     amplitude = math.sqrt(coupling * abs(aw.real) / (math.pi * extent))
     values = amplitude * np.exp(-1j * shift * p) / factor
     derivative = values * (-(factor_d / factor) - 1j * shift)
@@ -484,7 +487,7 @@ def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, f
 def optimal_probe(
     coupling: float,
     weak_value: complex,
-    n_points: int | None = 4097,
+    n_points: int | None = None,
     extent: int = 1,
 ) -> ProbeWavefunction:
     """Back-action-cancelling probe on the support [-pi*extent/2g, pi*extent/2g].
@@ -494,9 +497,8 @@ def optimal_probe(
     attains :func:`wva.analytic.max_shift` exactly and starts with zero mean
     position.  Any integer ``extent`` reproduces the same shift.
 
-    With a point count the probe is sampled on a :class:`MomentumGrid` and
-    renormalized there.  With ``n_points=None`` it keeps its analytic
-    amplitude on :func:`theta_nodes`, with 32, 64, ... intervals per period
+    By default (``n_points=None``) it keeps its analytic amplitude on
+    :func:`theta_nodes`, with 32, 64, ... intervals per period
     (at 16 the nested 8-interval rule is 1e-7 off or worse for A != +/-1):
     the first count at which the halving estimates of its mean position and
     momentum are within ``HALVING_TOL`` of |max_shift| and of pi/2g, and
@@ -506,6 +508,11 @@ def optimal_probe(
     ``evolution_view`` is then the probe on the 16-interval
     :func:`support_nodes`, on which the post-selected state (flat density,
     linear phase) integrates exactly.
+
+    With a point count the probe is sampled on a :class:`MomentumGrid` and
+    renormalized there, as position transforms and the optimizer need; its
+    shift is wrong, with no error, once |A|^2 / |Re A| outgrows that count
+    (see :func:`recommended_support_points`).
 
     Raises
     ------

@@ -12,7 +12,6 @@ from wva import (
     ZeroRealPart,
     evolution_factor,
     evolution_factor_and_derivative,
-    evolution_factor_derivative,
     extrapolate_orthogonality_limit,
     gaussian_exact_shifts,
     gaussian_probe,
@@ -253,7 +252,6 @@ def test_factor_and_derivative_equal_the_separate_views(value):
         gp = G * grid.points  # the two factors as written before they shared one cos/sin
         assert np.array_equal(factor, evolution_factor(G, value, grid.points))
         assert np.array_equal(factor, np.cos(gp) - 1j * value * np.sin(gp))
-        assert np.array_equal(derivative, evolution_factor_derivative(G, value, grid.points))
         assert np.array_equal(derivative, G * (-np.sin(gp) - 1j * value * np.cos(gp)))
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import math
 import os
@@ -608,11 +609,22 @@ def _bytes_file(tmp_path, name, data):
         "four_samples",
         "non_utf8_config",
         "non_utf8_probe_file",
+        "max_iters_zero",
+        "step_zero",
+        "step_nan",
+        "step_inf",
+        "tol_zero",
+        "tol_inf",
+        "seed_negative",
+        "chi_nan",
+        "chi_inf",
+        "varphi_nan",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     file_probe = ["shift", "--aw-re", "2", "--probe", "file", "--file"]
     smoothed = ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing"]
+    optimize = ["optimize", "--aw-re", "2", "--init", "random"]
     argv = {
         "missing_config": ["shift", "--config", str(tmp_path / "missing.cfg")],
         "missing_probe_file": file_probe + [str(tmp_path / "missing.csv")],
@@ -628,6 +640,16 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "non_utf8_config": ["shift", "--config", _bytes_file(tmp_path, "bad.cfg", b"g=0.1\naw_re=2\xff\n")],
         "non_utf8_probe_file": file_probe
         + [_bytes_file(tmp_path, "bad.csv", b"space,coordinate,re,im\nmomentum_initial,0,1\xff,0\n")],
+        "max_iters_zero": optimize + ["--max-iters", "0"],
+        "step_zero": optimize + ["--step", "0"],
+        "step_nan": optimize + ["--step", "nan"],
+        "step_inf": optimize + ["--step", "inf"],  # was three RuntimeWarnings and exit 0
+        "tol_zero": optimize + ["--tol", "0"],
+        "tol_inf": optimize + ["--tol", "inf"],  # was "converged true" after no step, exit 0
+        "seed_negative": optimize + ["--seed", "-1"],
+        "chi_nan": ["mach-zehnder", "--chi", "nan", "--varphi", "0.3"],
+        "chi_inf": ["mach-zehnder", "--chi", "inf", "--varphi", "0.3"],
+        "varphi_nan": ["mach-zehnder", "--chi", "0.3", "--varphi", "nan"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -639,6 +661,8 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     "argv",
     [
         ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
+        # 4.3e9 points under the resolution law; 4,097 printed -5299 against 5e6.
+        ["shift", "--aw-re", "1", "--aw-im", "1e4", "--probe", "smoothed", "--smoothing", "30"],
         ["shift", "--aw-re", "2", "--probe", "optimal", "--support-m", "100000000"],  # 1.7e9 theta nodes
         ["dump", "--aw-re", "2", "--probe", "optimal", "--n-range", "100000000"],  # 2e8 positions
         ["sweep", "--aw-re", "2", "--axis", "coupling_g", "--start", "0.1", "--stop", "0.2",
@@ -648,6 +672,60 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
 def test_oversized_grid_is_refused_before_allocation(argv, capsys):
     assert main(argv) == 1
     assert "GridTooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_points", ["3", "5"])
+def test_optimizer_grid_without_three_window_modes_is_a_domain_error(n_points, capsys):
+    assert main(["optimize", "--aw-re", "2", "--n-points", n_points]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("UnderResolvedGrid: position window holds fewer than three modes")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("aw_re, aw_im", [("1", "30"), ("1e-3", "1")])
+def test_smoothed_shift_takes_its_point_count_from_the_weak_value(aw_re, aw_im, capsys):
+    # 4,097 interior points gave 44.997 and 106.39; the closed form of the
+    # hard-support probe is 45.1 and 100.00005, 1.06e-3 above the smoothed one.
+    value = complex(float(aw_re), float(aw_im))
+    argv = ["shift", "--probe", "smoothed", "--smoothing", "30", "--aw-re", aw_re, "--aw-im", aw_im]
+    assert main(argv) == 0
+    default = float(_report(capsys.readouterr().out)["delta_q"])
+    doubled = str(2 * wva.recommended_support_points(value) - 1)
+    assert main([*argv, "--n-points", doubled]) == 0
+    assert default == pytest.approx(float(_report(capsys.readouterr().out)["delta_q"]), rel=1e-7)
+    assert default == pytest.approx(wva.max_shift(0.1, value), rel=1.1e-3)
+
+
+def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
+    # Sized by the resolution law first, this grid would be GridTooLarge.
+    assert main(["shift", "--probe", "smoothed", "--smoothing", "30", "--aw-re", "1e-13", "--aw-im", "1"]) == 1
+    assert capsys.readouterr().err.startswith("ZeroRealPart")
+
+
+def test_benchmark_wrap_points_exist_and_are_restored(monkeypatch):
+    # bench/tracing.py wraps these functions by name; a rename would break
+    # only a traced benchmark run.
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (wva.cli, wva.probe, wva.expectation)
+    before = [dict(vars(module)) for module in modules]
+    integrate = wva.probe.MomentumGrid.integrate
+    # Undone at teardown, so that an instrument call failing midway leaves no wrapper behind.
+    for module, namespace in zip(modules, before):
+        for name, value in namespace.items():
+            monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(wva.probe.MomentumGrid, "integrate", integrate)
+
+    saved = tracing.instrument(tracing.Tracer(), wva, cold_integrate=True)
+    wrapped = [getattr(owner, attr) is not original for owner, attr, original in saved]
+    tracing.restore(saved)
+    assert wrapped and all(wrapped)
+    for module, namespace in zip(modules, before):
+        after = vars(module)
+        assert after.keys() == namespace.keys() and all(after[k] is v for k, v in namespace.items())
+    assert wva.probe.MomentumGrid.integrate is integrate
 
 
 def _refuse_p_grids(monkeypatch):

@@ -60,7 +60,7 @@ class TestExpectQ:
 
         probe = optimal_probe(G, AW)
         evolved = apply_postselection(evo_for(AW), probe)
-        mean = expect_q(evolved.values, evolved.derivative, probe.grid)
+        mean = expect_q(evolved.values, evolved.derivative, evolved.grid)
         assert mean == pytest.approx(0.461880215352, abs=1e-6)
 
     def test_zero_norm_raises(self):

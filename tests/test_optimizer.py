@@ -36,7 +36,7 @@ def evo_for(value, coupling=G):
 
 class TestObjective:
     def test_matches_closed_form_on_optimal_probe(self):
-        probe = optimal_probe(G, AW)
+        probe = optimal_probe(G, AW, n_points=4097)
         value = objective(probe.values, probe.derivative, probe.grid, evo_for(AW))
         assert value == pytest.approx(max_shift(G, AW), rel=1e-6)
 

@@ -200,6 +200,13 @@ class TestOptimalProbe:
             0.0, abs=1e-6
         )
 
+    @pytest.mark.parametrize("value", [1.0 + 300.0j, 1e-4 + 1.0j, 1e-3 + 1.0j, 2.0 + 30.0j])
+    def test_default_reports_the_closed_form_shift_beyond_the_p_grid_law(self, value):
+        # |A|^2 / |Re A| outgrows a 4097-point p-grid at each of these A; there
+        # the shift comes out as 9.635, 1952.5, 95.33 and 22.636, with no error.
+        report = shift_report(PostSelectedEvolution(G, WeakValue.from_value(value)), optimal_probe(G, value))
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+
     @pytest.mark.parametrize("extent,n", [(1, 4097), (2, 8193), (3, 12289)])
     def test_extended_support_reproduces_shift(self, extent, n):
         evo = PostSelectedEvolution(G, WeakValue.from_value(AW))
@@ -216,7 +223,7 @@ class TestFinalProbeMomentum:
     def test_equals_evolved_optimal_probe(self):
         # Composing the optimal probe with the evolution factor must land on
         # the flat final form, pointwise after normalization.
-        initial = optimal_probe(G, AW)
+        initial = optimal_probe(G, AW, n_points=4097)
         factor = evolution_factor(G, AW, initial.grid.points)
         evolved = factor * initial.values
         evolved /= math.sqrt(float(initial.grid.integrate(np.abs(evolved) ** 2)))
@@ -270,7 +277,7 @@ class TestSmoothedProbe:
         i_left = int(round((-half - grid.p_min) / grid.spacing))
         i_right = int(round((half - grid.p_min) / grid.spacing))
         # closed-form interior values at the edges
-        edge = optimal_probe(G, AW)
+        edge = optimal_probe(G, AW, n_points=4097)
         scale = abs(probe.values[i_left]) / abs(edge.values[0])
         assert abs(probe.values[i_left + 1] - probe.values[i_left]) < 0.1 * abs(
             probe.values[i_left]
@@ -372,7 +379,7 @@ class TestChirpZ:
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_non_uniform_positions_take_the_dense_sum(self):
-        probe = optimal_probe(G, AW)
+        probe = optimal_probe(G, AW, n_points=4097)
         q = np.linspace(-20.0, 20.0, 801)
         q[400] += 0.05  # one position off the uniform spacing
         assert q.size * probe.grid.n_points > DENSE_SUM_MAX_TERMS
@@ -500,7 +507,7 @@ class TestNodeSets:
         )
 
     def test_default_optimal_probe_lives_on_theta_nodes(self):
-        probe = optimal_probe(G, AW, None)
+        probe = optimal_probe(G, AW)
         assert isinstance(probe.grid, QuadratureNodes)
         assert probe.grid.n_points <= 257
         # The analytic amplitude is normalized on the nodes without rescaling.
