@@ -5,7 +5,28 @@ to the identity: weak values, probe wavefunctions in momentum space, exact
 post-selected evolution, quadrature of position/momentum shifts, closed-form
 oracles for the shifts and their bounds, and an independent variational
 maximizer of the shift.
+
+BLAS threads: when ``import wva`` is the first import of numpy, numpy's
+OpenBLAS starts with one thread, so a ``wva`` process runs no helper thread
+that spins through start-up.  ``wva`` sets ``OPENBLAS_NUM_THREADS=1`` for that
+one import and then removes it, so ``os.environ`` is as it was and
+subprocesses inherit nothing.  A host keeps its own pool by importing numpy
+before ``wva``, or by setting ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+or ``OMP_NUM_THREADS``.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in _sys.modules and not any(name in _os.environ for name in _BLAS_THREAD_VARIABLES):
+    # OpenBLAS reads its thread count once, when numpy loads it.
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analytic import (
     GaussianShiftPrediction,

@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, NamedTuple
@@ -107,9 +107,10 @@ def _csv_block(label: str, *columns: np.ndarray) -> str:
 @contextmanager
 def _open(path: str, mode: str = "r"):
     """Open a user-named UTF-8 file; a missing, unwritable or non-UTF-8 one is
-    a configuration error."""
+    a configuration error.  A byte-order mark at the start of a file read is
+    skipped; files are written without one."""
     try:
-        handle = open(path, mode, newline="", encoding="utf-8")
+        handle = open(path, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     with handle:
@@ -415,21 +416,18 @@ def _csv_writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-@contextmanager
+# Commands open their output files before they compute, so that a path that
+# cannot be opened is a configuration error before any work or output.
+
+
+def _output_file(path: str | None):
+    """The file at ``path`` opened for writing, or None when no path is set."""
+    return _open(path, "w") if path else nullcontext()
+
+
 def _output(path: str | None):
     """The file at ``path`` opened for writing, or stdout when no path is set."""
-    if not path:
-        yield sys.stdout
-        return
-    with _open(path, "w") as handle:
-        yield handle
-
-
-@contextmanager
-def _csv_output(path: str | None):
-    """CSV writer on the file at ``path``, or on stdout when no path is set."""
-    with _output(path) as handle:
-        yield _csv_writer(handle)
+    return _output_file(path) if path else nullcontext(sys.stdout)
 
 
 def _optional(value: float | None) -> str:
@@ -437,66 +435,66 @@ def _optional(value: float | None) -> str:
 
 
 def cmd_shift(config: ScenarioConfig) -> int:
-    wv, probe, report = _reported_shift(config)
-    ref_q, ref_p = analytic_reference(config, wv)
-    diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
-    diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
+    with _output_file(config.output) as handle:
+        wv, probe, report = _reported_shift(config)
+        ref_q, ref_p = analytic_reference(config, wv)
+        diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
+        diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
 
-    print(f"probe          {probe.label}")
-    print(f"g              {format_number(config.coupling)}")
-    print(f"weak_value     {format_number(wv.value.real)} {format_number(wv.value.imag)}j")
-    print(f"q_initial      {format_number(report.q_initial)}")
-    print(f"q_final        {format_number(report.q_final)}")
-    print(f"p_initial      {format_number(report.p_initial)}")
-    print(f"p_final        {format_number(report.p_final)}")
-    for name, value, ref, diff in (
-        ("delta_q", report.delta_q, ref_q, diff_q),
-        ("delta_p", report.delta_p, ref_p, diff_p),
-    ):
-        if ref is None:
-            print(f"{name}        {format_number(value)}")
-        else:
-            print(
-                f"{name}        {format_number(value)}  analytic {format_number(ref)}"
-                f"  |diff| {format_number(diff)}"
+        print(f"probe          {probe.label}")
+        print(f"g              {format_number(config.coupling)}")
+        print(f"weak_value     {format_number(wv.value.real)} {format_number(wv.value.imag)}j")
+        print(f"q_initial      {format_number(report.q_initial)}")
+        print(f"q_final        {format_number(report.q_final)}")
+        print(f"p_initial      {format_number(report.p_initial)}")
+        print(f"p_final        {format_number(report.p_final)}")
+        for name, value, ref, diff in (
+            ("delta_q", report.delta_q, ref_q, diff_q),
+            ("delta_p", report.delta_p, ref_p, diff_p),
+        ):
+            if ref is None:
+                print(f"{name}        {format_number(value)}")
+            else:
+                print(
+                    f"{name}        {format_number(value)}  analytic {format_number(ref)}"
+                    f"  |diff| {format_number(diff)}"
+                )
+        print(f"weight         {format_number(report.weight)}")
+
+        if handle is not None:
+            # The scenario as run, under the first four config keys.
+            scenario = (
+                probe.label,
+                format_number(config.coupling),
+                format_number(wv.value.real),
+                format_number(wv.value.imag),
             )
-    print(f"weight         {format_number(report.weight)}")
-
-    if config.output:
-        # The scenario as run, under the first four config keys.
-        scenario = (
-            probe.label,
-            format_number(config.coupling),
-            format_number(wv.value.real),
-            format_number(wv.value.imag),
-        )
-        columns = [
-            *zip((field.key for field in _FIELDS), scenario),
-            ("q_initial", format_number(report.q_initial)),
-            ("q_final", format_number(report.q_final)),
-            ("p_initial", format_number(report.p_initial)),
-            ("p_final", format_number(report.p_final)),
-            ("delta_q", format_number(report.delta_q)),
-            ("delta_p", format_number(report.delta_p)),
-            ("weight", format_number(report.weight)),
-            ("analytic_delta_q", _optional(ref_q)),
-            ("analytic_delta_p", _optional(ref_p)),
-            ("abs_diff_delta_q", _optional(diff_q)),
-            ("abs_diff_delta_p", _optional(diff_p)),
-        ]
-        with _csv_output(config.output) as writer:
+            columns = [
+                *zip((field.key for field in _FIELDS), scenario),
+                ("q_initial", format_number(report.q_initial)),
+                ("q_final", format_number(report.q_final)),
+                ("p_initial", format_number(report.p_initial)),
+                ("p_final", format_number(report.p_final)),
+                ("delta_q", format_number(report.delta_q)),
+                ("delta_p", format_number(report.delta_p)),
+                ("weight", format_number(report.weight)),
+                ("analytic_delta_q", _optional(ref_q)),
+                ("analytic_delta_p", _optional(ref_p)),
+                ("abs_diff_delta_q", _optional(diff_q)),
+                ("abs_diff_delta_p", _optional(diff_p)),
+            ]
+            writer = _csv_writer(handle)
             writer.writerow([name for name, _ in columns])
             writer.writerow([value for _, value in columns])
-    return 0
+        return 0
 
 
-def _write_samples(path: str | None, sections) -> None:
+def _write_samples(handle, sections) -> None:
     """Write a dump CSV: the header, then one block of ``space,q,re,im``
     lines per ``(space, coordinates, values)`` section, one section at a time."""
-    with _output(path) as handle:
-        handle.write(",".join(_DUMP_HEADER) + "\n")
-        for space, coordinates, values in sections:
-            handle.write(_csv_block(space, coordinates, values.real, values.imag))
+    handle.write(",".join(_DUMP_HEADER) + "\n")
+    for space, coordinates, values in sections:
+        handle.write(_csv_block(space, coordinates, values.real, values.imag))
 
 
 def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -531,7 +529,8 @@ def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.nda
 
 
 def cmd_dump(config: ScenarioConfig) -> int:
-    _write_samples(config.output, _dump_sections(config))
+    with _output(config.output) as handle:
+        _write_samples(handle, _dump_sections(config))
     return 0
 
 
@@ -614,8 +613,9 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
-    rows = [_sweep_row(config, axis, value) for value in values]
-    with _csv_output(config.output) as writer:
+    with _output(config.output) as handle:
+        rows = [_sweep_row(config, axis, value) for value in values]
+        writer = _csv_writer(handle)
         writer.writerow(
             [
                 "axis",
@@ -645,26 +645,29 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
         seed=_checked(int, lambda n: n >= 0, "a non-negative integer")(args.seed, "seed"),
         init=args.init,
     )
-    trace = maximize(optimizer_config, evo)
-    reference = max_shift(config.coupling, wv.value)
-    last_iter, last_objective, last_norm = trace.iterations[-1]
+    with _output_file(config.output) as trace_file, _output_file(args.probe_output) as probe_file:
+        if trace_file and probe_file and os.path.sameopenfile(trace_file.fileno(), probe_file.fileno()):
+            raise ConfigError("--output and --probe-output name the same file")
+        trace = maximize(optimizer_config, evo)
+        reference = max_shift(config.coupling, wv.value)
+        last_iter, last_objective, last_norm = trace.iterations[-1]
 
-    print(f"converged      {str(trace.converged).lower()}")
-    print(f"iterations     {last_iter}")
-    print(f"objective      {format_number(last_objective)}")
-    print(f"reference      {format_number(reference)}")
-    print(f"abs_gap        {format_number(abs(last_objective - reference))}")
-    print(f"grad_norm      {format_number(last_norm)}")
+        print(f"converged      {str(trace.converged).lower()}")
+        print(f"iterations     {last_iter}")
+        print(f"objective      {format_number(last_objective)}")
+        print(f"reference      {format_number(reference)}")
+        print(f"abs_gap        {format_number(abs(last_objective - reference))}")
+        print(f"grad_norm      {format_number(last_norm)}")
 
-    if config.output:
-        with _csv_output(config.output) as writer:
+        if trace_file is not None:
+            writer = _csv_writer(trace_file)
             writer.writerow(["iter", "objective", "grad_norm"])
             for index, value, norm in trace.iterations:
                 writer.writerow([str(index), format_number(value), format_number(norm)])
-    if args.probe_output:
-        fixed = gauge_fix(trace.final_probe)
-        _write_samples(args.probe_output, [("momentum_initial", grid.points, fixed.values)])
-    return 0
+        if probe_file is not None:
+            fixed = gauge_fix(trace.final_probe)
+            _write_samples(probe_file, [("momentum_initial", grid.points, fixed.values)])
+        return 0
 
 
 def cmd_mach_zehnder(chi: float, varphi: float) -> int:

@@ -124,8 +124,11 @@ class MomentumGrid:
         ``simpson_weights @ samples`` to rounding but runs on the calling
         thread alone: that dot product is a threaded BLAS call, which on grids
         of about 10^4 points and more wakes a helper thread that spins on a
-        second core for as long as the process keeps integrating.  Real
-        samples stay real; nothing is cast to complex.
+        second core for as long as the process keeps integrating.  That
+        reasoning holds for a host that loaded numpy before ``wva`` and so
+        kept a threaded pool; when ``import wva`` loads numpy, OpenBLAS runs
+        one thread (see :mod:`wva`).  Real samples stay real; nothing is cast
+        to complex.
         """
         s = samples
         return self.spacing / 3.0 * (s[0] + s[-1] + 4.0 * s[1:-1:2].sum() + 2.0 * s[2:-1:2].sum())

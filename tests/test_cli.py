@@ -108,6 +108,19 @@ class TestConfigParsing:
         assert config.aw == 1.0 + 0j
         assert config.probe == "optimal"
 
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes("g=0.2\naw_re=1.0\n".encode("utf-8-sig"))
+        assert load_config_file(str(path)) == {"g": "0.2", "aw_re": "1.0"}
+
+    def test_probe_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        plain = _probe_file(tmp_path, "probe.csv", [(q, 1 + q * (4 - q)) for q in range(5)])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(Path(plain).read_text().encode("utf-8-sig"))
+        probe, expected = read_probe_csv(str(marked)), read_probe_csv(plain)
+        assert np.array_equal(probe.grid.points, expected.grid.points)
+        assert np.array_equal(probe.values, expected.values)
+
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("g=0.2\nbogus=1\n")
@@ -257,27 +270,34 @@ class TestShiftCommand:
 
 
 class TestDumpCommand:
-    def test_golden_regression(self, tmp_path):
+    # In-process on the host's BLAS pool, and in a fresh ``wva`` process on
+    # the one-thread pool that ``import wva`` starts.
+    @pytest.mark.parametrize("run", ["in_process", "subprocess"])
+    def test_golden_regression(self, run, tmp_path):
         out = tmp_path / "dump.csv"
-        rc = main(
-            [
-                "dump",
-                "--g",
-                "0.1",
-                "--aw-re",
-                AW_RE,
-                "--aw-im",
-                AW_IM,
-                "--probe",
-                "optimal",
-                "--n-points",
-                "257",
-                "--n-range",
-                "8",
-                "--output",
-                str(out),
-            ]
-        )
+        argv = [
+            "dump",
+            "--g",
+            "0.1",
+            "--aw-re",
+            AW_RE,
+            "--aw-im",
+            AW_IM,
+            "--probe",
+            "optimal",
+            "--n-points",
+            "257",
+            "--n-range",
+            "8",
+            "--output",
+            str(out),
+        ]
+        if run == "in_process":
+            rc = main(argv)
+        else:
+            rc = subprocess.run(
+                [sys.executable, "-m", "wva.cli", *argv], env=_subprocess_env(), capture_output=True, timeout=120
+            ).returncode
         assert rc == 0
         assert out.read_bytes() == (DATA / "golden_dump.csv").read_bytes()
 
@@ -619,12 +639,19 @@ def _bytes_file(tmp_path, name, data):
         "chi_nan",
         "chi_inf",
         "varphi_nan",
+        "shift_output_unwritable",
+        "sweep_output_unwritable",
+        "dump_output_unwritable",
+        "optimize_output_unwritable",
+        "optimize_probe_output_directory",
+        "optimize_outputs_one_file",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     file_probe = ["shift", "--aw-re", "2", "--probe", "file", "--file"]
     smoothed = ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing"]
     optimize = ["optimize", "--aw-re", "2", "--init", "random"]
+    nowhere = str(tmp_path / "missing" / "out.csv")
     argv = {
         "missing_config": ["shift", "--config", str(tmp_path / "missing.cfg")],
         "missing_probe_file": file_probe + [str(tmp_path / "missing.csv")],
@@ -650,11 +677,23 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "chi_nan": ["mach-zehnder", "--chi", "nan", "--varphi", "0.3"],
         "chi_inf": ["mach-zehnder", "--chi", "inf", "--varphi", "0.3"],
         "varphi_nan": ["mach-zehnder", "--chi", "0.3", "--varphi", "nan"],
+        # An output that cannot be opened is refused before any work: the
+        # report, sweep rows, dump or optimizer run were once done first.
+        "shift_output_unwritable": ["shift", "--aw-re", "2", "--output", nowhere],
+        "sweep_output_unwritable": ["sweep", "--aw-re", "2", "--axis", "coupling_g", "--values", "0.1,0.2",
+                                    "--output", nowhere],
+        "dump_output_unwritable": ["dump", "--aw-re", "2", "--output", nowhere],
+        "optimize_output_unwritable": optimize + ["--output", nowhere],
+        "optimize_probe_output_directory": optimize + ["--output", str(tmp_path / "trace.csv"),
+                                                       "--probe-output", str(tmp_path)],
+        "optimize_outputs_one_file": optimize + ["--output", str(tmp_path / "both.csv"),
+                                                 "--probe-output", str(tmp_path / "both.csv")],
     }[case]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "ConfigError" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -830,6 +869,46 @@ def test_import_loads_no_fft_or_polynomial_module():
     count, fft, polynomial = done.stdout.split()
     assert (fft, polynomial) == ("False", "False")
     assert int(count) <= 226
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# The threads of the process right after the imports, and whether they left
+# os.environ as it was.
+_THREADS_AFTER_IMPORT = """
+import os
+before = dict(os.environ)
+{imports}
+print(len(os.listdir("/proc/self/task")), dict(os.environ) == before)
+"""
+
+
+def _threads_after(imports: str, **variables: str) -> int:
+    env = {k: v for k, v in _subprocess_env().items() if k not in _BLAS_THREAD_VARIABLES}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_IMPORT.format(imports=imports)],
+        env={**env, **variables}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    threads, unchanged = done.stdout.split()
+    assert unchanged == "True"
+    return int(threads)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs per-thread listings and two CPUs",
+)
+def test_blas_pool_has_one_thread_only_when_wva_loads_numpy():
+    numpy_alone = _threads_after("import numpy")
+    if numpy_alone < 2:
+        pytest.skip("numpy's BLAS starts no helper thread on import")
+    # A cli process runs no OpenBLAS helper thread ...
+    assert _threads_after("import wva") == 1
+    # ... but a host that loaded numpy first, or set a thread count, keeps its pool.
+    assert _threads_after("import numpy; import wva") == numpy_alone
+    assert _threads_after("import wva", OPENBLAS_NUM_THREADS="2") == 2
+    assert _threads_after("import wva", OMP_NUM_THREADS="2") == 2
 
 
 @pytest.mark.parametrize(

@@ -271,9 +271,11 @@ class TestThetaNodeReport:
 
 # 200 shift reports at A = 2 + 30i on 40,001 points, with the CPU time of
 # every thread of the process read from /proc before and after the loop.
+# numpy is imported before wva, so the host owns a threaded BLAS pool.
 _THREAD_CPU_SCRIPT = """
 import os
 import time
+import numpy
 import wva
 
 def cpu_ticks():
