@@ -747,8 +747,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Wraps the function object, so a later rebinding of ``build_parser`` does not
+# reach the shared parser.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command.  The argument parser is built at the first call and
+    shared by every later call in the process; parsing never mutates it.
+    ``build_parser()`` returns a fresh parser on each call."""
+    parser = _parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         code = _run(parser, args)

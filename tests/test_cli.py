@@ -741,30 +741,109 @@ def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
     assert capsys.readouterr().err.startswith("ZeroRealPart")
 
 
-def test_benchmark_wrap_points_exist_and_are_restored(monkeypatch):
-    # bench/tracing.py wraps these functions by name; a rename would break
-    # only a traced benchmark run.
+_TRACED_MODULES = (wva.cli, wva.probe, wva.expectation)
+
+
+def _bench_tracing(monkeypatch):
+    """``bench/tracing.py``, loaded from its file, with every attribute that it
+    wraps put back at teardown, so that an ``instrument`` call failing midway
+    leaves no wrapper behind."""
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    modules = (wva.cli, wva.probe, wva.expectation)
-    before = [dict(vars(module)) for module in modules]
-    integrate = wva.probe.MomentumGrid.integrate
-    # Undone at teardown, so that an instrument call failing midway leaves no wrapper behind.
-    for module, namespace in zip(modules, before):
-        for name, value in namespace.items():
+    for module in _TRACED_MODULES:
+        for name, value in dict(vars(module)).items():
             monkeypatch.setattr(module, name, value)
-    monkeypatch.setattr(wva.probe.MomentumGrid, "integrate", integrate)
+    monkeypatch.setattr(wva.probe.MomentumGrid, "integrate", wva.probe.MomentumGrid.integrate)
+    return tracing
+
+
+def test_benchmark_wrap_points_exist_and_are_restored(monkeypatch):
+    # bench/tracing.py wraps these functions by name; a rename would break
+    # only a traced benchmark run.
+    tracing = _bench_tracing(monkeypatch)
+    before = [dict(vars(module)) for module in _TRACED_MODULES]
+    integrate = wva.probe.MomentumGrid.integrate
 
     saved = tracing.instrument(tracing.Tracer(), wva, cold_integrate=True)
     wrapped = [getattr(owner, attr) is not original for owner, attr, original in saved]
     tracing.restore(saved)
     assert wrapped and all(wrapped)
-    for module, namespace in zip(modules, before):
+    for module, namespace in zip(_TRACED_MODULES, before):
         after = vars(module)
         assert after.keys() == namespace.keys() and all(after[k] is v for k, v in namespace.items())
     assert wva.probe.MomentumGrid.integrate is integrate
+
+
+def test_tracing_leaves_the_shared_parser_clean(monkeypatch, capsys):
+    # The parser is cached around the function object, not the module
+    # attribute that tracing rebinds, so no traced call wraps its parse_args.
+    tracing = _bench_tracing(monkeypatch)
+    cli._parser.cache_clear()  # built while the tracing wrappers are installed
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    saved = tracing.instrument(tracer, wva)
+    try:
+        assert main(["shift", "--aw-re", "2"]) == 0
+    finally:
+        tracing.restore(saved)
+    assert "parse_args" not in vars(cli._parser())
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_shared_parser_keeps_no_option_from_an_earlier_call(monkeypatch, capsys):
+    configs = []
+    maximize = cli.maximize
+    monkeypatch.setattr(cli, "maximize", lambda config, evo: configs.append(config) or maximize(config, evo))
+    optimize = ["optimize", "--aw-re", "2", "--n-points", "65", "--max-iters", "2"]
+    assert main([*optimize, "--seed", "5", "--init", "random"]) == 0
+    assert main(optimize) == 0
+    assert [(c.seed, c.init) for c in configs] == [(5, "random"), (0, "gaussian")]
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys):
+    for argv in (["shift", "--no-such-flag"], ["sweep", "--aw-re", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert main(["shift", "--aw-re", "2"]) == 0
+        assert "delta_q" in capsys.readouterr().out
+
+
+def test_shared_parser_prints_the_same_help_every_call(capsys):
+    texts = []
+    for parse in (main, main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(["shift", "--help"])
+        assert exit_info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] and texts[0] == texts[1] == texts[2]
+
+
+def test_commands_in_one_process_print_what_they_print_alone(capsys):
+    commands = (
+        ["sweep", "--aw-re", "2", "--axis", "coupling_g", "--values", "0.05,0.1"],
+        ["shift", "--aw-re", "2"],
+    )
+    for argv in commands:
+        assert main(argv) == 0
+        alone = subprocess.run(
+            [sys.executable, "-m", "wva.cli", *argv], env=_subprocess_env(), capture_output=True, text=True, timeout=120
+        )
+        assert alone.returncode == 0, alone.stderr
+        assert capsys.readouterr().out == alone.stdout
+
+
+def test_import_builds_no_parser():
+    # A parser built at import would add to every cli process's start-up.
+    script = "import wva.cli; print(wva.cli._parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_subprocess_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def _refuse_p_grids(monkeypatch):

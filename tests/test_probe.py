@@ -540,6 +540,16 @@ class TestNodeSets:
         with pytest.raises(UnderResolvedGrid, match="momentum"):
             optimal_probe(G, 1e-9 + 1.0j, None)
 
+    @pytest.mark.parametrize("real", [1e-4, -1e-4])
+    def test_small_real_part_with_tiny_imaginary_part_is_refused(self, real):
+        # A at |A| < 1 puts the singularity of arg B mid-window, where the
+        # Clenshaw-Curtis nodes are sparsest; the mean momentum's estimate is
+        # 2e-8 of pi/2g at 65,536 intervals.  These A lie inside the ranges of
+        # the TestThetaNodeReport property.  A second panel split at the
+        # singularity (ROADMAP Direction 1) changes this case and the one above.
+        with pytest.raises(UnderResolvedGrid, match="momentum"):
+            optimal_probe(G, complex(real, 1e-10), None)
+
     def test_scales_outside_double_range_are_refused(self):
         with pytest.raises(ScaleOutOfRange):
             optimal_probe(1e-300, 2.0, None)
