@@ -38,7 +38,6 @@ from .analytic import (
     inverse_square_factor_integral,
     max_shift,
     optimal_initial_momentum,
-    orthogonality_limit_check,
     shift_lower_bound,
 )
 from .errors import (
@@ -54,7 +53,7 @@ from .errors import (
     ZeroNorm,
     ZeroRealPart,
 )
-from .evolution import EvolvedProbe, PostSelectedEvolution, apply_postselection, apply_weak_order
+from .evolution import EvolvedProbe, PostSelectedEvolution, apply_postselection
 from .expectation import ShiftReport, expect_p, expect_q, expect_q_with_residual, shift_report
 from .optimizer import (
     OptimizerConfig,
@@ -74,7 +73,6 @@ from .probe import (
     PositionSamples,
     ProbeWavefunction,
     QuadratureNodes,
-    final_probe_momentum,
     final_probe_position,
     gaussian_probe,
     numeric_derivative,
@@ -83,10 +81,8 @@ from .probe import (
     recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
-    smoothed_support_grid,
     support_nodes,
     theta_nodes,
-    to_position_density,
 )
 from .system import (
     Observable,

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominator, ZeroRealPart
-from .system import Observable, SystemState, compute_weak_value
 
 #: |Re A| below this is treated as a vanishing real part.
 ZERO_REAL_EPS = 1e-12
@@ -128,44 +127,19 @@ def inverse_fourth_factor_integral(coupling: float, weak_value: complex) -> floa
     return ratio * inverse_square_factor_integral(coupling, aw)
 
 
-def orthogonality_limit_check(
-    pre: SystemState,
-    post_family: Callable[[float], SystemState],
-    angles: Iterable[float],
-    observable: Observable,
-    coupling: float,
-) -> list[tuple[float, float]]:
-    """Products <q>_f * |overlap| along a post-selection family.
+def extrapolate_orthogonality_limit(samples: Sequence[tuple[float, float]]) -> float:
+    """Linear least-squares extrapolation of the product <q>_f * |overlap| to
+    zero overlap.
 
-    For each angle the weak value is computed from the selection and <q>_f is
-    the optimal-probe final position, i.e. :func:`max_shift` (the optimal
-    probe starts centered at zero).  As the post state approaches
-    orthogonality the product tends to g/2, which lets the coupling constant
-    be recovered by extrapolation.
-
-    Returns
-    -------
-    list of (|overlap|, <q>_f * |overlap|) pairs, in input order.
-    """
-    samples = []
-    for angle in angles:
-        wv = compute_weak_value(pre, post_family(angle), observable)
-        q_final = max_shift(coupling, wv.value)
-        samples.append((abs(wv.overlap), q_final * abs(wv.overlap)))
-    return samples
-
-
-def extrapolate_orthogonality_limit(
-    samples: Sequence[tuple[float, float]], n_smallest: int = 5
-) -> float:
-    """Linear least-squares extrapolation of the product to zero overlap.
-
-    Fits product = a * |overlap| + b over the ``n_smallest`` samples with the
-    smallest |overlap| and returns the intercept b.
+    ``samples`` are (|overlap|, <q>_f * |overlap|) pairs along a
+    post-selection family; as the post state approaches orthogonality the
+    product tends to g/2 for the optimal probe.  Fits
+    product = a * |overlap| + b over the five samples with the smallest
+    |overlap| and returns the intercept b.
     """
     if len(samples) < 2:
         raise ValueError("extrapolation needs at least two samples")
-    ordered = sorted(samples, key=lambda s: s[0])[: max(2, n_smallest)]
+    ordered = sorted(samples, key=lambda s: s[0])[:5]
     overlaps = np.array([s[0] for s in ordered])
     products = np.array([s[1] for s in ordered])
     slope, intercept = np.polyfit(overlaps, products, 1)

@@ -40,7 +40,6 @@ from .probe import (
     recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
-    smoothed_support_grid,
 )
 from .system import (
     SCALE_RANGE,
@@ -191,7 +190,12 @@ _FIELDS = (
     _Field("smoothing", "smoothing", _positive, "smoothing rate for probe=smoothed"),
     _Field("file", "probe_file", _text, "probe CSV for probe=file"),
     _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian, smoothed, dump, optimize"),
-    _Field("support_m", "support_extent", _count, "support multiplier"),
+    _Field(
+        "support_m",
+        "support_extent",
+        _count,
+        "support extent in periods pi/g: optimal probe (shift, sweep, dump) and optimize; other probes take 1",
+    ),
     _Field("n_range", "n_range", _count, "discrete position range"),
     _Field("output", "output", _text, "output CSV path (default: stdout or none)"),
 )
@@ -373,10 +377,19 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     if config.probe == "optimal":
         return optimal_probe(config.coupling, weak_value.value, config.n_points, config.support_extent)
     if config.probe == "smoothed":
-        n_interior = config.n_points or recommended_support_points(weak_value.value)
-        grid = smoothed_support_grid(config.coupling, config.smoothing, n_interior)
-        return smoothed_optimal_probe(config.coupling, weak_value.value, config.smoothing, grid)
+        return smoothed_optimal_probe(config.coupling, weak_value.value, config.smoothing, config.n_points)
     return read_probe_csv(config.probe_file)
+
+
+def _require_unit_extent(config: ScenarioConfig) -> None:
+    """Refuse a ``support_m`` other than 1 off the optimal probe, the only
+    probe of ``shift``, ``sweep`` and ``dump`` whose support it widens.  Not a
+    :meth:`ScenarioConfig.validate` check: ``optimize`` takes it with any
+    probe kind."""
+    if config.support_extent != 1 and config.probe != "optimal":
+        raise ConfigError(
+            f"support_m widens the support of an optimal probe; probe={config.probe} takes only 1"
+        )
 
 
 def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
@@ -391,6 +404,7 @@ def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunctio
             f"n_points sets the p-grid of a gaussian or smoothed probe; probe={config.probe} "
             "takes none in shift and sweep"
         )
+    _require_unit_extent(config)
     wv = scenario_weak_value(config)
     probe = scenario_probe(config, wv)
     return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
@@ -498,6 +512,7 @@ def _write_samples(handle, sections) -> None:
 
 
 def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    _require_unit_extent(config)
     wv = scenario_weak_value(config)
     if config.probe == "optimal" and config.n_points is None:
         # A dump samples on a p-grid, which the position transform needs.

@@ -53,11 +53,6 @@ class EvolvedProbe:
     density: np.ndarray
 
 
-def _evolved(grid: Nodes, values: np.ndarray, derivative: np.ndarray) -> EvolvedProbe:
-    density = np.abs(values) ** 2
-    return EvolvedProbe(grid, values, derivative, float(grid.integrate(density)), density)
-
-
 def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:
     """Exact post-selected evolution, valid at any coupling strength.
 
@@ -74,23 +69,6 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
         grid, values, derivative = view.grid, view.values, view.derivative
     b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, grid.points)
     overlap = evo.weak.overlap
-    return _evolved(grid, overlap * b * values, overlap * (bd * values + b * derivative))
-
-
-def apply_weak_order(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:
-    """First-order weak-coupling evolution: multiplication by
-    overlap * exp(-i g A p).
-
-    A complex weak value makes this non-unitary (the density is reweighted by
-    exp(2 g Im A p)).  Whether g |A| is small enough for the approximation is
-    the caller's judgment; the exact route is :func:`apply_postselection`.
-    """
-    p = probe.grid.points
-    aw = complex(evo.weak.value)
-    phase = np.exp(-1j * evo.coupling * aw * p)
-    overlap = evo.weak.overlap
-    values = overlap * phase * probe.values
-    derivative = overlap * (
-        -1j * evo.coupling * aw * phase * probe.values + phase * probe.derivative_or_numeric()
-    )
-    return _evolved(probe.grid, values, derivative)
+    values, derivative = overlap * b * values, overlap * (bd * values + b * derivative)
+    density = np.abs(values) ** 2
+    return EvolvedProbe(grid, values, derivative, float(grid.integrate(density)), density)

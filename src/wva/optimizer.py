@@ -185,15 +185,10 @@ def default_position_cap(grid: MomentumGrid, evo: PostSelectedEvolution) -> floa
     return min(cap, 0.4 * nyquist)
 
 
-def projected_gradient_norm(
-    values: np.ndarray,
-    grid: MomentumGrid,
-    evo: PostSelectedEvolution,
-    cap: float | None = None,
-) -> float:
-    """L2 norm of the functional gradient with the window cutoff applied and
-    the scale/phase null directions removed."""
-    core = _AscentCore(grid, evo, cap)
+def projected_gradient_norm(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
+    """L2 norm of the functional gradient with the default window cutoff
+    applied and the scale/phase null directions removed."""
+    core = _AscentCore(grid, evo)
     x = core.circle(values)
     return core.project(x, core.value_and_gradient(x)[1])[1]
 
@@ -202,7 +197,9 @@ def projected_gradient_norm(
 class OptimizerConfig:
     """Grid, stopping rules, and initialization for one ascent run.
 
-    ``position_cap`` overrides the default window radius; ``tol`` applies to
+    ``init`` is ``"gaussian"`` (a periodized Gaussian) or ``"random"`` (24
+    random comb modes drawn with ``seed``).  ``position_cap`` overrides the
+    default window radius (:func:`default_position_cap`); ``tol`` applies to
     the windowed, gauge-projected gradient norm of the ascent functional.
     """
 
@@ -212,7 +209,6 @@ class OptimizerConfig:
     tol: float = 1e-5
     seed: int = 0
     init: str = "gaussian"
-    initial_values: np.ndarray | None = None
     position_cap: float | None = None
 
     def __post_init__(self) -> None:
@@ -222,10 +218,8 @@ class OptimizerConfig:
             raise ValueError("step must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.init not in ("gaussian", "random", "custom"):
-            raise ValueError("init must be one of 'gaussian', 'random', 'custom'")
-        if self.init == "custom" and self.initial_values is None:
-            raise ValueError("init='custom' requires initial_values")
+        if self.init not in ("gaussian", "random"):
+            raise ValueError("init must be 'gaussian' or 'random'")
 
 
 @dataclass(eq=False)
@@ -253,8 +247,6 @@ def _initial_circle_vector(config: OptimizerConfig, core: _AscentCore) -> np.nda
             center = image * core.length
             x += np.exp(-((p - center) ** 2) / (4.0 * width**2))
         return x
-    if config.init == "custom":
-        return core.circle(config.initial_values)
     rng = np.random.default_rng(config.seed)
     x = np.zeros(core.n, dtype=np.complex128)
     for mode in rng.integers(-40, 41, size=24):

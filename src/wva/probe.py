@@ -7,8 +7,10 @@ of node set exist:
 
 - :class:`MomentumGrid`, a uniform grid with an odd point count under
   composite Simpson.  Gaussian, file and smoothed probes and every dump live
-  here; the position transform and the finite-difference derivative need its
-  uniform spacing.
+  here; the position transform (:func:`position_amplitudes`) and the
+  finite-difference derivative need its uniform spacing.  The caller passes
+  the grid of a Gaussian probe; a smoothed probe sizes its own from the weak
+  value and the smoothing rate.
 - :class:`QuadratureNodes`, Clenshaw-Curtis nodes with a halving error
   estimate.  The optimal probe of a shift lives on nodes in theta = arg B(p),
   where its density is uniform (:func:`theta_nodes`), and its post-selected
@@ -453,7 +455,8 @@ def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     """Point count of a :class:`MomentumGrid` for a hard-support probe: the
-    default count of a ``dump``, and of the interior of a CLI smoothed probe.
+    default count of a ``dump``, and of the support interior of
+    :func:`smoothed_optimal_probe`.
 
     The inverse evolution factor peaks like |A|^2 / (Re A)^2 over a narrow
     angular window, so resolution must grow with |A|^2 / |Re A| to keep the
@@ -562,93 +565,57 @@ def optimal_probe(
     )
 
 
-def final_probe_momentum(
-    coupling: float, weak_value: complex, n_points: int = 4097
-) -> ProbeWavefunction:
-    """Post-selected final state of the optimal probe: flat modulus
-    sqrt(g/pi) times the linear phase, on the same support."""
-    aw = _require_real_part(weak_value)
-    grid = MomentumGrid.for_support(coupling, n_points)
-    shift = max_shift(coupling, aw)
-    p = grid.points
-    values = math.sqrt(coupling / math.pi) * np.exp(-1j * shift * p)
-    derivative = -1j * shift * values
-    return ProbeWavefunction.normalized(grid, values, derivative, label="final")
-
-
-def smoothed_support_grid(
-    coupling: float, smoothing: float, n_interior: int = 4097
-) -> MomentumGrid:
-    """Grid for :func:`smoothed_optimal_probe`: uniform spacing resolving the
-    exponential tails, with the support endpoints landing on even-index grid
-    points so Simpson panels never straddle the derivative kinks."""
-    if coupling <= 0 or smoothing <= 0:
-        raise ValueError("coupling and smoothing must be positive")
-    half = math.pi / (2.0 * coupling)
-    spacing = min(2.0 * half / (n_interior - 1), 1.0 / (8.0 * smoothing))
-    n_int = int(round(2.0 * half / spacing)) + 1
-    if n_int % 2 == 0:
-        n_int += 1
-    spacing = 2.0 * half / (n_int - 1)
-    # Tail long enough that exp(-smoothing * t) < 1e-14 at the grid edge.
-    tail_length = math.log(1e14) / smoothing
-    n_tail = int(math.ceil(tail_length / spacing))
-    n_tail += n_tail % 2  # kink must sit on an even (panel-boundary) index
-    n_tail = max(n_tail, 2)
-    return MomentumGrid(
-        -half - n_tail * spacing, half + n_tail * spacing, n_int + 2 * n_tail
-    )
-
-
 def smoothed_optimal_probe(
     coupling: float,
     weak_value: complex,
     smoothing: float,
-    grid: MomentumGrid,
+    n_points: int | None = None,
 ) -> ProbeWavefunction:
     """Optimal probe with its hard support edges replaced by exponential
     tails of rate ``smoothing``; continuous at the former edges by
     construction and pointwise convergent to :func:`optimal_probe` as the
     rate grows.
 
-    The grid must place the support endpoints on even-index grid points
-    (use :func:`smoothed_support_grid`).  At the two kink points the stored
+    The probe sizes its own :class:`MomentumGrid`.  The support
+    [-pi/2g, pi/2g] gets ``n_points`` points (by default
+    :func:`recommended_support_points` of the weak value; an even count is
+    raised by one), or more if the spacing must shrink to 1/(8 * smoothing)
+    to resolve the tails.  Each tail continues at that spacing over an even
+    number of points until exp(-smoothing * length) < 1e-14.  So the support
+    endpoints, where the derivative has kinks, land on even indices, and
+    Simpson panels never straddle them.  At the two kinks the stored
     derivative is the mean of the one-sided derivatives, which makes
     composite Simpson integrals of value*derivative products agree with the
     piecewise-exact ones.
 
+    The tails need no mass check: they drop at most
+    1e-28 g / (pi |Re A| smoothing) of the norm, a grid within
+    ``MAX_GRID_POINTS`` has g / smoothing < 4.1e5, and |Re A| >= 1e-12, so
+    the loss stays below 1.4e-11, under ``TAIL_MASS_TOL``.
+
     Raises
     ------
-    TailMassTooLarge
-        If the grid truncates the exponential tails beyond tolerance.
+    ZeroRealPart
+        If |Re weak_value| < 1e-12, before any grid is sized.
+    GridTooLarge
+        If the grid exceeds ``MAX_GRID_POINTS``.
     """
     aw = _require_real_part(weak_value)
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
+    if coupling <= 0 or smoothing <= 0:
+        raise ValueError("coupling and smoothing must be positive")
+    if n_points is None:
+        n_points = recommended_support_points(aw)
+    if n_points < 3:
+        raise ValueError("n_points must be at least 3")
     half = math.pi / (2.0 * coupling)
-    h = grid.spacing
-    left_pos = (-half - grid.p_min) / h
-    right_pos = (half - grid.p_min) / h
-    i_left = int(round(left_pos))
-    i_right = int(round(right_pos))
-    if (
-        abs(left_pos - i_left) > 1e-6
-        or abs(right_pos - i_right) > 1e-6
-        or i_left < 1
-        or i_right > grid.n_points - 2
-        or i_left % 2
-        or i_right % 2
-    ):
-        raise ValueError(
-            "grid must place +/- pi/2g on even-index interior points; "
-            "build it with smoothed_support_grid()"
-        )
-    edge_scale = math.sqrt(coupling * abs(aw.real) / math.pi) / abs(aw)
-    tail_mass = edge_scale**2 * math.exp(-2.0 * smoothing * (grid.p_max - half)) / (2.0 * smoothing)
-    if 2.0 * tail_mass > TAIL_MASS_TOL:
-        raise TailMassTooLarge(
-            f"grid truncates {2.0 * tail_mass:.3e} of the tail mass (tolerance {TAIL_MASS_TOL})"
-        )
+    spacing = min(2.0 * half / (n_points - 1), 1.0 / (8.0 * smoothing))
+    n_int = int(round(2.0 * half / spacing)) + 1
+    n_int += 1 - n_int % 2
+    spacing = 2.0 * half / (n_int - 1)
+    n_tail = int(math.ceil(math.log(1e14) / smoothing / spacing))
+    n_tail = max(n_tail + n_tail % 2, 2)
+    grid = MomentumGrid(-half - n_tail * spacing, half + n_tail * spacing, n_int + 2 * n_tail)
+    i_left, i_right = n_tail, n_tail + n_int - 1  # the kinks, both even
 
     p = grid.points
     values = np.empty(grid.n_points, dtype=np.complex128)
@@ -695,19 +662,16 @@ class PositionSamples:
             raise ValueError("positions must equal 2 * coupling * offsets exactly")
 
 
-def final_probe_position(
-    coupling: float,
-    weak_value: complex,
-    n_range: int,
-    n_quadrature: int = 4097,
-) -> PositionSamples:
+def final_probe_position(coupling: float, weak_value: complex, n_range: int) -> PositionSamples:
     """Position-space samples of the post-selected final optimal probe.
 
     The momentum support is finite, so position amplitudes at the comb
     q = 2 g n determine the state; their closed form is the shifted Dirichlet
     kernel sqrt(2g)/pi * sin((pi/2g)(q - q_f)) / (q - q_f), sharply peaked at
     the mean final position q_f.  The series coefficients are computed by
-    quadrature (not from the closed form) so they double as a cross-check.
+    4,097-point Simpson quadrature (not from the closed form) so they double
+    as a cross-check.  Removing the linear phase leaves the final state's
+    constant modulus sqrt(g/pi), which is what the quadrature weights.
 
     Raises
     ------
@@ -727,11 +691,8 @@ def final_probe_position(
     values = np.sinc((positions - shift) / (2.0 * coupling)) / math.sqrt(2.0 * coupling)
     values = values.astype(np.complex128)
 
-    grid = MomentumGrid.for_support(coupling, n_quadrature)
-    p = grid.points
-    momentum_values = math.sqrt(coupling / math.pi) * np.exp(-1j * shift * p)
-    demodulated = momentum_values * np.exp(1j * shift * p)
-    weighted = grid.simpson_weights * demodulated
+    grid = MomentumGrid.for_support(coupling, 4097)
+    weighted = math.sqrt(coupling / math.pi) * grid.simpson_weights
     coefficients = math.sqrt(coupling / math.pi) * _fourier_sum(positions, grid, weighted)
 
     return PositionSamples(coupling, offsets, positions, values, coefficients)
@@ -820,18 +781,3 @@ def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
     q = np.atleast_1d(np.asarray(positions, dtype=float))
     weighted = probe.grid.simpson_weights * probe.values
     return _fourier_sum(q, probe.grid, weighted) / math.sqrt(2.0 * math.pi)
-
-
-def to_position_density(
-    probe: ProbeWavefunction, q_min: float, q_max: float, n_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled position density |psi(q)|^2 on a uniform grid.
-
-    Integrates to one up to the mass genuinely carried outside [q_min, q_max]
-    (hard-support probes scatter O(1/L) of it beyond |q| = L).
-    """
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
-    positions = np.linspace(q_min, q_max, n_points)
-    amplitudes = position_amplitudes(probe, positions)
-    return positions, np.abs(amplitudes) ** 2

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, OrthogonalSelection, ScaleOutOfRange
 
-#: Largest |<post|pre>| treated as orthogonal selection (configurable per call).
+#: Largest |<post|pre>| treated as orthogonal selection.  A Hermitian
+#: involutory observable has |<post|M|pre>| <= 1, so every weak value computed
+#: from states has modulus at most 1 / ORTHOGONALITY_EPS = 1e12.
 ORTHOGONALITY_EPS = 1e-12
 #: Range of a scale: a probe's momentum scale (a Gaussian width, or 1/g for the
 #: support probes; the range is symmetric, so g may be checked in its place)
@@ -131,12 +133,7 @@ class WeakValue:
         return cls(complex(value), 1.0 + 0.0j, 1.0)
 
 
-def compute_weak_value(
-    pre: SystemState,
-    post: SystemState,
-    observable: Observable,
-    epsilon: float = ORTHOGONALITY_EPS,
-) -> WeakValue:
+def compute_weak_value(pre: SystemState, post: SystemState, observable: Observable) -> WeakValue:
     """Weak value of ``observable`` for the given pre-/post-selection.
 
     Raises
@@ -144,9 +141,7 @@ def compute_weak_value(
     DimensionMismatch
         If the states and the observable do not share one dimension.
     OrthogonalSelection
-        If |<post|pre>| < ``epsilon``; the weak value is undefined there.
-    ScaleOutOfRange
-        If the weak value's modulus exceeds ``SCALE_RANGE[1]``.
+        If |<post|pre>| < ``ORTHOGONALITY_EPS``; the weak value is undefined there.
     """
     d = observable.dimension
     if pre.dimension != d or post.dimension != d:
@@ -154,9 +149,9 @@ def compute_weak_value(
             f"dimensions differ: pre={pre.dimension}, post={post.dimension}, obs={d}"
         )
     overlap = complex(np.vdot(post.amplitudes, pre.amplitudes))
-    if abs(overlap) < epsilon:
+    if abs(overlap) < ORTHOGONALITY_EPS:
         raise OrthogonalSelection(
-            f"|<post|pre>| = {abs(overlap):.3e} below epsilon = {epsilon:.3e}"
+            f"|<post|pre>| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"
         )
     numerator = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes))
     return WeakValue(numerator / overlap, overlap, abs(overlap) ** 2)
@@ -187,9 +182,7 @@ def mach_zehnder_setup(
     return pre, post, observable
 
 
-def mach_zehnder_weak_value(
-    path_angle: float, polarizer_angle: float, epsilon: float = ORTHOGONALITY_EPS
-) -> WeakValue:
+def mach_zehnder_weak_value(path_angle: float, polarizer_angle: float) -> WeakValue:
     """Closed-form weak value of the second-arm projector for the setup above.
 
     Equals -sin(chi) sin(phi) / cos(chi + phi) and agrees with the
@@ -200,12 +193,12 @@ def mach_zehnder_weak_value(
     Raises
     ------
     OrthogonalSelection
-        When |cos(chi + phi)| < ``epsilon``.
+        When |cos(chi + phi)| < ``ORTHOGONALITY_EPS``.
     """
     overlap = -math.cos(path_angle + polarizer_angle)
-    if abs(overlap) < epsilon:
+    if abs(overlap) < ORTHOGONALITY_EPS:
         raise OrthogonalSelection(
-            f"|cos(chi + phi)| = {abs(overlap):.3e} below epsilon = {epsilon:.3e}"
+            f"|cos(chi + phi)| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"
         )
     numerator = math.sin(path_angle) * math.sin(polarizer_angle)
     return WeakValue(complex(numerator / overlap), complex(overlap), overlap**2)

@@ -172,8 +172,7 @@ def test_criterion_06_smoothing_convergence():
     gaps = []
     for product in (1.0, 2.0, 5.0, 10.0, 20.0):
         smoothing = product / G_FIG
-        grid = wva.smoothed_support_grid(G_FIG, smoothing)
-        probe = wva.smoothed_optimal_probe(G_FIG, AW_FIG, smoothing, grid)
+        probe = wva.smoothed_optimal_probe(G_FIG, AW_FIG, smoothing)
         report = wva.shift_report(evo_for(AW_FIG, G_FIG), probe)
         gaps.append(abs(report.delta_q - reference))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps

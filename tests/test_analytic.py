@@ -5,9 +5,7 @@ import pytest
 
 from wva import (
     MomentumGrid,
-    Observable,
     PostSelectedEvolution,
-    SystemState,
     WeakValue,
     ZeroRealPart,
     evolution_factor,
@@ -20,7 +18,6 @@ from wva import (
     max_shift,
     optimal_initial_momentum,
     optimal_probe,
-    orthogonality_limit_check,
     recommended_gaussian_grid,
     recommended_support_points,
     shift_lower_bound,
@@ -140,48 +137,12 @@ class TestFactorIntegrals:
         )
 
 
-class TestOrthogonalityLimit:
-    @staticmethod
-    def family(theta):
-        return SystemState([math.cos(theta), math.sin(theta)])
-
-    def test_extrapolates_to_half_coupling(self):
-        pre = SystemState([1.0, 1.0])
-        obs = Observable(np.diag([1.0, -1.0]))
-        # approach 3 pi/4 from above so Re A_w stays positive
-        offsets = np.geomspace(1e-3, 1e-1, 12)
-        angles = 3.0 * math.pi / 4.0 + np.sqrt(2.0) * offsets
-        for coupling in (0.1, 0.2):
-            samples = orthogonality_limit_check(pre, self.family, angles, obs, coupling)
-            limit = extrapolate_orthogonality_limit(samples)
-            assert limit == pytest.approx(coupling / 2.0, rel=1e-2)
-
-    def test_exact_orthogonality_excluded(self):
-        from wva import OrthogonalSelection
-
-        pre = SystemState([1.0, 1.0])
-        obs = Observable(np.diag([1.0, -1.0]))
-        with pytest.raises(OrthogonalSelection):
-            orthogonality_limit_check(
-                pre, self.family, [3.0 * math.pi / 4.0], obs, G
-            )
-
-    def test_product_matches_full_pipeline(self):
-        # The closed-form product must agree with the quadrature pipeline
-        # evaluated on the optimal probe for the same selection.
-        pre = SystemState([1.0, 1.0])
-        obs = Observable(np.diag([1.0, -1.0]))
-        theta = 3.0 * math.pi / 4.0 + 0.05
-        samples = orthogonality_limit_check(pre, self.family, [theta], obs, G)
-        from wva import compute_weak_value
-
-        wv = compute_weak_value(pre, self.family(theta), obs)
-        evo = PostSelectedEvolution(G, wv)
-        probe = optimal_probe(G, wv.value, recommended_support_points(wv.value))
-        report = shift_report(evo, probe)
-        assert samples[0][1] == pytest.approx(
-            abs(wv.overlap) * report.q_final, rel=1e-6
-        )
+def test_orthogonality_extrapolation_fits_the_five_smallest_overlaps():
+    # Exact line 0.05 + 2 |overlap| on the five smallest overlaps; the
+    # samples beyond them lie far off it and must not move the intercept.
+    near = [(x, 0.05 + 2.0 * x) for x in (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)]
+    far = [(x, 10.0) for x in (0.1, 0.2, 0.4)]
+    assert extrapolate_orthogonality_limit(far + near) == pytest.approx(0.05, abs=1e-12)
 
 
 class TestClosedFormsAgainstPipeline:

@@ -741,6 +741,27 @@ def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
     assert capsys.readouterr().err.startswith("ZeroRealPart")
 
 
+def test_exports_are_pinned():
+    # An export is added or removed on purpose, by editing this list.
+    assert sorted(wva.__all__) == [
+        "DegenerateDenominator", "DimensionMismatch", "EvolvedProbe", "GaussianShiftPrediction",
+        "GridTooLarge", "MomentumGrid", "NonFinite", "Observable", "OptimizerConfig", "OptimizerTrace",
+        "OrthogonalSelection", "PositionSamples", "PostSelectedEvolution", "ProbeWavefunction",
+        "QuadratureNodes", "ScaleOutOfRange", "ShiftReport", "SystemState", "TailMassTooLarge",
+        "UnderResolvedGrid", "WeakValue", "WvaError", "ZeroNorm", "ZeroRealPart", "analytic",
+        "apply_postselection", "compute_weak_value", "default_position_cap", "errors", "evolution",
+        "evolution_factor", "evolution_factor_and_derivative", "expect_p", "expect_q",
+        "expect_q_with_residual", "expectation", "extrapolate_orthogonality_limit", "final_position",
+        "final_probe_position", "gauge_fix", "gaussian_exact_shifts", "gaussian_probe", "gradient",
+        "inverse_fourth_factor_integral", "inverse_square_factor_integral", "mach_zehnder_setup",
+        "mach_zehnder_weak_value", "max_shift", "maximize", "numeric_derivative", "objective",
+        "optimal_initial_momentum", "optimal_probe", "optimizer", "periodic_representative",
+        "position_amplitudes", "probe", "projected_gradient_norm", "recommended_gaussian_grid",
+        "recommended_support_points", "shift_lower_bound", "shift_on_circle", "shift_report",
+        "smoothed_optimal_probe", "support_nodes", "system", "theta_nodes",
+    ]
+
+
 _TRACED_MODULES = (wva.cli, wva.probe, wva.expectation)
 
 
@@ -857,9 +878,7 @@ def _refuse_p_grids(monkeypatch):
 @pytest.mark.parametrize("source", ["flag", "key"])
 def test_shift_and_sweep_refuse_a_point_count_off_the_p_grid_probes(probe, source, tmp_path, monkeypatch, capsys):
     # An optimal probe reports its shift on theta nodes, a file probe on its own grid.
-    chosen = ["--probe", probe, "--aw-re", "2"]
-    if probe == "file":
-        chosen += ["--file", _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])]
+    chosen = _probe_flags(probe, tmp_path)
     count = ["--n-points", "4097"]
     if source == "key":
         config = tmp_path / "points.cfg"
@@ -873,6 +892,56 @@ def test_shift_and_sweep_refuse_a_point_count_off_the_p_grid_probes(probe, sourc
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--axis", "grid_n", *chosen, "--values", "3,4097", "--output", str(out)]) == 1
     assert [(r["delta_q"], r["error"]) for r in _read_rows(out)] == [("", "ConfigError")] * 2
+
+
+def _probe_flags(probe, tmp_path):
+    """Flags of a probe of each kind at A = 2."""
+    flags = ["--probe", probe, "--aw-re", "2"]
+    if probe == "smoothed":
+        flags += ["--smoothing", "30"]
+    if probe == "file":
+        flags += ["--file", _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])]
+    return flags
+
+
+def _assert_extent_refused(capsys, probe):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ConfigError: support_m") and f"probe={probe}" in captured.err
+    assert captured.out == ""
+
+
+_EXTENT_FREE_PROBES = pytest.mark.parametrize("probe", ["gaussian", "smoothed", "file"])
+
+
+@_EXTENT_FREE_PROBES
+def test_shift_refuses_a_support_extent_off_the_optimal_probe(probe, tmp_path, capsys):
+    # The smoothed probe once printed its extent-1 shift, 0.124920505715, with exit 0.
+    chosen = _probe_flags(probe, tmp_path)
+    assert main(["shift", *chosen, "--support-m", "3"]) == 2
+    _assert_extent_refused(capsys, probe)
+    assert main(["shift", *chosen, "--support-m", "1"]) == 0
+
+
+@_EXTENT_FREE_PROBES
+def test_dump_refuses_a_support_extent_off_the_optimal_probe(probe, tmp_path, capsys):
+    out = tmp_path / "dump.csv"
+    assert main(["dump", *_probe_flags(probe, tmp_path), "--support-m", "2", "--output", str(out)]) == 2
+    _assert_extent_refused(capsys, probe)
+
+
+@_EXTENT_FREE_PROBES
+def test_sweep_rows_refuse_a_support_extent_off_the_optimal_probe(probe, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "coupling_g", *_probe_flags(probe, tmp_path), "--support-m", "3",
+            "--values", "0.1,0.2", "--output", str(out)]
+    assert main(argv) == 1
+    assert [(r["delta_q"], r["error"]) for r in _read_rows(out)] == [("", "ConfigError")] * 2
+
+
+def test_optimize_takes_a_support_extent_with_the_default_probe(capsys):
+    argv = ["optimize", "--aw-re", "2", "--support-m", "3", "--n-points", "769", "--max-iters", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("converged")
 
 
 def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):

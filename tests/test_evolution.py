@@ -7,10 +7,10 @@ from wva import (
     PostSelectedEvolution,
     WeakValue,
     apply_postselection,
-    apply_weak_order,
     evolution_factor,
     gaussian_probe,
     gaussian_exact_shifts,
+    max_shift,
     optimal_probe,
     recommended_gaussian_grid,
 )
@@ -80,6 +80,19 @@ class TestApplyPostselection:
         density = np.abs(evolved.values) ** 2
         assert np.max(density) - np.min(density) < 1e-12 * np.max(density) + 1e-15
 
+    def test_p_grid_optimal_probe_ends_flat_with_phase_slope_minus_max_shift(self):
+        # The post-selected optimal probe, normalized, is the flat final state
+        # sqrt(g/pi) exp(-i max_shift p) pointwise; max_shift = 0.461880215352.
+        probe = optimal_probe(G, AW, n_points=4097)
+        evolved = apply_postselection(make_evo(), probe)
+        final = evolved.values / math.sqrt(evolved.weight)
+        p = probe.grid.points
+        assert np.allclose(np.abs(final) ** 2, G / math.pi, rtol=0, atol=1e-10)
+        slope = np.polyfit(p, np.unwrap(np.angle(final)), 1)[0]
+        assert slope == pytest.approx(-0.461880215352, abs=1e-9)
+        flat = math.sqrt(G / math.pi) * np.exp(-1j * max_shift(G, AW) * p)
+        assert np.max(np.abs(final - flat)) < 1e-10
+
     def test_gaussian_weight_matches_backaction_denominator(self):
         overlap = 0.5 + 0.2j
         evo = make_evo(overlap=overlap)
@@ -97,36 +110,3 @@ class TestApplyPostselection:
         evolved = apply_postselection(evo, probe)
         expected = evo.weak.overlap * factor(evo, probe.grid.points) * probe.values
         assert np.array_equal(evolved.values, expected)
-
-
-class TestApplyWeakOrder:
-    def test_zero_coupling_limit(self):
-        overlap = 0.7 + 0j
-        evo = make_evo(coupling=1e-300, overlap=overlap)
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(0.01, 1.0))
-        evolved = apply_weak_order(evo, probe)
-        assert np.allclose(evolved.values, overlap * probe.values, atol=1e-12)
-
-    def test_real_weak_value_is_translation(self):
-        evo = make_evo(value=2.0)
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
-        evolved = apply_weak_order(evo, probe)
-        assert np.allclose(np.abs(evolved.values), np.abs(probe.values), atol=1e-12)
-        phase = evolved.values / probe.values
-        assert np.allclose(phase, np.exp(-1j * G * 2.0 * probe.grid.points), atol=1e-12)
-
-    def test_difference_from_exact_is_second_order(self):
-        # L2 distance between the two evolutions falls like g^2.
-        width = 1.0
-        probe = gaussian_probe(width, recommended_gaussian_grid(0.01, width))
-        grid = probe.grid
-        distances = []
-        couplings = (1e-2, 1e-3, 1e-4)
-        for coupling in couplings:
-            evo = make_evo(coupling=coupling, value=1.5 + 0.5j)
-            exact = apply_postselection(evo, probe)
-            linear = apply_weak_order(evo, probe)
-            diff = exact.values - linear.values
-            distances.append(math.sqrt(float(grid.integrate(np.abs(diff) ** 2))))
-        slope = np.polyfit(np.log(couplings), np.log(distances), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.1)

@@ -216,15 +216,6 @@ class TestMaximize:
         assert first.iterations == second.iterations
         assert np.array_equal(first.final_probe.values, second.final_probe.values)
 
-    def test_custom_init(self):
-        grid = MomentumGrid.for_support(G, 513)
-        probe = optimal_probe(G, AW, n_points=513)
-        start = periodic_representative(probe)
-        config = OptimizerConfig(grid=grid, init="custom", initial_values=start)
-        trace = maximize(config, evo_for(AW))
-        assert trace.converged
-        assert trace.iterations[-1][1] == pytest.approx(max_shift(G, AW), rel=1e-4)
-
     def test_converged_shift_never_claims_more_than_closed_form(self):
         # The converged report must not exceed the closed-form maximum of the
         # back-action-cancelling family.
@@ -251,8 +242,6 @@ class TestMaximize:
             OptimizerConfig(grid=grid, tol=-1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(grid=grid, init="simulated-annealing")
-        with pytest.raises(ValueError):
-            OptimizerConfig(grid=grid, init="custom")
 
     def test_position_cap_override(self):
         grid = MomentumGrid.for_support(G, 513)

@@ -15,7 +15,6 @@ from wva import (
     UnderResolvedGrid,
     ZeroRealPart,
     evolution_factor,
-    final_probe_momentum,
     final_probe_position,
     gaussian_probe,
     max_shift,
@@ -25,13 +24,12 @@ from wva import (
     recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
-    smoothed_support_grid,
     support_nodes,
     theta_nodes,
-    to_position_density,
 )
 from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
-from wva.evolution import PostSelectedEvolution
+from wva.cli import format_number
+from wva.evolution import PostSelectedEvolution, apply_postselection
 from wva.expectation import expect_p, expect_q, shift_report
 from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum, theta_rule_rate
 from wva.system import WeakValue
@@ -215,29 +213,6 @@ class TestOptimalProbe:
         assert report.delta_q == pytest.approx(max_shift(G, AW), abs=1e-6)
 
 
-class TestFinalProbeMomentum:
-    def test_flat_density(self):
-        probe = final_probe_momentum(G, AW)
-        assert np.allclose(np.abs(probe.values) ** 2, G / math.pi, atol=1e-10)
-
-    def test_equals_evolved_optimal_probe(self):
-        # Composing the optimal probe with the evolution factor must land on
-        # the flat final form, pointwise after normalization.
-        initial = optimal_probe(G, AW, n_points=4097)
-        factor = evolution_factor(G, AW, initial.grid.points)
-        evolved = factor * initial.values
-        evolved /= math.sqrt(float(initial.grid.integrate(np.abs(evolved) ** 2)))
-        final = final_probe_momentum(G, AW)
-        assert np.max(np.abs(evolved - final.values)) < 1e-10
-
-    def test_phase_slope(self):
-        # d(phase)/dp = -g(|A|^2 + 1)/(2 Re A) = -0.461880215...
-        probe = final_probe_momentum(G, AW)
-        phase = np.unwrap(np.angle(probe.values))
-        slope = np.polyfit(probe.grid.points, phase, 1)[0]
-        assert slope == pytest.approx(-0.461880215352, abs=1e-9)
-
-
 class TestFinalProbePosition:
     def test_parseval_of_series_coefficients(self):
         samples = final_probe_position(G, AW, n_range=12)
@@ -257,10 +232,13 @@ class TestFinalProbePosition:
 
     def test_values_match_quadrature(self):
         # Cross-check the closed-form samples against the direct Fourier
-        # integral of the final momentum wavefunction.
+        # integral of the post-selected p-grid optimal probe, normalized as a
+        # dump normalizes it.
         samples = final_probe_position(G, AW, n_range=8)
-        probe = final_probe_momentum(G, AW, n_points=8193)
-        quad = position_amplitudes(probe, samples.positions)
+        initial = optimal_probe(G, AW, n_points=8193)
+        evolved = apply_postselection(PostSelectedEvolution(G, WeakValue.from_value(AW)), initial)
+        final = ProbeWavefunction.normalized(initial.grid, evolved.values / math.sqrt(evolved.weight))
+        quad = position_amplitudes(final, samples.positions)
         assert np.max(np.abs(quad - samples.values)) < 1e-8
 
     def test_rejects_bad_range(self):
@@ -271,8 +249,8 @@ class TestFinalProbePosition:
 class TestSmoothedProbe:
     def test_continuous_at_support_edges(self):
         smoothing = 20.0
-        grid = smoothed_support_grid(G, smoothing)
-        probe = smoothed_optimal_probe(G, AW, smoothing, grid)
+        probe = smoothed_optimal_probe(G, AW, smoothing)
+        grid = probe.grid
         half = math.pi / (2.0 * G)
         i_left = int(round((-half - grid.p_min) / grid.spacing))
         i_right = int(round((half - grid.p_min) / grid.spacing))
@@ -293,8 +271,8 @@ class TestSmoothedProbe:
         amplitude = math.sqrt(G * abs(AW.real) / math.pi)
         previous = None
         for smoothing in (50.0, 200.0, 800.0):
-            grid = smoothed_support_grid(G, smoothing, n_interior=4097)
-            probe = smoothed_optimal_probe(G, AW, smoothing, grid)
+            probe = smoothed_optimal_probe(G, AW, smoothing, 4097)
+            grid = probe.grid
             half = math.pi / (2.0 * G)
             i_left = int(round((-half - grid.p_min) / grid.spacing))
             i_right = int(round((half - grid.p_min) / grid.spacing))
@@ -313,23 +291,31 @@ class TestSmoothedProbe:
     def test_shift_regression_at_moderate_smoothing(self):
         # Frozen quadrature-pipeline value for smoothing rate 10/g.
         evo = PostSelectedEvolution(G, WeakValue.from_value(AW))
-        grid = smoothed_support_grid(G, 100.0)
-        probe = smoothed_optimal_probe(G, AW, 100.0, grid)
+        probe = smoothed_optimal_probe(G, AW, 100.0)
         report = shift_report(evo, probe)
         assert report.delta_q == pytest.approx(0.461736912436021, abs=1e-9)
         # within a fraction of a percent of the hard-support maximum
         assert abs(report.delta_q - max_shift(G, AW)) / max_shift(G, AW) < 5e-4
 
-    def test_tail_mass_guard(self):
-        grid = smoothed_support_grid(G, 100.0)
-        tight = MomentumGrid(grid.p_min / 1.001, -grid.p_min / 1.001, 513)
-        with pytest.raises((TailMassTooLarge, ValueError)):
-            smoothed_optimal_probe(G, AW, 0.05, tight)
+    @pytest.mark.parametrize(
+        "value, printed", [(1.0 + 30.0j, "45.0521985138"), (1e-3 + 1.0j, "99.8940564664")]
+    )
+    def test_default_grid_reports_the_cli_shift(self, value, printed):
+        # A 4,097-point interior gave 44.997 and 106.392 here with no error;
+        # the count now comes from the weak value, as in the CLI.
+        probe = smoothed_optimal_probe(G, value, 30.0)
+        report = shift_report(PostSelectedEvolution(G, WeakValue.from_value(value)), probe)
+        assert format_number(report.delta_q) == printed
 
-    def test_misaligned_grid_rejected(self):
-        grid = MomentumGrid(-18.0, 18.0, 4097)
-        with pytest.raises(ValueError):
-            smoothed_optimal_probe(G, AW, 100.0, grid)
+    def test_kinks_sit_on_even_indices(self):
+        half = math.pi / (2.0 * G)
+        for smoothing, n_points in ((20.0, None), (20.0, 1024), (0.5, 3), (1e3, 513)):
+            grid = smoothed_optimal_probe(G, AW, smoothing, n_points).grid
+            for edge in (-half, half):
+                position = (edge - grid.p_min) / grid.spacing
+                index = round(position)
+                assert abs(position - index) < 1e-6 and index % 2 == 0
+                assert 2 <= index <= grid.n_points - 3
 
 
 def _dense_sum(q, grid, weighted):
@@ -405,12 +391,18 @@ class TestChirpZ:
         assert np.max(np.abs(amplitudes[::40] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+def _position_density(probe, q_min, q_max, n_points):
+    """Uniform positions from q_min to q_max and |psi(q)|^2 at them."""
+    positions = np.linspace(q_min, q_max, n_points)
+    return positions, np.abs(position_amplitudes(probe, positions)) ** 2
+
+
 class TestPositionDensity:
     def test_gaussian_density(self):
         width = 1.0
         grid = recommended_gaussian_grid(G, width)
         probe = gaussian_probe(width, grid)
-        positions, density = to_position_density(probe, -5.0, 5.0, 801)
+        positions, density = _position_density(probe, -5.0, 5.0, 801)
         q_grid = MomentumGrid(-5.0, 5.0, 801)
         assert float(q_grid.integrate(density)) == pytest.approx(1.0, abs=1e-6)
         mean = float(q_grid.integrate(positions * density))
@@ -429,8 +421,8 @@ class TestPositionDensity:
             probe.values * np.exp(-1j * a * grid.points),
             (probe.derivative - 1j * a * probe.values) * np.exp(-1j * a * grid.points),
         )
-        base_q, base_density = to_position_density(probe, -5.0, 5.0, 401)
-        shift_q, shift_density = to_position_density(shifted, -5.0 + a, 5.0 + a, 401)
+        base_q, base_density = _position_density(probe, -5.0, 5.0, 401)
+        shift_q, shift_density = _position_density(shifted, -5.0 + a, 5.0 + a, 401)
         assert np.max(np.abs(shift_density - base_density)) < 1e-12
 
     def test_hard_support_tail_law(self):
@@ -440,7 +432,7 @@ class TestPositionDensity:
         deficits = []
         for half_width in (20.0, 40.0):
             n = int(round(2 * half_width / 0.05)) + 1
-            positions, density = to_position_density(probe, -half_width, half_width, n)
+            positions, density = _position_density(probe, -half_width, half_width, n)
             q_grid = MomentumGrid(-half_width, half_width, n)
             deficits.append(1.0 - float(q_grid.integrate(density)))
         assert deficits[0] > 1e-4  # genuinely missing mass, not quadrature noise

@@ -87,11 +87,15 @@ def test_weak_value_beyond_the_scale_range_is_refused():
         WeakValue.from_value(1e100 + 1e100j)
     with pytest.raises(ScaleOutOfRange):
         WeakValue.from_value(complex(1e308, 1e308))  # |A| overflows a double
-    # Computed from pre/post/obs: <post|X|pre> / <post|pre> = 1 / 1e-110.
+    # From pre/post/obs, <post|X|pre> / <post|pre> = 1 / 1e-110 would be out of
+    # range, but |<post|pre>| < ORTHOGONALITY_EPS refuses the selection first:
+    # a computed weak value has |A| <= 1 / ORTHOGONALITY_EPS = 1e12.
     pre, post = SystemState([1.0, 0.0]), SystemState([1e-110, 1.0])
     pauli_x = Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ScaleOutOfRange):
-        compute_weak_value(pre, post, pauli_x, epsilon=0.0)
+    with pytest.raises(OrthogonalSelection):
+        compute_weak_value(pre, post, pauli_x)
+    edge = compute_weak_value(pre, SystemState([1e-12, 1.0]), pauli_x)
+    assert abs(edge.value) == pytest.approx(1e12, rel=1e-12)
 
 
 def test_weak_value_global_phase_invariance():
