@@ -333,23 +333,23 @@ _DUMP_HEADER = ["space", "coordinate", "re", "im"]
 
 
 def read_probe_csv(path: str) -> ProbeWavefunction:
-    """Load a probe from a dump file (its initial momentum-space rows)."""
+    """Load a probe from a dump file (its initial momentum-space rows).
+
+    Only the lines that start with ``momentum_initial,`` go through the CSV
+    parser; the other three sections are most of a dump's lines.
+    """
     with _open(path) as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != _DUMP_HEADER:
+        if next(csv.reader([handle.readline()]), None) != _DUMP_HEADER:
             raise ConfigError(f"{path}: expected header {','.join(_DUMP_HEADER)}")
-        lines, cells = [], []
-        for row in reader:
-            if row[:1] == ["momentum_initial"]:
-                lines.append(reader.line_num)
-                cells.append(row[1:4])
+        numbered = [(n, text) for n, text in enumerate(handle, 2) if text.startswith("momentum_initial,")]
+    cells = [row[1:4] for row in csv.reader(text for _, text in numbered)]
     try:  # every row has three cells exactly when there are 3 * len(cells) of them
         flat = np.fromiter(map(float, itertools.chain.from_iterable(cells)), float, 3 * len(cells))
     except ValueError:  # a short row, or a cell that is no number
         flat = None
     if flat is None or not all_finite(flat):
         # Name the first bad cell, as the field parser words it.
-        for line, row in zip(lines, cells):
+        for (line, _), row in zip(numbered, cells):
             for text in row + [None] * (3 - len(row)):
                 _finite(text, f"{path}:{line}")
     table = flat.reshape(-1, 3)
@@ -395,9 +395,11 @@ def _require_unit_extent(config: ScenarioConfig) -> None:
 def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
     """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
 
-    Only Gaussian and smoothed probes are sampled on a set ``n_points``.  An
-    optimal probe reports its shift on theta nodes (:func:`optimal_probe`
-    with ``n_points=None``), a file probe on its own grid.
+    Only Gaussian and smoothed probes are sampled on a set ``n_points``, a
+    smoothed one on no fewer than :func:`recommended_support_points` of the
+    weak value.  An optimal probe reports its shift on theta nodes
+    (:func:`optimal_probe` with ``n_points=None``), a file probe on its own
+    grid.
     """
     if config.n_points is not None and config.probe not in ("gaussian", "smoothed"):
         raise ConfigError(
@@ -406,6 +408,15 @@ def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunctio
         )
     _require_unit_extent(config)
     wv = scenario_weak_value(config)
+    if config.probe == "smoothed" and config.n_points is not None:
+        # Nothing estimates a smoothed shift's error, and below the resolution
+        # law it is wrong; a dump's samples are exact at any count.
+        least = recommended_support_points(wv.value)
+        if config.n_points < least:
+            raise ConfigError(
+                f"n_points = {config.n_points} is too few for the shift of a smoothed probe "
+                f"at this weak value; the smallest count accepted is {least}"
+            )
     probe = scenario_probe(config, wv)
     return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
 

@@ -176,7 +176,9 @@ class QuadratureNodes:
     def mapped(cls, n: int, p: np.ndarray, jacobian) -> "QuadratureNodes":
         """The rule of :func:`_periods` mapped to momenta ``p``, given dp/dt."""
         _, w, w_coarse = _clenshaw_curtis(n)
-        scale = np.broadcast_to(math.pi * jacobian, p.shape)
+        scale = math.pi * jacobian
+        if np.size(scale) != p.size:  # one row for every period, or a constant
+            scale = np.broadcast_to(scale, p.shape)
         return cls(p.ravel(), (scale * w).ravel(), (scale * w_coarse).ravel())
 
 
@@ -197,17 +199,20 @@ class NodeSamples:
 
 @lru_cache(maxsize=len(NODE_COUNTS))
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clenshaw-Curtis rule with ``n`` (even) intervals on [0, 1].
+    """Clenshaw-Curtis rule with ``n`` (even) intervals on [0, 1], its nodes
+    scaled to t in [0, pi].
 
-    Returns the n + 1 increasing nodes, their weights, and the weights of the
-    n/2-interval rule on the even-index nodes, which it shares.  The weights are
-    the DCT-I of the even Chebyshev moments 2 / (1 - k^2), one real FFT
-    (Waldvogel, BIT 46, 2006).  Nodes are 1/2 + sin(...)/2 so that the rule is
-    exactly symmetric about 1/2.  Rules are cached (read-only): a sweep builds
-    the same few for every row.
+    Returns the n + 1 increasing nodes t, their weights on [0, 1] (pi times
+    them on [0, pi]), and the weights of the n/2-interval rule on the
+    even-index nodes, which it shares.  The weights are the DCT-I of the even
+    Chebyshev moments 2 / (1 - k^2), one real FFT (Waldvogel, BIT 46, 2006).
+    Nodes are pi (1/2 + sin(...)/2) so that the rule is exactly symmetric
+    about pi/2, and the even-index nodes of a rule are bitwise those of the
+    rule on half as many intervals.  Rules are cached (read-only): a sweep
+    builds the same few for every row.
     """
     k = np.arange(n + 1)
-    nodes = 0.5 + 0.5 * np.sin(math.pi * (2 * k - n) / (2 * n))
+    nodes = math.pi * (0.5 + 0.5 * np.sin(math.pi * (2 * k - n) / (2 * n)))
 
     def weights(m: int) -> np.ndarray:
         moments = np.zeros(m + 1)
@@ -229,7 +234,7 @@ def _periods(extent: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t in [0, pi] of the Clenshaw-Curtis rule with ``n`` intervals,
     and a column of the period indices 0..extent-1 over which it repeats."""
     check_point_budget(extent * (n + 1), "quadrature nodes")
-    return math.pi * _clenshaw_curtis(n)[0], np.arange(extent)[:, None]
+    return _clenshaw_curtis(n)[0], np.arange(extent)[:, None]
 
 
 def theta_nodes(
@@ -251,7 +256,15 @@ def theta_nodes(
     theta rule's times dp/dtheta = |B|^2 / (g |a|).  B comes from theta, not
     from cos(gp) and sin(gp), whose difference loses digits where |B| is small.
     """
-    aw = complex(weak_value)
+    p, jacobian, factor = _theta_samples(coupling, complex(weak_value), extent, n)
+    return QuadratureNodes.mapped(n, p, jacobian), factor.ravel()
+
+
+def _theta_samples(
+    coupling: float, aw: complex, extent: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momenta p, dp/dt and B at the nodes of :func:`theta_nodes`, one row per
+    period (dp/dt has a single row on odd extents, where the periods share it)."""
     sign = math.copysign(1.0, aw.real)
     a, b = abs(aw.real), sign * aw.imag
     centre = math.atan2(b, a)
@@ -269,7 +282,7 @@ def theta_nodes(
     inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
     phase = np.exp(1j * theta) * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
     factor = a / np.sqrt(inverse_density) * phase
-    return QuadratureNodes.mapped(n, p, a / (coupling * inverse_density)), factor.ravel()
+    return p, a / (coupling * inverse_density), factor
 
 
 def theta_rule_rate(weak_value: complex, extent: int) -> float:
@@ -297,11 +310,19 @@ def theta_rule_rate(weak_value: complex, extent: int) -> float:
     return rate
 
 
+@lru_cache(maxsize=8)
 def support_nodes(coupling: float, extent: int, n: int) -> QuadratureNodes:
-    """Clenshaw-Curtis rule in p on each period of [-pi*extent/2g, pi*extent/2g]."""
+    """Clenshaw-Curtis rule in p on each period of [-pi*extent/2g, pi*extent/2g].
+
+    Sets are cached (read-only): every row of a sweep at one coupling puts its
+    post-selected state on the same set.
+    """
     t, period = _periods(extent, n)
     p = (t + math.pi * period) / coupling - 0.5 * math.pi * extent / coupling
-    return QuadratureNodes.mapped(n, p, 1.0 / coupling)
+    nodes = QuadratureNodes.mapped(n, p, 1.0 / coupling)
+    for array in (nodes.points, nodes.weights, nodes.coarse_weights):
+        array.flags.writeable = False
+    return nodes
 
 
 def numeric_derivative(values: np.ndarray, grid: MomentumGrid) -> np.ndarray:
@@ -490,6 +511,25 @@ def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, f
     return values, derivative
 
 
+def _optimal_theta_samples(coupling: float, aw: complex, extent: int):
+    """Yield (n, nodes, values, derivative) of the optimal probe on
+    :func:`theta_nodes` for each n of ``NODE_COUNTS[1:]``, in order, with
+    one evaluation per nested pair n | 2n (see :func:`optimal_probe`)."""
+    for n in NODE_COUNTS[1::2]:
+        if extent * (2 * n + 1) > MAX_GRID_POINTS:
+            for m in (n, 2 * n):
+                p, jacobian, factor = _theta_samples(coupling, aw, extent, m)
+                values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
+                yield m, QuadratureNodes.mapped(m, p, jacobian), values.ravel(), derivative.ravel()
+            continue
+        p, jacobian, factor = _theta_samples(coupling, aw, extent, 2 * n)
+        values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
+        half = (..., slice(None, None, 2))
+        nodes = QuadratureNodes.mapped(n, p[half], jacobian[half])
+        yield n, nodes, values[half].ravel(), derivative[half].ravel()
+        yield 2 * n, QuadratureNodes.mapped(2 * n, p, jacobian), values.ravel(), derivative.ravel()
+
+
 def optimal_probe(
     coupling: float,
     weak_value: complex,
@@ -514,6 +554,17 @@ def optimal_probe(
     ``evolution_view`` is then the probe on the 16-interval
     :func:`support_nodes`, on which the post-selected state (flat density,
     linear phase) integrates exactly.
+
+    The counts are evaluated in nested pairs, 32 | 64, 128 | 256, ...,
+    32,768 | 65,536: theta, p, dp/dtheta, B and the probe's values and
+    derivative once per pair, at the finer count.  The coarser count's
+    nodes, weights, nested half rule and samples are those arrays read by
+    stride 2 (its nodes are the finer rule's even-index nodes, bitwise), and
+    a :class:`ProbeWavefunction` is still built and checked at every count
+    tried, in the order above.  A pair whose finer set would exceed
+    ``MAX_GRID_POINTS`` is evaluated one count at a time: a probe that the
+    coarser count accepts is still returned, and :class:`GridTooLarge`
+    names the first count that exceeds the budget.
 
     With a point count the probe is sampled on a :class:`MomentumGrid` and
     renormalized there, as position transforms and the optimizer need; its
@@ -547,9 +598,7 @@ def optimal_probe(
     p_scale = 0.5 * math.pi / coupling
     rate = theta_rule_rate(aw, extent)
     previous = math.inf
-    for n in NODE_COUNTS[1:]:
-        nodes, factor = theta_nodes(coupling, aw, extent, n)
-        values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+    for n, nodes, values, derivative in _optimal_theta_samples(coupling, aw, extent):
         probe = ProbeWavefunction(nodes, values, derivative, "optimal", view)
         q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
         p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale

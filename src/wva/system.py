@@ -32,7 +32,7 @@ _MATRIX_TOL = 1e-12
 
 def all_finite(arr: np.ndarray) -> bool:
     """Whether every entry is finite; a complex entry needs both parts finite."""
-    return bool(np.all(np.isfinite(arr)))
+    return bool(np.isfinite(arr).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +79,11 @@ class Observable:
             raise ValueError("observable must be a square matrix of dimension >= 2")
         if not all_finite(m):
             raise ValueError("observable entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > _MATRIX_TOL:
+        if np.abs(m - m.conj().T).max() > _MATRIX_TOL:
             raise ValueError("observable must be Hermitian")
-        eye = np.eye(m.shape[0])
-        if np.max(np.abs(m @ m - eye)) > _MATRIX_TOL:
+        residual = m @ m
+        residual.flat[:: m.shape[0] + 1] -= 1.0  # M @ M minus the identity
+        if np.abs(residual).max() > _MATRIX_TOL:
             raise ValueError("observable must square to the identity")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

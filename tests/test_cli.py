@@ -735,6 +735,25 @@ def test_smoothed_shift_takes_its_point_count_from_the_weak_value(aw_re, aw_im, 
     assert default == pytest.approx(wva.max_shift(0.1, value), rel=1.1e-3)
 
 
+def test_smoothed_shift_refuses_a_point_count_below_the_resolution_law(tmp_path, capsys):
+    # 4,097 interior points printed delta_q 106.392405046 with exit 0; the
+    # default count gives 99.8940564664 (closed form 100.00005).
+    argv = ["--probe", "smoothed", "--smoothing", "30", "--aw-re", "1e-3", "--aw-im", "1"]
+    least = wva.recommended_support_points(1e-3 + 1.0j)
+    assert least == 40001
+    assert main(["shift", *argv, "--n-points", "4097"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ConfigError: n_points = 4097") and f"accepted is {least}" in captured.err
+    assert captured.out == ""
+    assert main(["shift", *argv, "--n-points", str(least)]) == 0
+    assert _report(capsys.readouterr().out)["delta_q"] == "99.8940564664"
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--axis", "grid_n", *argv, "--values", f"4097,{least}", "--output", str(out)]) == 1
+    assert [r["error"] for r in _read_rows(out)] == ["ConfigError", ""]
+    # A dump's samples are exact at any count.
+    assert main(["dump", *argv, "--n-points", "4097", "--n-range", "2", "--output", str(tmp_path / "d.csv")]) == 0
+
+
 def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
     # Sized by the resolution law first, this grid would be GridTooLarge.
     assert main(["shift", "--probe", "smoothed", "--smoothing", "30", "--aw-re", "1e-13", "--aw-im", "1"]) == 1
@@ -1145,4 +1164,21 @@ def test_bad_probe_cell_names_its_line(row, message, tmp_path):
     path = tmp_path / "probe.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:4': {message}")):
+        read_probe_csv(str(path))
+
+
+def test_probe_file_reads_the_momentum_rows_of_a_dump_and_names_a_bad_one_after_the_other_sections(tmp_path):
+    path = tmp_path / "probe.csv"
+    assert main(["dump", "--probe", "gaussian", "--g", "0.1", "--width", "1", "--aw-re", "2", "--output", str(path)]) == 0
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row[0] == "momentum_initial"]
+    table = np.array([row[1:] for row in rows], dtype=float)
+    probe = read_probe_csv(str(path))
+    assert (probe.grid.p_min, probe.grid.p_max, probe.grid.n_points) == (table[0, 0], table[-1, 0], len(table))
+    raw = table[:, 1] + 1j * table[:, 2]
+    np.testing.assert_allclose(probe.values, raw / np.sqrt(probe.grid.integrate(np.abs(raw) ** 2)), rtol=1e-15)
+    text = path.read_text()
+    assert text.splitlines()[-1].startswith("position_final,")
+    path.write_text(text + "momentum_initial,0.5,abc,0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:{text.count(chr(10)) + 1}': cannot parse 'abc'")):
         read_probe_csv(str(path))

@@ -31,7 +31,17 @@ from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_i
 from wva.cli import format_number
 from wva.evolution import PostSelectedEvolution, apply_postselection
 from wva.expectation import expect_p, expect_q, shift_report
-from wva.probe import DENSE_SUM_MAX_TERMS, MAX_GRID_POINTS, _chirp_z_sum, theta_rule_rate
+from wva.probe import (
+    DENSE_SUM_MAX_TERMS,
+    HALVING_TOL,
+    HALVING_TRUST,
+    MAX_GRID_POINTS,
+    NODE_COUNTS,
+    _chirp_z_sum,
+    _clenshaw_curtis,
+    _optimal_samples,
+    theta_rule_rate,
+)
 from wva.system import WeakValue
 
 G = 0.1
@@ -551,3 +561,102 @@ class TestNodeSets:
         for width in (1e-300, 1e-160, 1e120):
             with pytest.raises(ScaleOutOfRange):
                 gaussian_probe(width, grid)
+
+
+def _sequential_optimal_probe(coupling, value, extent):
+    """The default optimal probe's count rule, one :func:`theta_nodes` call
+    per count: the reference for the paired evaluation."""
+    aw = complex(value)
+    q_scale = abs(max_shift(coupling, aw))
+    p_scale = 0.5 * math.pi / coupling
+    rate = theta_rule_rate(aw, extent)
+    previous = math.inf
+    for n in NODE_COUNTS[1:]:
+        nodes, factor = theta_nodes(coupling, aw, extent, n)
+        values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+        probe = ProbeWavefunction(nodes, values, derivative, "optimal")
+        q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
+        p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale
+        error = max(q_error, p_error)
+        if error <= HALVING_TOL and (previous <= HALVING_TOL or n * rate >= HALVING_TRUST):
+            return probe
+        previous = error
+    raise UnderResolvedGrid(
+        f"at {n} intervals per period the halving estimates of the mean position and "
+        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g; they "
+        f"must be within {HALVING_TOL:g} at two successive counts, or at one with "
+        f"n log(rho) = {n * rate:.2g} at least {HALVING_TRUST:g}"
+    )
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args), None
+    except (UnderResolvedGrid, GridTooLarge) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_probe(got, ref):
+    assert got.grid.n_points == ref.grid.n_points
+    for field in ("points", "weights", "coarse_weights"):
+        assert np.array_equal(getattr(got.grid, field), getattr(ref.grid, field)), field
+    # numpy's SIMD cos, sin and exp can round an entry of a longer array 1 ulp
+    # apart from the same entry of a shorter one.
+    for got_samples, ref_samples in ((got.values, ref.values), (got.derivative, ref.derivative)):
+        assert np.all(np.abs(got_samples - ref_samples) <= 4.0 * np.spacing(np.abs(ref_samples)))
+
+
+def _paired_cases():
+    """(g, A, extent): the hard and refused cases named in this file at
+    extent 1, A = +/-1 and 2, and 200 seeded draws over extents 1-4."""
+    rng = np.random.default_rng(14)
+    named = [2.0 + 30.0j, 1.0 + 300.0j, -1.05 + 217.0j, 1e-9 + 1.0j, 1e-4 + 1e-10j, -1e-4 + 1e-10j]
+    cases = [(G, value, 1) for value in named + [1.0, -1.0, 2.0, AW]]
+    for k in range(200):
+        real = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.5)
+        imag = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.5)
+        cases.append(((0.1, 0.5, 2.0)[k % 3], complex(real, imag), 1 + k % 4))
+    return cases
+
+
+class TestPairedThetaCounts:
+    def test_paired_evaluation_matches_the_sequential_rule(self):
+        accepted = refused = 0
+        for coupling, value, extent in _paired_cases():
+            got, got_error = _outcome(optimal_probe, coupling, value, None, extent)
+            ref, ref_error = _outcome(_sequential_optimal_probe, coupling, value, extent)
+            assert got_error == ref_error, (coupling, value, extent)
+            if ref is None:
+                refused += 1
+            else:
+                accepted += 1
+                _assert_same_probe(got, ref)
+        assert refused >= 3 and accepted >= 200
+
+    def test_budget_edge_falls_back_to_one_count_at_a_time(self, monkeypatch):
+        # 64 intervals (65 nodes) exceed a budget of 40: the pair 32 | 64 is
+        # then sampled one count at a time.
+        monkeypatch.setattr("wva.probe.MAX_GRID_POINTS", 40)
+        probe = optimal_probe(2.0 * G, 2.0, None)
+        assert probe.grid.n_points == 33
+        _assert_same_probe(probe, _sequential_optimal_probe(2.0 * G, 2.0, 1))
+        message = "65 quadrature nodes exceed the budget 40"
+        with pytest.raises(GridTooLarge, match=message):
+            _sequential_optimal_probe(G, 2.0 + 30.0j, 1)
+        with pytest.raises(GridTooLarge, match=message):
+            optimal_probe(G, 2.0 + 30.0j, None)
+
+    def test_cached_node_sets_are_read_only(self):
+        nodes = support_nodes(G, 1, NODE_COUNTS[0])
+        assert support_nodes(G, 1, NODE_COUNTS[0]) is nodes
+        arrays = [nodes.points, nodes.weights, nodes.coarse_weights]
+        for n in NODE_COUNTS[:3]:
+            arrays += _clenshaw_curtis(n)
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("n", NODE_COUNTS[:-1])
+    def test_even_index_nodes_are_the_half_rule_bitwise(self, n):
+        assert np.array_equal(_clenshaw_curtis(2 * n)[0][::2], _clenshaw_curtis(n)[0])
