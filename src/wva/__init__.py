@@ -81,8 +81,6 @@ from .probe import (
     recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
-    support_nodes,
-    theta_nodes,
 )
 from .system import (
     Observable,

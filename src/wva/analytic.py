@@ -23,8 +23,8 @@ def evolution_factor_and_derivative(coupling: float, weak_value: complex, p):
     post-selection when the observable squares to the identity, and its
     momentum derivative B' = g (-sin(g p) - i A cos(g p)), from one cos/sin
     evaluation: the only one in the package.  Where |B| is small the
-    difference loses digits; :func:`wva.probe.theta_nodes` computes B from
-    theta = arg B there instead."""
+    difference loses digits; the optimal probe's theta panels
+    (:func:`wva.probe.theta_nodes`) compute B from theta = arg B instead."""
     gp = coupling * np.asarray(p, dtype=float)
     cos, sin = np.cos(gp), np.sin(gp)
     return cos - 1j * weak_value * sin, coupling * (-sin - 1j * weak_value * cos)

@@ -187,7 +187,7 @@ _FIELDS = (
     _Field("post", "post", _vector, "post-selected state, comma-separated complex entries"),
     _Field("obs", "obs", _matrix, "observable matrix, ';'-separated rows"),
     _Field("width", "width", _scale, "gaussian momentum width"),
-    _Field("smoothing", "smoothing", _positive, "smoothing rate for probe=smoothed"),
+    _Field("smoothing", "smoothing", _scale, "smoothing rate for probe=smoothed"),
     _Field("file", "probe_file", _text, "probe CSV for probe=file"),
     _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian, smoothed, dump, optimize"),
     _Field(

@@ -13,8 +13,10 @@ of node set exist:
   value and the smoothing rate.
 - :class:`QuadratureNodes`, Clenshaw-Curtis nodes with a halving error
   estimate.  The optimal probe of a shift lives on nodes in theta = arg B(p),
-  where its density is uniform (:func:`theta_nodes`), and its post-selected
-  state on a small rule in p over the support (:func:`support_nodes`).
+  where its density is uniform: one Clenshaw-Curtis rule on each theta panel
+  of a mesh graded toward the singularities of arg B (:func:`theta_nodes`),
+  at 16 or 32 intervals per panel.  Its post-selected state lives on a small
+  rule in p over the support (:func:`support_nodes`).
 
 Constructed probes carry analytic derivatives; user-supplied samples fall back
 to fourth-order finite differences.
@@ -48,16 +50,14 @@ MAX_GRID_POINTS = 1 << 24
 DENSE_SUM_MAX_TERMS = 1 << 16
 #: Squared norms below this are numerically zero (raises :class:`ZeroNorm`).
 ZERO_NORM_FLOOR = 1e-14
-#: Clenshaw-Curtis interval counts per support period tried, in order; each
-#: rule nests the previous one.
-NODE_COUNTS = tuple(16 << k for k in range(13))  # 16 .. 65,536
+#: Clenshaw-Curtis intervals per theta panel at which the optimal probe is
+#: evaluated; the rule on half as many is read from every second node.
+PANEL_INTERVALS = 32
+#: Ratio of successive panel widths of the geometric mesh toward a
+#: singularity of arg B.
+MESH_RATIO = 0.125
 #: Largest halving estimate, relative to its scale, of a mean on node sets.
 HALVING_TOL = 1e-10
-#: Smallest n log(rho) at which one halving estimate on theta nodes is trusted
-#: (see :func:`theta_rule_rate`); below it the estimate must also hold at the
-#: count before.  Rules with n log(rho) near 1.9 can agree with their nested
-#: half to 1e-12 while both are 1e-9 off, as at A = -1.05 + 217i.
-HALVING_TRUST = 4.0
 
 
 def check_point_budget(count: int, what: str) -> None:
@@ -174,10 +174,11 @@ class QuadratureNodes:
 
     @classmethod
     def mapped(cls, n: int, p: np.ndarray, jacobian) -> "QuadratureNodes":
-        """The rule of :func:`_periods` mapped to momenta ``p``, given dp/dt."""
+        """The ``n``-interval rule of :func:`_clenshaw_curtis` mapped to momenta
+        ``p``, given dp/dt at them (t in [0, pi] on each panel or period)."""
         _, w, w_coarse = _clenshaw_curtis(n)
         scale = math.pi * jacobian
-        if np.size(scale) != p.size:  # one row for every period, or a constant
+        if np.size(scale) != p.size:  # shared by every period, or a constant
             scale = np.broadcast_to(scale, p.shape)
         return cls(p.ravel(), (scale * w).ravel(), (scale * w_coarse).ravel())
 
@@ -197,7 +198,7 @@ class NodeSamples:
     derivative: np.ndarray
 
 
-@lru_cache(maxsize=len(NODE_COUNTS))
+@lru_cache(maxsize=8)
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clenshaw-Curtis rule with ``n`` (even) intervals on [0, 1], its nodes
     scaled to t in [0, pi].
@@ -230,84 +231,89 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _periods(extent: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t in [0, pi] of the Clenshaw-Curtis rule with ``n`` intervals,
-    and a column of the period indices 0..extent-1 over which it repeats."""
-    check_point_budget(extent * (n + 1), "quadrature nodes")
-    return _clenshaw_curtis(n)[0], np.arange(extent)[:, None]
-
-
 def theta_nodes(
     coupling: float, weak_value: complex, extent: int, n: int
 ) -> tuple[QuadratureNodes, np.ndarray]:
     """Nodes uniform in theta = arg B(p) over the support [-pi*extent/2g,
-    pi*extent/2g], and the evolution factor B at them.
+    pi*extent/2g], ``n`` Clenshaw-Curtis intervals on each theta panel of
+    :func:`_theta_panels`, and the evolution factor B at them.
 
     theta falls by pi over each period of B, with dtheta/dp = -g Re A / |B|^2,
     so the optimal probe's density g |Re A| / (pi extent |B|^2) is uniform in
     theta.  For Re A = a > 0 and Im A = b, theta in the central window
     [arg A - pi/2, arg A + pi/2] maps to the central period by
     gp = atan2(-sin theta, a cos theta + b sin theta), with
-    |B|^2 = a^2 / (sin^2 theta + (a cos theta + b sin theta)^2); each window
-    to its left is a period to the right.  Re A < 0 is the mirror image
-    p -> -p of -A.  On an odd extent every theta period is the central window,
-    so the nodes repeat exactly; on an even one the periods end on multiples
-    of pi and are reduced into the window node by node.  The weights are the
-    theta rule's times dp/dtheta = |B|^2 / (g |a|).  B comes from theta, not
-    from cos(gp) and sin(gp), whose difference loses digits where |B| is small.
+    |B|^2 = a^2 / (sin^2 theta + (a cos theta + b sin theta)^2); the other
+    periods are this window again, p shifted by whole periods pi/g.  Re A < 0
+    is the mirror image p -> -p of -A.  On an even extent the support ends in
+    half periods: the window is cut at theta = 0, the support edge, and the
+    part on either side of it is shifted to the periods that it fills.  The
+    weights are each panel's rule times dp/dtheta = |B|^2 / (g |a|).  B comes
+    from theta, not from cos(gp) and sin(gp), whose difference loses digits
+    where |B| is small.
     """
     p, jacobian, factor = _theta_samples(coupling, complex(weak_value), extent, n)
     return QuadratureNodes.mapped(n, p, jacobian), factor.ravel()
 
 
+def _theta_panels(a: float, b: float, start: float, extent: int) -> np.ndarray:
+    """Breakpoints of the theta panels of the window [start, start + pi].
+
+    arg B = atan2(-sin theta, a cos theta + b sin theta) is singular where
+    a cos theta + (b -/+ i) sin theta = 0, at theta* = -atan(a / (b - i))
+    modulo pi and its conjugate; A = +/-1 has none, as arg B is linear in
+    theta there.  The singularity lies mid window for |A| < 1, about a/2
+    from a window end for |A| near 1 and small a, and within about
+    a / |A|^2 of one for large |A|.
+
+    A geometric mesh runs toward Re theta* and its images +/- pi: cuts there
+    and at distances pi * MESH_RATIO^j from them, down to the first within
+    2 |Im theta*|.  So no panel is much wider than its distance to the
+    singularity, and the 16-interval rule on each is within the halving
+    tolerance (Schwab, "p- and hp-Finite Element Methods", 1998; Tee &
+    Trefethen, SIAM J. Sci. Comput. 28, 2006).  A mesh that stops at
+    |Im theta*| leaves the panels at Re theta* up to 8 |Im theta*| wide,
+    and there the 32-interval rule's halving estimate of the mean momentum
+    reaches 4e-10 of pi/2g (A = -2.05 + 0.06i, g = 0.5).  Cuts that round to
+    the same theta are merged.
+    """
+    end = start + math.pi
+    cuts = {start, end, 0.0} if extent % 2 == 0 else {start, end}
+    if (a, b) != (1.0, 0.0):
+        pole = -cmath.atan(a / complex(b, -1.0))
+        nearest = start + (pole.real - start) % math.pi
+        cuts.add(nearest)
+        width = math.pi
+        while width > 2.0 * abs(pole.imag):
+            width *= MESH_RATIO
+            cuts.update((nearest - width, nearest + width))
+            cuts.update((nearest - math.pi + width, nearest + math.pi - width))  # the images
+    return np.array(sorted(cut for cut in cuts if start <= cut <= end))
+
+
 def _theta_samples(
     coupling: float, aw: complex, extent: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momenta p, dp/dt and B at the nodes of :func:`theta_nodes`, one row per
-    period (dp/dt has a single row on odd extents, where the periods share it)."""
+    """Momenta p, dp/du and B at the nodes of :func:`theta_nodes`, shaped
+    (period, panel, node); u in [0, pi] is the variable of each panel's
+    rule, and dp/du has no period axis, as every period shares it."""
     sign = math.copysign(1.0, aw.real)
     a, b = abs(aw.real), sign * aw.imag
-    centre = math.atan2(b, a)
-    t, period = _periods(extent, n)
-    if extent % 2:
-        theta = centre - 0.5 * math.pi + t
-        turns = 0.5 * (extent - 1) - period
-    else:
-        theta = t + math.pi * (period - 0.5 * extent)
-        turns = np.round((centre - theta) / math.pi)
-        theta = theta + math.pi * turns
-    sin = np.sin(theta)
-    cross = a * np.cos(theta) + b * sin
-    p = sign * (np.arctan2(-sin, cross) + math.pi * turns) / coupling
+    start = math.atan2(b, a) - 0.5 * math.pi
+    cuts = _theta_panels(a, b, start, extent)
+    width = (cuts[1:] - cuts[:-1])[:, None]
+    check_point_budget(extent * width.size * (n + 1), "quadrature nodes")
+    theta = cuts[:-1, None] + width / math.pi * _clenshaw_curtis(n)[0]
+    turns = np.arange(extent)[:, None, None] - 0.5 * (extent - 1)
+    if extent % 2 == 0:  # below theta = 0 a panel fills the period before
+        turns = turns + np.where(cuts[:-1, None] < 0.0, -0.5, 0.5)
+    sin, cos = np.sin(theta), np.cos(theta)
+    cross = a * cos + b * sin
+    p = (np.arctan2(-sin, cross) + math.pi * turns) * (sign / coupling)
     inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
-    phase = np.exp(1j * theta) * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
-    factor = a / np.sqrt(inverse_density) * phase
-    return p, a / (coupling * inverse_density), factor
-
-
-def theta_rule_rate(weak_value: complex, extent: int) -> float:
-    """log(rho) of the Bernstein ellipse on which the integrands of
-    :func:`theta_nodes` are analytic; their rule errors fall like rho^-n.
-
-    arg B = atan2(-sin theta, a cos theta + b sin theta) is singular where
-    a cos theta + (b -/+ i) sin theta = 0, i.e. at theta = -atan(a / (b - i))
-    modulo pi and its conjugate.  For large |A| these lie within about
-    a / |A|^2 of the ends of a theta period, where the probe's momentum moves
-    through most of the support.  A = +/-1 has no singularity (infinite rate).
-    """
-    aw = complex(weak_value)
-    sign = math.copysign(1.0, aw.real)
-    a, b = abs(aw.real), sign * aw.imag
-    if a == 1.0 and b == 0.0:
-        return math.inf
-    start = math.atan2(b, a) - 0.5 * math.pi if extent % 2 else 0.0
-    pole = -cmath.atan(a / (b - 1j)) - start
-    pole = complex(pole.real % math.pi, pole.imag)
-    rate = math.inf
-    for turn in (-1, 0, 1):
-        x = 2.0 * (pole + turn * math.pi) / math.pi - 1.0
-        rate = min(rate, abs(math.log(abs(x + cmath.sqrt(x * x - 1.0)))))
-    return rate
+    factor = a / np.sqrt(inverse_density) * (cos + 1j * sin)
+    factor = factor * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
+    return p, width * (a / (math.pi * coupling)) / inverse_density, factor
 
 
 @lru_cache(maxsize=8)
@@ -317,7 +323,8 @@ def support_nodes(coupling: float, extent: int, n: int) -> QuadratureNodes:
     Sets are cached (read-only): every row of a sweep at one coupling puts its
     post-selected state on the same set.
     """
-    t, period = _periods(extent, n)
+    check_point_budget(extent * (n + 1), "quadrature nodes")
+    t, period = _clenshaw_curtis(n)[0], np.arange(extent)[:, None]
     p = (t + math.pi * period) / coupling - 0.5 * math.pi * extent / coupling
     nodes = QuadratureNodes.mapped(n, p, 1.0 / coupling)
     for array in (nodes.points, nodes.weights, nodes.coarse_weights):
@@ -511,25 +518,6 @@ def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, f
     return values, derivative
 
 
-def _optimal_theta_samples(coupling: float, aw: complex, extent: int):
-    """Yield (n, nodes, values, derivative) of the optimal probe on
-    :func:`theta_nodes` for each n of ``NODE_COUNTS[1:]``, in order, with
-    one evaluation per nested pair n | 2n (see :func:`optimal_probe`)."""
-    for n in NODE_COUNTS[1::2]:
-        if extent * (2 * n + 1) > MAX_GRID_POINTS:
-            for m in (n, 2 * n):
-                p, jacobian, factor = _theta_samples(coupling, aw, extent, m)
-                values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
-                yield m, QuadratureNodes.mapped(m, p, jacobian), values.ravel(), derivative.ravel()
-            continue
-        p, jacobian, factor = _theta_samples(coupling, aw, extent, 2 * n)
-        values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
-        half = (..., slice(None, None, 2))
-        nodes = QuadratureNodes.mapped(n, p[half], jacobian[half])
-        yield n, nodes, values[half].ravel(), derivative[half].ravel()
-        yield 2 * n, QuadratureNodes.mapped(2 * n, p, jacobian), values.ravel(), derivative.ravel()
-
-
 def optimal_probe(
     coupling: float,
     weak_value: complex,
@@ -544,27 +532,15 @@ def optimal_probe(
     position.  Any integer ``extent`` reproduces the same shift.
 
     By default (``n_points=None``) it keeps its analytic amplitude on
-    :func:`theta_nodes`, with 32, 64, ... intervals per period
-    (at 16 the nested 8-interval rule is 1e-7 off or worse for A != +/-1):
-    the first count at which the halving estimates of its mean position and
-    momentum are within ``HALVING_TOL`` of |max_shift| and of pi/2g, and
-    either were so at the count before or n :func:`theta_rule_rate` is at
-    least ``HALVING_TRUST``; a single halving can pass by chance while
-    neither rule resolves the singularities at the ends of a period.  Its
-    ``evolution_view`` is then the probe on the 16-interval
-    :func:`support_nodes`, on which the post-selected state (flat density,
-    linear phase) integrates exactly.
-
-    The counts are evaluated in nested pairs, 32 | 64, 128 | 256, ...,
-    32,768 | 65,536: theta, p, dp/dtheta, B and the probe's values and
-    derivative once per pair, at the finer count.  The coarser count's
-    nodes, weights, nested half rule and samples are those arrays read by
-    stride 2 (its nodes are the finer rule's even-index nodes, bitwise), and
-    a :class:`ProbeWavefunction` is still built and checked at every count
-    tried, in the order above.  A pair whose finer set would exceed
-    ``MAX_GRID_POINTS`` is evaluated one count at a time: a probe that the
-    coarser count accepts is still returned, and :class:`GridTooLarge`
-    names the first count that exceeds the budget.
+    :func:`theta_nodes`: theta panels graded toward the singularities of
+    arg B, each panel evaluated once at ``PANEL_INTERVALS`` (32) intervals.
+    The 16-interval rule is read from every second node.  It is accepted when
+    the halving estimates of the probe's mean position and momentum (against
+    the nested 8-interval rule) are within ``HALVING_TOL`` of |max_shift| and
+    of pi/2g; otherwise the 32-interval rule is accepted on the same
+    certificate against 16.  Its ``evolution_view`` is the probe on the
+    16-interval :func:`support_nodes`, on which the post-selected state (flat
+    density, linear phase) integrates exactly.
 
     With a point count the probe is sampled on a :class:`MomentumGrid` and
     renormalized there, as position transforms and the optimizer need; its
@@ -581,8 +557,7 @@ def optimal_probe(
     GridTooLarge
         If the grid or the node set exceeds ``MAX_GRID_POINTS``.
     UnderResolvedGrid
-        If at 65,536 intervals the halving estimates exceed the tolerance,
-        or are within it for the first time below ``HALVING_TRUST``.
+        If the 32-interval rule's halving estimates exceed the tolerance.
     """
     aw = _require_real_part(weak_value)
     check_scale(coupling, "coupling")
@@ -593,24 +568,23 @@ def optimal_probe(
         values, derivative = _optimal_samples(coupling, aw, extent, grid.points)
         return ProbeWavefunction.normalized(grid, values, derivative, label="optimal")
 
-    support = support_nodes(coupling, extent, NODE_COUNTS[0])
+    support = support_nodes(coupling, extent, 16)
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
+    p, jacobian, factor = _theta_samples(coupling, aw, extent, PANEL_INTERVALS)
+    values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
     p_scale = 0.5 * math.pi / coupling
-    rate = theta_rule_rate(aw, extent)
-    previous = math.inf
-    for n, nodes, values, derivative in _optimal_theta_samples(coupling, aw, extent):
-        probe = ProbeWavefunction(nodes, values, derivative, "optimal", view)
-        q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
-        p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale
-        error = max(q_error, p_error)
-        if error <= HALVING_TOL and (previous <= HALVING_TOL or n * rate >= HALVING_TRUST):
-            return probe
-        previous = error
+    for stride in (2, 1):
+        every = (..., slice(None, None, stride))
+        nodes = QuadratureNodes.mapped(PANEL_INTERVALS // stride, p[every], jacobian[every])
+        v, d = values[every].ravel(), derivative[every].ravel()
+        q_error = nodes.halving_error(np.conj(v) * d) / q_scale
+        p_error = nodes.halving_error(nodes.points * np.abs(v) ** 2) / p_scale
+        if max(q_error, p_error) <= HALVING_TOL:
+            return ProbeWavefunction(nodes, v, d, "optimal", view)
     raise UnderResolvedGrid(
-        f"at {n} intervals per period the halving estimates of the mean position and "
-        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g; they "
-        f"must be within {HALVING_TOL:g} at two successive counts, or at one with "
-        f"n log(rho) = {n * rate:.2g} at least {HALVING_TRUST:g}"
+        f"on {jacobian.shape[0]} theta panels of {PANEL_INTERVALS} intervals the halving "
+        f"estimates of the mean position and momentum are {q_error:.1e} of |max_shift| "
+        f"and {p_error:.1e} of pi/2g; they must be within {HALVING_TOL:g}"
     )
 
 
@@ -646,12 +620,16 @@ def smoothed_optimal_probe(
     ------
     ZeroRealPart
         If |Re weak_value| < 1e-12, before any grid is sized.
+    ScaleOutOfRange
+        If ``smoothing`` lies outside ``SCALE_RANGE``, where sizing the grid
+        divides by zero or overflows.
     GridTooLarge
         If the grid exceeds ``MAX_GRID_POINTS``.
     """
     aw = _require_real_part(weak_value)
     if coupling <= 0 or smoothing <= 0:
         raise ValueError("coupling and smoothing must be positive")
+    check_scale(smoothing, "smoothing")
     if n_points is None:
         n_points = recommended_support_points(aw)
     if n_points < 3:

@@ -469,6 +469,15 @@ class TestSweepCommand:
         assert all(r["error"] == "" for r in rows[:-1])
         assert rows[0]["overlap_times_q_final"] != ""
 
+    def test_smoothing_rate_outside_the_scale_range_is_a_row_config_error(self, tmp_path, capsys):
+        # Both rates once ended the whole sweep in a traceback.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "smoothing_s", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "10",
+                "--values", "1e308,5e-324,10", "--output", str(out)]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert [r["error"] for r in _read_rows(out)] == ["ConfigError", "ConfigError", ""]
+
     def test_grid_sweep_and_determinism(self, tmp_path):
         args = [
             "sweep",
@@ -625,6 +634,10 @@ def _bytes_file(tmp_path, name, data):
         "width_subnormal_square",
         "smoothing_negative",
         "smoothing_nan",
+        "smoothing_huge",
+        "smoothing_subnormal",
+        "dump_smoothing_huge",
+        "dump_smoothing_subnormal",
         "three_samples",
         "four_samples",
         "non_utf8_config",
@@ -662,6 +675,10 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "width_subnormal_square": ["shift", "--aw-re", "2", "--width", "1e-160"],
         "smoothing_negative": smoothed + ["-1"],
         "smoothing_nan": smoothed + ["nan"],
+        "smoothing_huge": smoothed + ["1e308"],  # was ZeroDivisionError
+        "smoothing_subnormal": smoothed + ["5e-324"],  # was OverflowError
+        "dump_smoothing_huge": ["dump", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "1e308"],
+        "dump_smoothing_subnormal": ["dump", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "5e-324"],
         "three_samples": file_probe + [_probe_file(tmp_path, "p3.csv", [(q, 1) for q in range(3)])],
         "four_samples": file_probe + [_probe_file(tmp_path, "p4.csv", [(q, 1) for q in range(4)])],
         "non_utf8_config": ["shift", "--config", _bytes_file(tmp_path, "bad.cfg", b"g=0.1\naw_re=2\xff\n")],
@@ -777,7 +794,7 @@ def test_exports_are_pinned():
         "optimal_initial_momentum", "optimal_probe", "optimizer", "periodic_representative",
         "position_amplitudes", "probe", "projected_gradient_norm", "recommended_gaussian_grid",
         "recommended_support_points", "shift_lower_bound", "shift_on_circle", "shift_report",
-        "smoothed_optimal_probe", "support_nodes", "system", "theta_nodes",
+        "smoothed_optimal_probe", "system",
     ]
 
 
@@ -983,13 +1000,31 @@ def _report(out: str) -> dict[str, str]:
 
 
 def test_near_orthogonal_optimal_shift_is_reported(capsys):
-    # 40,000,001 p-grid points under the resolution law; 32,769 theta nodes.
+    # 40,000,001 p-grid points under the resolution law; 594 theta nodes.
     value = 1e-6 + 1.0j
     assert main(["shift", "--probe", "optimal", "--aw-re", "1e-6", "--aw-im", "1"]) == 0
     report = _report(capsys.readouterr().out)
     assert float(report["delta_q"]) == pytest.approx(wva.max_shift(0.1, value), rel=1e-9)
     delta_p = -wva.optimal_initial_momentum(0.1, value)
     assert float(report["delta_p"]) == pytest.approx(delta_p, abs=1e-9 * math.pi / 0.2)
+
+
+@pytest.mark.parametrize(
+    "aw_re, aw_im, support_m",
+    [("1e-9", "1", "1"), ("1e-12", "1", "1"), ("1", "1e4", "2"), ("1", "1e4", "4"), ("2", "30", "2")],
+)
+def test_optimal_shift_resolves_near_orthogonal_and_even_supports(aw_re, aw_im, support_m, capsys):
+    # The count-doubling rule (up to 65,536 intervals per period) ended all
+    # but 2 + 30i at extent 2 in UnderResolvedGrid; that one took 8,194 nodes.
+    value = complex(float(aw_re), float(aw_im))
+    argv = ["shift", "--probe", "optimal", "--aw-re", aw_re, "--aw-im", aw_im, "--support-m", support_m]
+    assert main(argv) == 0
+    report = _report(capsys.readouterr().out)
+    # Printed to 12 significant digits.
+    assert float(report["delta_q"]) == pytest.approx(wva.max_shift(0.1, value), rel=1e-11)
+    if int(support_m) % 2:
+        delta_p = -wva.optimal_initial_momentum(0.1, value)
+        assert float(report["delta_p"]) == pytest.approx(delta_p, abs=1e-11 * math.pi / 0.2)
 
 
 def test_default_optimal_shift_and_sweep_build_no_p_grid(tmp_path, monkeypatch, capsys):

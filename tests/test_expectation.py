@@ -28,6 +28,7 @@ from wva import (
     recommended_gaussian_grid,
     shift_report,
 )
+from wva.probe import ZERO_NORM_FLOOR
 
 G = 0.1
 AW = math.sqrt(3) + 2.0 * math.sqrt(3) * 1j
@@ -242,25 +243,39 @@ class TestShiftLandscape:
 class TestThetaNodeReport:
     @settings(max_examples=40, deadline=None)
     @given(
-        log_real=st.floats(-4.0, 3.0),
+        log_real=st.floats(-12.0, 3.0),
         real_sign=st.sampled_from([-1.0, 1.0]),
         imag=st.floats(-1e3, 1e3),
         overlap_modulus=st.floats(1e-3, 1.0),
         overlap_phase=st.floats(-math.pi, math.pi),
+        extent=st.integers(1, 4),
     )
-    # The 256- and 512-interval rules agree to 5e-12 of pi/2g here, both
-    # 2.7e-9 off; a single halving at that count is not trusted.
-    @example(log_real=0.021484375, real_sign=-1.0, imag=217.0, overlap_modulus=1.0, overlap_phase=0.0)
-    # Re A = 1e-4 needs all 65,536 intervals.
-    @example(log_real=-4.0, real_sign=-1.0, imag=0.001953125, overlap_modulus=1.0, overlap_phase=0.0)
-    def test_report_meets_the_closed_forms(self, log_real, real_sign, imag, overlap_modulus, overlap_phase):
+    # Under the count-doubling rule the 256- and 512-interval rules agreed to
+    # 5e-12 of pi/2g here, both 2.7e-9 off.
+    @example(log_real=0.021484375, real_sign=-1.0, imag=217.0, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    @example(log_real=-4.0, real_sign=-1.0, imag=0.001953125, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    # Refused under the count-doubling rule: the step of p(theta) sits a/2
+    # from a window end at |A| near 1, mid window at |A| < 1.
+    @example(log_real=-9.0, real_sign=1.0, imag=1.0, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    @example(log_real=-12.0, real_sign=1.0, imag=1.0, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    @example(log_real=-4.0, real_sign=1.0, imag=1e-10, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    @example(log_real=-4.0, real_sign=-1.0, imag=1e-10, overlap_modulus=1.0, overlap_phase=0.0, extent=1)
+    def test_report_meets_the_closed_forms(
+        self, log_real, real_sign, imag, overlap_modulus, overlap_phase, extent
+    ):
         value = complex(real_sign * 10.0**log_real, imag)
         overlap = overlap_modulus * complex(math.cos(overlap_phase), math.sin(overlap_phase))
         weak = WeakValue(value, overlap, overlap_modulus**2)
-        report = shift_report(PostSelectedEvolution(G, weak), optimal_probe(G, value, None))
-        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-9)
-        # The node count is chosen for a halving estimate within 1e-10 of pi/2g.
-        assert report.delta_p == pytest.approx(-optimal_initial_momentum(G, value), abs=1e-9 * math.pi / (2 * G))
+        evo, probe = PostSelectedEvolution(G, weak), optimal_probe(G, value, None, extent)
+        if overlap_modulus**2 * abs(value.real) < ZERO_NORM_FLOOR:  # the weight, refused as zero
+            with pytest.raises(ZeroNorm):
+                shift_report(evo, probe)
+            return
+        report = shift_report(evo, probe)
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+        if extent % 2:  # an even support ends in half periods: no closed form
+            expected = -optimal_initial_momentum(G, value)
+            assert report.delta_p == pytest.approx(expected, abs=1e-12 * math.pi / (2 * G))
         assert report.weight == pytest.approx(overlap_modulus**2 * abs(value.real), rel=1e-12)
 
     def test_evolution_the_probe_does_not_cancel_is_refused(self):

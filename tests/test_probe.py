@@ -19,13 +19,12 @@ from wva import (
     gaussian_probe,
     max_shift,
     numeric_derivative,
+    optimal_initial_momentum,
     optimal_probe,
     position_amplitudes,
     recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
-    support_nodes,
-    theta_nodes,
 )
 from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
 from wva.cli import format_number
@@ -33,14 +32,11 @@ from wva.evolution import PostSelectedEvolution, apply_postselection
 from wva.expectation import expect_p, expect_q, shift_report
 from wva.probe import (
     DENSE_SUM_MAX_TERMS,
-    HALVING_TOL,
-    HALVING_TRUST,
     MAX_GRID_POINTS,
-    NODE_COUNTS,
     _chirp_z_sum,
     _clenshaw_curtis,
-    _optimal_samples,
-    theta_rule_rate,
+    support_nodes,
+    theta_nodes,
 )
 from wva.system import WeakValue
 
@@ -522,35 +518,48 @@ class TestNodeSets:
         with pytest.raises(GridTooLarge):
             optimal_probe(G, 2.0, None, extent=10**8)
 
-    def test_unit_weak_values_have_no_rule_singularity(self):
-        # B(p) = exp(-/+ igp) at A = +/-1: arg B is linear in theta.
+    def test_unit_weak_values_need_one_panel(self):
+        # B(p) = exp(-/+ igp) at A = +/-1: arg B is linear in theta, so the
+        # window is one panel and its 16-interval rule is accepted.
         for value in (1.0, -1.0):
-            assert theta_rule_rate(value, 1) == math.inf
             probe = optimal_probe(G, value, None)
+            assert probe.grid.n_points == 17
             report = shift_report(PostSelectedEvolution(G, WeakValue(value, 1.0, 1.0)), probe)
             assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
 
-    def test_rule_rate_is_the_bernstein_ellipse_of_the_nearest_singularity(self):
-        # For real A > 1 the singularities sit atanh(1/A) off the ends of a
-        # theta period: log(rho) = sqrt(2 atanh(1/A) / pi) to leading order.
-        for value in (30.0, 1000.0, -1000.0):
-            expected = math.sqrt(2.0 * math.atanh(1.0 / abs(value)) / math.pi)
-            assert theta_rule_rate(value, 1) == pytest.approx(expected, rel=0.01)
+    @pytest.mark.parametrize(
+        "value, n_points",
+        [
+            (2.0, 99),  # theta* = pi/2 - i atanh(1/2): one cut pi/8 from each window end
+            (30.0, 165),
+            (1000.0, 297),
+            (-1000.0, 297),
+            (AW, 198),
+            (2.0 + 30.0j, 330),
+            (1.0 + 300.0j, 462),
+        ],
+    )
+    def test_panels_grade_logarithmically_toward_the_singularity(self, value, n_points):
+        # A cut every factor 8 from pi down to 2 |Im theta*|, about a / |A|^2
+        # for large |A|: the node count grows like log |A|, not like |A|^2.
+        probe = optimal_probe(G, value, None)
+        assert probe.grid.n_points == n_points
+        report = shift_report(PostSelectedEvolution(G, WeakValue.from_value(value)), probe)
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+        assert report.delta_p == pytest.approx(-optimal_initial_momentum(G, value), abs=1e-12 * math.pi / (2 * G))
 
-    def test_unresolved_mean_momentum_is_refused(self):
-        # At |Re A| = 1e-9 the mean momentum needs more than 65,536 intervals.
-        with pytest.raises(UnderResolvedGrid, match="momentum"):
-            optimal_probe(G, 1e-9 + 1.0j, None)
+    @pytest.mark.parametrize("value", [1e-9 + 1.0j, 1e-12 + 1.0j, 1e-4 + 1e-10j, -1e-4 + 1e-10j])
+    def test_singularity_inside_the_window_is_resolved(self, value):
+        # Once refused: at |A| near 1 the steep step of p(theta) sits a/2 from
+        # a window end, split by it; at |A| < 1 it sits mid window.
+        report = shift_report(PostSelectedEvolution(G, WeakValue.from_value(value)), optimal_probe(G, value, None))
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+        assert report.delta_p == pytest.approx(-optimal_initial_momentum(G, value), abs=1e-12 * math.pi / (2 * G))
 
-    @pytest.mark.parametrize("real", [1e-4, -1e-4])
-    def test_small_real_part_with_tiny_imaginary_part_is_refused(self, real):
-        # A at |A| < 1 puts the singularity of arg B mid-window, where the
-        # Clenshaw-Curtis nodes are sparsest; the mean momentum's estimate is
-        # 2e-8 of pi/2g at 65,536 intervals.  These A lie inside the ranges of
-        # the TestThetaNodeReport property.  A second panel split at the
-        # singularity (ROADMAP Direction 1) changes this case and the one above.
-        with pytest.raises(UnderResolvedGrid, match="momentum"):
-            optimal_probe(G, complex(real, 1e-10), None)
+    def test_unresolved_rule_is_refused(self, monkeypatch):
+        monkeypatch.setattr("wva.probe.HALVING_TOL", 1e-30)
+        with pytest.raises(UnderResolvedGrid, match="theta panels of 32 intervals"):
+            optimal_probe(G, AW, None)
 
     def test_scales_outside_double_range_are_refused(self):
         with pytest.raises(ScaleOutOfRange):
@@ -563,52 +572,9 @@ class TestNodeSets:
                 gaussian_probe(width, grid)
 
 
-def _sequential_optimal_probe(coupling, value, extent):
-    """The default optimal probe's count rule, one :func:`theta_nodes` call
-    per count: the reference for the paired evaluation."""
-    aw = complex(value)
-    q_scale = abs(max_shift(coupling, aw))
-    p_scale = 0.5 * math.pi / coupling
-    rate = theta_rule_rate(aw, extent)
-    previous = math.inf
-    for n in NODE_COUNTS[1:]:
-        nodes, factor = theta_nodes(coupling, aw, extent, n)
-        values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
-        probe = ProbeWavefunction(nodes, values, derivative, "optimal")
-        q_error = nodes.halving_error(np.conj(probe.values) * probe.derivative) / q_scale
-        p_error = nodes.halving_error(nodes.points * np.abs(probe.values) ** 2) / p_scale
-        error = max(q_error, p_error)
-        if error <= HALVING_TOL and (previous <= HALVING_TOL or n * rate >= HALVING_TRUST):
-            return probe
-        previous = error
-    raise UnderResolvedGrid(
-        f"at {n} intervals per period the halving estimates of the mean position and "
-        f"momentum are {q_error:.1e} of |max_shift| and {p_error:.1e} of pi/2g; they "
-        f"must be within {HALVING_TOL:g} at two successive counts, or at one with "
-        f"n log(rho) = {n * rate:.2g} at least {HALVING_TRUST:g}"
-    )
-
-
-def _outcome(build, *args):
-    try:
-        return build(*args), None
-    except (UnderResolvedGrid, GridTooLarge) as exc:
-        return None, (type(exc), str(exc))
-
-
-def _assert_same_probe(got, ref):
-    assert got.grid.n_points == ref.grid.n_points
-    for field in ("points", "weights", "coarse_weights"):
-        assert np.array_equal(getattr(got.grid, field), getattr(ref.grid, field)), field
-    # numpy's SIMD cos, sin and exp can round an entry of a longer array 1 ulp
-    # apart from the same entry of a shorter one.
-    for got_samples, ref_samples in ((got.values, ref.values), (got.derivative, ref.derivative)):
-        assert np.all(np.abs(got_samples - ref_samples) <= 4.0 * np.spacing(np.abs(ref_samples)))
-
-
-def _paired_cases():
-    """(g, A, extent): the hard and refused cases named in this file at
-    extent 1, A = +/-1 and 2, and 200 seeded draws over extents 1-4."""
+def _seeded_cases():
+    """(g, A, extent): hard and once-refused cases at extent 1, A = +/-1 and
+    2, and 200 seeded draws over extents 1-4."""
     rng = np.random.default_rng(14)
     named = [2.0 + 30.0j, 1.0 + 300.0j, -1.05 + 217.0j, 1e-9 + 1.0j, 1e-4 + 1e-10j, -1e-4 + 1e-10j]
     cases = [(G, value, 1) for value in named + [1.0, -1.0, 2.0, AW]]
@@ -619,44 +585,37 @@ def _paired_cases():
     return cases
 
 
-class TestPairedThetaCounts:
-    def test_paired_evaluation_matches_the_sequential_rule(self):
-        accepted = refused = 0
-        for coupling, value, extent in _paired_cases():
-            got, got_error = _outcome(optimal_probe, coupling, value, None, extent)
-            ref, ref_error = _outcome(_sequential_optimal_probe, coupling, value, extent)
-            assert got_error == ref_error, (coupling, value, extent)
-            if ref is None:
-                refused += 1
-            else:
-                accepted += 1
-                _assert_same_probe(got, ref)
-        assert refused >= 3 and accepted >= 200
+class TestThetaPanels:
+    def test_seeded_cases_meet_the_closed_forms(self):
+        for coupling, value, extent in _seeded_cases():
+            weak = WeakValue.from_value(value)
+            probe = optimal_probe(coupling, value, None, extent)
+            report = shift_report(PostSelectedEvolution(coupling, weak), probe)
+            case = (coupling, value, extent)
+            assert report.delta_q == pytest.approx(max_shift(coupling, value), rel=1e-12), case
+            assert report.weight == pytest.approx(abs(value.real), rel=1e-12), case
+            if extent % 2:  # an even support ends in half periods: no closed form
+                expected = optimal_initial_momentum(coupling, value)
+                assert report.p_initial == pytest.approx(expected, abs=1e-12 * math.pi / (2 * coupling)), case
 
-    def test_budget_edge_falls_back_to_one_count_at_a_time(self, monkeypatch):
-        # 64 intervals (65 nodes) exceed a budget of 40: the pair 32 | 64 is
-        # then sampled one count at a time.
+    def test_node_budget_counts_every_panel(self, monkeypatch):
+        # Every panel is evaluated at 32 intervals, even when 16 are accepted.
         monkeypatch.setattr("wva.probe.MAX_GRID_POINTS", 40)
-        probe = optimal_probe(2.0 * G, 2.0, None)
-        assert probe.grid.n_points == 33
-        _assert_same_probe(probe, _sequential_optimal_probe(2.0 * G, 2.0, 1))
-        message = "65 quadrature nodes exceed the budget 40"
-        with pytest.raises(GridTooLarge, match=message):
-            _sequential_optimal_probe(G, 2.0 + 30.0j, 1)
-        with pytest.raises(GridTooLarge, match=message):
-            optimal_probe(G, 2.0 + 30.0j, None)
+        assert optimal_probe(2.0 * G, 1.0, None).grid.n_points == 17
+        with pytest.raises(GridTooLarge, match="99 quadrature nodes exceed the budget 40"):
+            optimal_probe(2.0 * G, 2.0, None)
 
     def test_cached_node_sets_are_read_only(self):
-        nodes = support_nodes(G, 1, NODE_COUNTS[0])
-        assert support_nodes(G, 1, NODE_COUNTS[0]) is nodes
+        nodes = support_nodes(G, 1, 16)
+        assert support_nodes(G, 1, 16) is nodes
         arrays = [nodes.points, nodes.weights, nodes.coarse_weights]
-        for n in NODE_COUNTS[:3]:
+        for n in (16, 32, 64):
             arrays += _clenshaw_curtis(n)
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("n", NODE_COUNTS[:-1])
+    @pytest.mark.parametrize("n", [16 << k for k in range(12)])
     def test_even_index_nodes_are_the_half_rule_bitwise(self, n):
         assert np.array_equal(_clenshaw_curtis(2 * n)[0][::2], _clenshaw_curtis(n)[0])
