@@ -85,18 +85,26 @@ def max_shift(coupling: float, weak_value: complex) -> float:
     return coupling * (abs(aw) ** 2 + 1.0) / (2.0 * aw.real)
 
 
-def optimal_initial_momentum(coupling: float, weak_value: complex) -> float:
-    """Mean momentum of the optimal probe, arg(|A|^2 + |Re A| - i Im A) / g.
+def optimal_initial_momentum(coupling: float, weak_value: complex, extent: int = 1) -> float:
+    """Mean momentum of the optimal probe on a support of ``extent`` periods,
+    arg(|A|^2 + |Re A| - i Im A) / g, plus atan(Im A / |Re A|) / g when the
+    extent is even.
 
     The probe's density g |Re A| / (pi |B|^2) is a wrapped Cauchy (Poisson
     kernel) density in 2gp; its mean over the support takes this closed form,
-    checked against composite-Simpson quadrature on p-grids.  The
-    post-selected state is flat on the support, so its mean momentum is zero
-    and the momentum shift is minus this value.  It holds on a support of odd
-    extent; an even one ends in half periods, and its mean differs.
+    checked against composite-Simpson quadrature on p-grids.  The periods of
+    an even support run over gp in [0, pi] (shifted by whole periods)
+    instead of [-pi/2, pi/2].  Moving a period's window up by pi/2g moves its
+    mean up by pi/g times the probe's mass on [-pi/2g, 0], which is
+    1/2 + atan(Im A / |Re A|) / pi, and the even support's mean lies pi/2g
+    below that window's.  The post-selected state is flat on the support, so
+    its mean momentum is zero and the momentum shift is minus this value.
     """
     aw = _require_real_part(weak_value)
-    return math.atan2(-aw.imag, abs(aw) ** 2 + abs(aw.real)) / coupling
+    mean = math.atan2(-aw.imag, abs(aw) ** 2 + abs(aw.real)) / coupling
+    if extent % 2 == 0:
+        mean += math.atan(aw.imag / abs(aw.real)) / coupling
+    return mean
 
 
 def shift_lower_bound(coupling: float, weak_value: complex) -> float:

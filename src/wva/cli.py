@@ -424,15 +424,14 @@ def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunctio
 def analytic_reference(
     config: ScenarioConfig, weak_value: WeakValue
 ) -> tuple[float | None, float | None]:
-    """Closed-form (delta_q, delta_p) reference for the scenario's probe; the
-    optimal probe's delta_p has one on supports of odd extent."""
+    """Closed-form (delta_q, delta_p) reference for the scenario's probe."""
     if config.probe == "gaussian":
         prediction = gaussian_exact_shifts(config.coupling, config.width, weak_value.value)
         return prediction.delta_q, prediction.delta_p
-    if config.probe == "optimal" and config.support_extent % 2:
-        delta_p = -optimal_initial_momentum(config.coupling, weak_value.value)
+    if config.probe == "optimal":
+        delta_p = -optimal_initial_momentum(config.coupling, weak_value.value, config.support_extent)
         return max_shift(config.coupling, weak_value.value), delta_p
-    if config.probe in ("optimal", "smoothed"):
+    if config.probe == "smoothed":
         return max_shift(config.coupling, weak_value.value), None
     return None, None
 

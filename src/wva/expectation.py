@@ -15,41 +15,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnderResolvedGrid, ZeroNorm
-from .evolution import EvolvedProbe, PostSelectedEvolution, apply_postselection
-from .probe import HALVING_TOL, ZERO_NORM_FLOOR, Nodes, ProbeWavefunction
-
-
-def _checked_norm(norm_sq: float) -> float:
-    if norm_sq < ZERO_NORM_FLOOR:
-        raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero")
-    return norm_sq
+from .evolution import PostSelectedEvolution, apply_postselection
+from .probe import Nodes, ProbeWavefunction, check_norm
 
 
 def _density_and_norm(values: np.ndarray, grid: Nodes) -> tuple[np.ndarray, float]:
     """|values|^2 and its quadrature, computed once for every expectation of
     one state."""
     density = np.abs(values) ** 2
-    return density, _checked_norm(float(grid.integrate(density)))
+    return density, check_norm(float(grid.integrate(density)))
 
 
-def _position_moment(
-    values: np.ndarray, derivative: np.ndarray, grid: Nodes, norm_sq: float
-) -> complex:
-    integrand = np.conj(values)
-    integrand *= derivative  # in place: one grid-sized temporary, not two
-    return 1j * complex(grid.integrate(integrand)) / norm_sq
+def _integrands(
+    grid: Nodes, values: np.ndarray, derivative: np.ndarray, density: np.ndarray
+) -> dict[str, np.ndarray]:
+    """One state's density and the integrands of its position and momentum
+    moments, formed once for its means and for their halving check."""
+    position = np.conj(values)
+    position *= derivative  # in place: one grid-sized temporary, not two
+    return {"weight": density, "position moment": position, "momentum moment": grid.points * density}
 
 
-def _mean_momentum(density: np.ndarray, grid: Nodes, norm_sq: float) -> float:
-    return float(grid.integrate(grid.points * density)) / norm_sq
+def _means(grid: Nodes, integrands: dict[str, np.ndarray], norm_sq: float) -> tuple[float, float, float]:
+    """Mean position and momentum of one state, and the imaginary residual of
+    the position's quadrature."""
+    moment = 1j * complex(grid.integrate(integrands["position moment"])) / norm_sq
+    return moment.real, float(grid.integrate(integrands["momentum moment"])) / norm_sq, moment.imag
 
 
-def _means(
-    grid: Nodes, values: np.ndarray, derivative: np.ndarray, density: np.ndarray, norm_sq: float
-) -> tuple[float, float]:
-    """Mean position and momentum of one state whose density and norm are known."""
-    return _position_moment(values, derivative, grid, norm_sq).real, _mean_momentum(density, grid, norm_sq)
+def _state_means(grid: Nodes, values: np.ndarray, derivative: np.ndarray) -> tuple[float, float, float]:
+    density, norm_sq = _density_and_norm(values, grid)
+    return _means(grid, _integrands(grid, values, derivative, density), norm_sq)
 
 
 def expect_q_with_residual(
@@ -61,9 +57,8 @@ def expect_q_with_residual(
     values at the two grid ends; it is surfaced as a diagnostic rather than
     subtracted.
     """
-    _, norm_sq = _density_and_norm(values, grid)
-    moment = _position_moment(values, derivative, grid, norm_sq)
-    return moment.real, moment.imag
+    mean_q, _, residual = _state_means(grid, values, derivative)
+    return mean_q, residual
 
 
 def expect_q(values: np.ndarray, derivative: np.ndarray, grid: Nodes) -> float:
@@ -80,7 +75,7 @@ def expect_q(values: np.ndarray, derivative: np.ndarray, grid: Nodes) -> float:
 def expect_p(values: np.ndarray, grid: Nodes) -> float:
     """Mean momentum, integral(p |psi|^2) / integral(|psi|^2)."""
     density, norm_sq = _density_and_norm(values, grid)
-    return _mean_momentum(density, grid, norm_sq)
+    return float(grid.integrate(grid.points * density)) / norm_sq
 
 
 @dataclass(frozen=True)
@@ -118,34 +113,18 @@ class ShiftReport:
             raise ValueError("delta_p must equal p_final - p_initial exactly")
 
 
-def _require_resolved(evolved: EvolvedProbe) -> None:
-    """Refuse an evolved state whose weight or moments the halving estimate of
-    its node set does not resolve to ``HALVING_TOL`` of their absolute integrals."""
-    nodes = evolved.grid
-    integrands = {
-        "weight": evolved.density,
-        "position moment": np.conj(evolved.values) * evolved.derivative,
-        "momentum moment": nodes.points * evolved.density,
-    }
-    for name, samples in integrands.items():
-        error = nodes.halving_error(samples)
-        if error > HALVING_TOL * float(nodes.integrate(np.abs(samples))):
-            raise UnderResolvedGrid(
-                f"the post-selected state's {name} has halving estimate {error:.1e} on "
-                f"{nodes.n_points} support nodes; they are exact only under the evolution "
-                "that the probe cancels"
-            )
-
-
 def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftReport:
     """Initial expectations, post-selected evolution, final expectations.
 
     Final-state expectations are taken on the unnormalized evolved values;
     the expectation quotients make that legitimate, and the weight, their
     squared norm, stays available: |overlap|^2 * |Re A| for the optimal
-    probe, a success probability only for a physical selection.  Each state's
-    density and norm are computed once: the evolved state's are the weight
-    and the density that :func:`apply_postselection` returns.
+    probe, a success probability only for a physical selection.  The
+    overlap cancels from every quotient, so the weight is refused as zero
+    only when it is below ``ZERO_NORM_FLOOR`` of |overlap|^2.  Each state's
+    density, norm and moment integrands are computed once: the evolved
+    state's weight and density are those that :func:`apply_postselection`
+    returns.
 
     Each state is integrated on its own node set: the initial state on the
     probe's grid, the evolved state on the one :func:`apply_postselection`
@@ -155,21 +134,25 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     Raises
     ------
     ZeroNorm
-        If post-selection annihilated the state.
+        If post-selection annihilated the state: its weight is below
+        ``ZERO_NORM_FLOOR`` of |overlap|^2.
     UnderResolvedGrid
         If the evolution view does not resolve the evolved state.
     """
     grid = probe.grid
     # The initial density is not kept alive through the evolution.
-    q_initial, p_initial = _means(
-        grid, probe.values, probe.derivative_or_numeric(), *_density_and_norm(probe.values, grid)
-    )
+    q_initial, p_initial, _ = _state_means(grid, probe.values, probe.derivative_or_numeric())
     evolved = apply_postselection(evo, probe)
-    if evolved.grid is not grid:
-        _require_resolved(evolved)
-    q_final, p_final = _means(
-        evolved.grid, evolved.values, evolved.derivative, evolved.density, _checked_norm(evolved.weight)
-    )
+    final = evolved.grid
+    integrands = _integrands(final, evolved.values, evolved.derivative, evolved.density)
+    if final is not grid:  # each integrand against its absolute integral
+        final.check_resolved(
+            "the post-selected state, exact on the support nodes only under the evolution that "
+            "the probe cancels",
+            {name: (x, float(final.integrate(np.abs(x)))) for name, x in integrands.items()},
+        )
+    weight = check_norm(evolved.weight, abs(evo.weak.overlap) ** 2)
+    q_final, p_final, _ = _means(final, integrands, weight)
     return ShiftReport(
         q_initial=q_initial,
         q_final=q_final,
@@ -177,5 +160,5 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
         p_final=p_final,
         delta_q=q_final - q_initial,
         delta_p=p_final - p_initial,
-        weight=evolved.weight,
+        weight=weight,
     )

@@ -38,7 +38,7 @@ from .analytic import evolution_factor
 from .errors import NonFinite, UnderResolvedGrid, ZeroNorm
 from .evolution import PostSelectedEvolution
 from .expectation import expect_q, shift_report
-from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction
+from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction, check_norm
 from .system import all_finite
 
 _ARMIJO_C1 = 1e-4
@@ -93,9 +93,7 @@ class _AscentCore:
 
     def _moment(self, values: np.ndarray) -> tuple[float, float, np.ndarray]:
         """Mean position of ``values``, their squared norm, and position applied to them."""
-        norm = np.vdot(values, values).real
-        if norm < ZERO_NORM_FLOOR:
-            raise ZeroNorm(f"norm^2 = {norm:.3e} is numerically zero")
+        norm = check_norm(np.vdot(values, values).real)
         applied = np.fft.ifft(self.positions * np.fft.fft(values))
         return np.vdot(values, applied).real / norm, norm, applied
 

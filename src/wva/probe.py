@@ -15,8 +15,9 @@ of node set exist:
   estimate.  The optimal probe of a shift lives on nodes in theta = arg B(p),
   where its density is uniform: one Clenshaw-Curtis rule on each theta panel
   of a mesh graded toward the singularities of arg B (:func:`theta_nodes`),
-  at 16 or 32 intervals per panel.  Its post-selected state lives on a small
-  rule in p over the support (:func:`support_nodes`).
+  at 32 intervals per panel, checked against the nested 16-interval rule.
+  Its post-selected state lives on a small rule in p over the support
+  (:func:`support_nodes`).
 
 Constructed probes carry analytic derivatives; user-supplied samples fall back
 to fourth-order finite differences.
@@ -48,15 +49,17 @@ MAX_GRID_POINTS = 1 << 24
 #: Largest positions-times-momenta count that :func:`position_amplitudes` sums
 #: densely on uniformly spaced positions; larger sums run as a chirp-z transform.
 DENSE_SUM_MAX_TERMS = 1 << 16
-#: Squared norms below this are numerically zero (raises :class:`ZeroNorm`).
+#: Squared norms below this, relative to their scale, are numerically zero
+#: (:func:`check_norm` raises :class:`ZeroNorm`).
 ZERO_NORM_FLOOR = 1e-14
-#: Clenshaw-Curtis intervals per theta panel at which the optimal probe is
-#: evaluated; the rule on half as many is read from every second node.
+#: Clenshaw-Curtis intervals per theta panel of the optimal probe; the nested
+#: rule on half as many gives its halving estimate.
 PANEL_INTERVALS = 32
 #: Ratio of successive panel widths of the geometric mesh toward a
 #: singularity of arg B.
 MESH_RATIO = 0.125
-#: Largest halving estimate, relative to its scale, of a mean on node sets.
+#: Largest halving estimate, relative to its scale, of an integral on node sets
+#: (:meth:`QuadratureNodes.check_resolved`).
 HALVING_TOL = 1e-10
 
 
@@ -65,6 +68,15 @@ def check_point_budget(count: int, what: str) -> None:
     ``MAX_GRID_POINTS``; call it before allocating them."""
     if count > MAX_GRID_POINTS:
         raise GridTooLarge(f"{count} {what} exceed the budget {MAX_GRID_POINTS}")
+
+
+def check_norm(norm_sq: float, scale: float = 1.0) -> float:
+    """``norm_sq``, or :class:`ZeroNorm` when it is not positive or is below
+    ``ZERO_NORM_FLOOR`` times ``scale``, the squared modulus of a factor that
+    every expectation quotient cancels, such as a selection overlap."""
+    if norm_sq < ZERO_NORM_FLOOR * scale or not norm_sq > 0.0:
+        raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero: below {ZERO_NORM_FLOOR:g} of {scale:g}")
+    return norm_sq
 
 
 def check_scale(scale: float, what: str) -> None:
@@ -172,6 +184,18 @@ class QuadratureNodes:
         """|fine rule - nested coarse rule| of the samples."""
         return float(abs(((self.weights - self.coarse_weights) * samples).sum()))
 
+    def check_resolved(self, what: str, integrands: dict[str, tuple[np.ndarray, float]]) -> None:
+        """Raise :class:`UnderResolvedGrid` unless the halving estimate of each
+        named integrand, given as (samples, scale), is within ``HALVING_TOL``
+        times its scale; an estimate that is not a number fails."""
+        errors = {name: (self.halving_error(samples), scale) for name, (samples, scale) in integrands.items()}
+        if not all(error <= HALVING_TOL * scale for error, scale in errors.values()):
+            found = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in errors.items())
+            raise UnderResolvedGrid(
+                f"{what}: on {self.n_points} nodes the halving estimates ({found}) must be "
+                f"within {HALVING_TOL:g} of their scales"
+            )
+
     @classmethod
     def mapped(cls, n: int, p: np.ndarray, jacobian) -> "QuadratureNodes":
         """The ``n``-interval rule of :func:`_clenshaw_curtis` mapped to momenta
@@ -252,7 +276,25 @@ def theta_nodes(
     from theta, not from cos(gp) and sin(gp), whose difference loses digits
     where |B| is small.
     """
-    p, jacobian, factor = _theta_samples(coupling, complex(weak_value), extent, n)
+    aw = complex(weak_value)
+    sign = math.copysign(1.0, aw.real)
+    a, b = abs(aw.real), sign * aw.imag
+    start = math.atan2(b, a) - 0.5 * math.pi
+    cuts = _theta_panels(a, b, start, extent)
+    width = (cuts[1:] - cuts[:-1])[:, None]
+    check_point_budget(extent * width.size * (n + 1), "quadrature nodes")
+    theta = cuts[:-1, None] + width / math.pi * _clenshaw_curtis(n)[0]  # (panel, node)
+    turns = np.arange(extent)[:, None, None] - 0.5 * (extent - 1)  # (period, 1, 1)
+    if extent % 2 == 0:  # below theta = 0 a panel fills the period before
+        turns = turns + np.where(cuts[:-1, None] < 0.0, -0.5, 0.5)
+    sin, cos = np.sin(theta), np.cos(theta)
+    cross = a * cos + b * sin
+    p = (np.arctan2(-sin, cross) + math.pi * turns) * (sign / coupling)
+    inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
+    factor = a / np.sqrt(inverse_density) * (cos + 1j * sin)
+    factor = factor * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
+    # dp/du for u in [0, pi] on each panel, shared by every period.
+    jacobian = width * (a / (math.pi * coupling)) / inverse_density
     return QuadratureNodes.mapped(n, p, jacobian), factor.ravel()
 
 
@@ -269,9 +311,9 @@ def _theta_panels(a: float, b: float, start: float, extent: int) -> np.ndarray:
     A geometric mesh runs toward Re theta* and its images +/- pi: cuts there
     and at distances pi * MESH_RATIO^j from them, down to the first within
     2 |Im theta*|.  So no panel is much wider than its distance to the
-    singularity, and the 16-interval rule on each is within the halving
-    tolerance (Schwab, "p- and hp-Finite Element Methods", 1998; Tee &
-    Trefethen, SIAM J. Sci. Comput. 28, 2006).  A mesh that stops at
+    singularity, and the 32-interval rule on each is within the halving
+    tolerance of its nested 16-interval rule (Schwab, "p- and hp-Finite
+    Element Methods", 1998; Tee & Trefethen, SIAM J. Sci. Comput. 28, 2006).  A mesh that stops at
     |Im theta*| leaves the panels at Re theta* up to 8 |Im theta*| wide,
     and there the 32-interval rule's halving estimate of the mean momentum
     reaches 4e-10 of pi/2g (A = -2.05 + 0.06i, g = 0.5).  Cuts that round to
@@ -289,31 +331,6 @@ def _theta_panels(a: float, b: float, start: float, extent: int) -> np.ndarray:
             cuts.update((nearest - width, nearest + width))
             cuts.update((nearest - math.pi + width, nearest + math.pi - width))  # the images
     return np.array(sorted(cut for cut in cuts if start <= cut <= end))
-
-
-def _theta_samples(
-    coupling: float, aw: complex, extent: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momenta p, dp/du and B at the nodes of :func:`theta_nodes`, shaped
-    (period, panel, node); u in [0, pi] is the variable of each panel's
-    rule, and dp/du has no period axis, as every period shares it."""
-    sign = math.copysign(1.0, aw.real)
-    a, b = abs(aw.real), sign * aw.imag
-    start = math.atan2(b, a) - 0.5 * math.pi
-    cuts = _theta_panels(a, b, start, extent)
-    width = (cuts[1:] - cuts[:-1])[:, None]
-    check_point_budget(extent * width.size * (n + 1), "quadrature nodes")
-    theta = cuts[:-1, None] + width / math.pi * _clenshaw_curtis(n)[0]
-    turns = np.arange(extent)[:, None, None] - 0.5 * (extent - 1)
-    if extent % 2 == 0:  # below theta = 0 a panel fills the period before
-        turns = turns + np.where(cuts[:-1, None] < 0.0, -0.5, 0.5)
-    sin, cos = np.sin(theta), np.cos(theta)
-    cross = a * cos + b * sin
-    p = (np.arctan2(-sin, cross) + math.pi * turns) * (sign / coupling)
-    inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
-    factor = a / np.sqrt(inverse_density) * (cos + 1j * sin)
-    factor = factor * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
-    return p, width * (a / (math.pi * coupling)) / inverse_density, factor
 
 
 @lru_cache(maxsize=8)
@@ -408,10 +425,7 @@ class ProbeWavefunction:
         """
         values = np.asarray(values, dtype=np.complex128)
         _require_finite(values, "values")
-        norm_sq = float(grid.integrate(np.abs(values) ** 2))
-        if norm_sq < ZERO_NORM_FLOOR:
-            raise ZeroNorm(f"norm^2 = {norm_sq:.3e} is numerically zero")
-        scale = 1.0 / math.sqrt(norm_sq)
+        scale = 1.0 / math.sqrt(check_norm(float(grid.integrate(np.abs(values) ** 2))))
         deriv = None
         if derivative is not None:
             # Checked before scaling: inf * scale is a complex product with NaN parts.
@@ -533,12 +547,10 @@ def optimal_probe(
 
     By default (``n_points=None``) it keeps its analytic amplitude on
     :func:`theta_nodes`: theta panels graded toward the singularities of
-    arg B, each panel evaluated once at ``PANEL_INTERVALS`` (32) intervals.
-    The 16-interval rule is read from every second node.  It is accepted when
-    the halving estimates of the probe's mean position and momentum (against
-    the nested 8-interval rule) are within ``HALVING_TOL`` of |max_shift| and
-    of pi/2g; otherwise the 32-interval rule is accepted on the same
-    certificate against 16.  Its ``evolution_view`` is the probe on the
+    arg B, each at ``PANEL_INTERVALS`` (32) intervals.  The rule is accepted
+    when the halving estimates of the probe's mean position and momentum
+    (against the nested 16-interval rule) are within ``HALVING_TOL`` of
+    |max_shift| and of pi/2g.  Its ``evolution_view`` is the probe on the
     16-interval :func:`support_nodes`, on which the post-selected state (flat
     density, linear phase) integrates exactly.
 
@@ -570,22 +582,16 @@ def optimal_probe(
 
     support = support_nodes(coupling, extent, 16)
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
-    p, jacobian, factor = _theta_samples(coupling, aw, extent, PANEL_INTERVALS)
-    values, derivative = _optimal_samples(coupling, aw, extent, p, factor)
-    p_scale = 0.5 * math.pi / coupling
-    for stride in (2, 1):
-        every = (..., slice(None, None, stride))
-        nodes = QuadratureNodes.mapped(PANEL_INTERVALS // stride, p[every], jacobian[every])
-        v, d = values[every].ravel(), derivative[every].ravel()
-        q_error = nodes.halving_error(np.conj(v) * d) / q_scale
-        p_error = nodes.halving_error(nodes.points * np.abs(v) ** 2) / p_scale
-        if max(q_error, p_error) <= HALVING_TOL:
-            return ProbeWavefunction(nodes, v, d, "optimal", view)
-    raise UnderResolvedGrid(
-        f"on {jacobian.shape[0]} theta panels of {PANEL_INTERVALS} intervals the halving "
-        f"estimates of the mean position and momentum are {q_error:.1e} of |max_shift| "
-        f"and {p_error:.1e} of pi/2g; they must be within {HALVING_TOL:g}"
+    nodes, factor = theta_nodes(coupling, aw, extent, PANEL_INTERVALS)
+    values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+    nodes.check_resolved(
+        f"the optimal probe on theta panels of {PANEL_INTERVALS} intervals",
+        {
+            "position moment": (np.conj(values) * derivative, q_scale),
+            "momentum moment": (nodes.points * np.abs(values) ** 2, 0.5 * math.pi / coupling),
+        },
     )
+    return ProbeWavefunction(nodes, values, derivative, "optimal", view)
 
 
 def smoothed_optimal_probe(

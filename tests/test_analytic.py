@@ -229,11 +229,15 @@ def _simpson_mean_momentum(coupling, value, extent, n_points):
 def test_optimal_initial_momentum_matches_p_grid(value, n_points):
     oracle = optimal_initial_momentum(G, value)
     assert _simpson_mean_momentum(G, value, 1, n_points) == pytest.approx(oracle, abs=1e-13)
-    # Odd extents repeat the central period symmetrically; an even one does not.
+    # Odd extents repeat the central period symmetrically; an even one ends
+    # in half periods, and its mean moves by atan(Im A / |Re A|) / g.
     assert _simpson_mean_momentum(G, value, 3, 3 * n_points - 2) == pytest.approx(oracle, abs=1e-12)
-    assert abs(_simpson_mean_momentum(G, value, 2, 2 * n_points - 1) - oracle) > 1.0
+    even = _simpson_mean_momentum(G, value, 2, 2 * n_points - 1)
+    assert abs(even - oracle) > 1.0
+    assert even == pytest.approx(optimal_initial_momentum(G, value, 2), abs=1e-10)
 
 
 def test_optimal_initial_momentum_of_a_real_weak_value_is_zero():
     assert optimal_initial_momentum(G, 2.0) == 0.0
     assert optimal_initial_momentum(G, -7.0) == 0.0
+    assert optimal_initial_momentum(G, 2.0, 2) == 0.0

@@ -1022,9 +1022,8 @@ def test_optimal_shift_resolves_near_orthogonal_and_even_supports(aw_re, aw_im, 
     report = _report(capsys.readouterr().out)
     # Printed to 12 significant digits.
     assert float(report["delta_q"]) == pytest.approx(wva.max_shift(0.1, value), rel=1e-11)
-    if int(support_m) % 2:
-        delta_p = -wva.optimal_initial_momentum(0.1, value)
-        assert float(report["delta_p"]) == pytest.approx(delta_p, abs=1e-11 * math.pi / 0.2)
+    delta_p = -wva.optimal_initial_momentum(0.1, value, int(support_m))
+    assert float(report["delta_p"]) == pytest.approx(delta_p, abs=1e-11 * math.pi / 0.2)
 
 
 def test_default_optimal_shift_and_sweep_build_no_p_grid(tmp_path, monkeypatch, capsys):
@@ -1041,10 +1040,12 @@ def test_optimal_shift_prints_the_momentum_oracle(capsys):
     fields = line.split()
     assert fields[2] == "analytic" and float(fields[3]) == pytest.approx(float(fields[1]), abs=1e-11)
     assert float(fields[5]) < 1e-11
-    # An even support has no closed form for delta_p.
+    # An even support ends in half periods; its delta_p has a closed form too.
     assert main(["shift", "--probe", "optimal", "--aw-re", "2", "--aw-im", "1", "--support-m", "2"]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("delta_p"))
-    assert "analytic" not in line
+    fields = line.split()
+    assert fields[2] == "analytic" and float(fields[5]) < 1e-11
+    assert float(fields[3]) == pytest.approx(-wva.optimal_initial_momentum(0.1, 2.0 + 1.0j, 2), rel=1e-11)
 
 
 def test_tiny_coupling_is_a_domain_error(tmp_path, capsys):

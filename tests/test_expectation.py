@@ -266,22 +266,48 @@ class TestThetaNodeReport:
         value = complex(real_sign * 10.0**log_real, imag)
         overlap = overlap_modulus * complex(math.cos(overlap_phase), math.sin(overlap_phase))
         weak = WeakValue(value, overlap, overlap_modulus**2)
-        evo, probe = PostSelectedEvolution(G, weak), optimal_probe(G, value, None, extent)
-        if overlap_modulus**2 * abs(value.real) < ZERO_NORM_FLOOR:  # the weight, refused as zero
-            with pytest.raises(ZeroNorm):
-                shift_report(evo, probe)
-            return
-        report = shift_report(evo, probe)
+        report = shift_report(PostSelectedEvolution(G, weak), optimal_probe(G, value, None, extent))
         assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
-        if extent % 2:  # an even support ends in half periods: no closed form
-            expected = -optimal_initial_momentum(G, value)
-            assert report.delta_p == pytest.approx(expected, abs=1e-12 * math.pi / (2 * G))
+        expected = -optimal_initial_momentum(G, value, extent)
+        assert report.delta_p == pytest.approx(expected, abs=1e-12 * math.pi / (2 * G))
         assert report.weight == pytest.approx(overlap_modulus**2 * abs(value.real), rel=1e-12)
 
     def test_evolution_the_probe_does_not_cancel_is_refused(self):
         # The evolved state is exact on the support nodes only when it is flat.
         with pytest.raises(UnderResolvedGrid, match="post-selected"):
             shift_report(evo_for(AW + 1.0), optimal_probe(G, AW, None))
+
+    def test_the_evolved_state_reads_the_one_halving_tolerance(self, monkeypatch):
+        # Its halving estimates are 1e-17 to 2e-16 of their scales, not zero.
+        probe = optimal_probe(G, AW, None)
+        monkeypatch.setattr("wva.probe.HALVING_TOL", 1e-30)
+        with pytest.raises(UnderResolvedGrid, match="post-selected"):
+            shift_report(evo_for(AW), probe)
+
+    def test_weight_below_the_absolute_floor_is_reported(self):
+        # The weight |overlap|^2 |Re A| = 6.1e-15 is below ZERO_NORM_FLOOR, but
+        # the overlap cancels from every quotient.
+        value, overlap = -1e-10 + 0.0j, 0.0078
+        weak = WeakValue(value, overlap, overlap**2)
+        report = shift_report(PostSelectedEvolution(G, weak), optimal_probe(G, value, None))
+        assert report.weight < ZERO_NORM_FLOOR
+        assert report.weight == pytest.approx(overlap**2 * abs(value.real), rel=1e-12)
+        assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
+
+    @pytest.mark.parametrize("overlap", [1.0, 1e-3, 1e-170])
+    def test_annihilated_state_is_refused_relative_to_the_overlap(self, overlap):
+        # A narrow probe on the zero of B = cos gp + 2 sin gp (A = 2i) keeps
+        # about 1e-18 of its norm, at any overlap; at 1e-170 both the weight
+        # and |overlap|^2 underflow to zero.
+        value, width = 2.0j, 1e-8
+        center = -math.atan(0.5) / G
+        grid = MomentumGrid(center - 12.0 * width, center + 12.0 * width, 401)
+        offset = grid.points - center
+        values = np.exp(-(offset**2) / (4.0 * width**2)).astype(complex)
+        probe = ProbeWavefunction.normalized(grid, values, -offset / (2.0 * width**2) * values)
+        weak = WeakValue(value, overlap, overlap**2)
+        with pytest.raises(ZeroNorm):
+            shift_report(PostSelectedEvolution(G, weak), probe)
 
 
 # 200 shift reports at A = 2 + 30i on 40,001 points, with the CPU time of

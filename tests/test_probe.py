@@ -520,10 +520,10 @@ class TestNodeSets:
 
     def test_unit_weak_values_need_one_panel(self):
         # B(p) = exp(-/+ igp) at A = +/-1: arg B is linear in theta, so the
-        # window is one panel and its 16-interval rule is accepted.
+        # window is one panel of 32 intervals.
         for value in (1.0, -1.0):
             probe = optimal_probe(G, value, None)
-            assert probe.grid.n_points == 17
+            assert probe.grid.n_points == 33
             report = shift_report(PostSelectedEvolution(G, WeakValue(value, 1.0, 1.0)), probe)
             assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
 
@@ -594,14 +594,14 @@ class TestThetaPanels:
             case = (coupling, value, extent)
             assert report.delta_q == pytest.approx(max_shift(coupling, value), rel=1e-12), case
             assert report.weight == pytest.approx(abs(value.real), rel=1e-12), case
-            if extent % 2:  # an even support ends in half periods: no closed form
-                expected = optimal_initial_momentum(coupling, value)
-                assert report.p_initial == pytest.approx(expected, abs=1e-12 * math.pi / (2 * coupling)), case
+            expected = optimal_initial_momentum(coupling, value, extent)
+            assert report.p_initial == pytest.approx(expected, abs=1e-12 * math.pi / (2 * coupling)), case
 
     def test_node_budget_counts_every_panel(self, monkeypatch):
-        # Every panel is evaluated at 32 intervals, even when 16 are accepted.
+        # Every panel is evaluated at 32 intervals: one panel fits in 40
+        # nodes, the three of A = 2 do not.
         monkeypatch.setattr("wva.probe.MAX_GRID_POINTS", 40)
-        assert optimal_probe(2.0 * G, 1.0, None).grid.n_points == 17
+        assert optimal_probe(2.0 * G, 1.0, None).grid.n_points == 33
         with pytest.raises(GridTooLarge, match="99 quadrature nodes exceed the budget 40"):
             optimal_probe(2.0 * G, 2.0, None)
 
