@@ -54,19 +54,14 @@ from .errors import (
     ZeroRealPart,
 )
 from .evolution import EvolvedProbe, PostSelectedEvolution, apply_postselection
-from .expectation import ShiftReport, expect_p, expect_q, expect_q_with_residual, shift_report
+from .expectation import ShiftReport, expect_q, expect_q_with_residual, shift_report
 from .optimizer import (
+    AscentCore,
     OptimizerConfig,
     OptimizerTrace,
-    default_position_cap,
-    final_position,
     gauge_fix,
-    gradient,
     maximize,
-    objective,
     periodic_representative,
-    projected_gradient_norm,
-    shift_on_circle,
 )
 from .probe import (
     MomentumGrid,

@@ -19,13 +19,6 @@ from .evolution import PostSelectedEvolution, apply_postselection
 from .probe import Nodes, ProbeWavefunction, check_norm
 
 
-def _density_and_norm(values: np.ndarray, grid: Nodes) -> tuple[np.ndarray, float]:
-    """|values|^2 and its quadrature, computed once for every expectation of
-    one state."""
-    density = np.abs(values) ** 2
-    return density, check_norm(float(grid.integrate(density)))
-
-
 def _integrands(
     grid: Nodes, values: np.ndarray, derivative: np.ndarray, density: np.ndarray
 ) -> dict[str, np.ndarray]:
@@ -44,7 +37,8 @@ def _means(grid: Nodes, integrands: dict[str, np.ndarray], norm_sq: float) -> tu
 
 
 def _state_means(grid: Nodes, values: np.ndarray, derivative: np.ndarray) -> tuple[float, float, float]:
-    density, norm_sq = _density_and_norm(values, grid)
+    density = np.abs(values) ** 2
+    norm_sq = check_norm(float(grid.integrate(density)))
     return _means(grid, _integrands(grid, values, derivative, density), norm_sq)
 
 
@@ -70,12 +64,6 @@ def expect_q(values: np.ndarray, derivative: np.ndarray, grid: Nodes) -> float:
         If the quadrature norm of ``values`` is numerically zero.
     """
     return expect_q_with_residual(values, derivative, grid)[0]
-
-
-def expect_p(values: np.ndarray, grid: Nodes) -> float:
-    """Mean momentum, integral(p |psi|^2) / integral(|psi|^2)."""
-    density, norm_sq = _density_and_norm(values, grid)
-    return float(grid.integrate(grid.points * density)) / norm_sq
 
 
 @dataclass(frozen=True)

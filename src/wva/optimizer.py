@@ -3,9 +3,10 @@
 The closed-form probe arises from a Lagrangian whose functional is the mean
 position of the post-selected state, with the normalization constraint's
 multiplier turning out to vanish (the functional is a quotient, hence scale
-invariant).  This module maximizes that functional numerically, with no
-reference to the closed form, and reports the shift delta_q of every iterate
-so the closed-form value can be checked against an independent search.
+invariant).  This module extremizes that functional numerically, with no
+reference to the closed-form probe, and reports the shift delta_q of every
+iterate so the closed-form value can be checked against an independent
+search.
 
 Geometry of the search space.  Mean position only generates a well-posed
 variational problem on wavefunctions over the support with identified
@@ -16,7 +17,7 @@ post-selection maps the periodic sector to the half-comb-twisted one; a fixed
 demodulation phase brings it back, at the price of a constant position
 offset.  Every stationary state of the functional is the inverse evolution
 factor times a comb mode, all of them gauge translates of one another, and
-each reproduces the same shift - the closed-form maximum.
+each reproduces the same shift - the closed-form value.
 
 The ascent restricts iterates to a finite position window (an orthogonal
 Fourier cutoff).  The window is what makes maximization meaningful: without
@@ -24,7 +25,11 @@ it the mean-position functional is unbounded over normalized probes (probe
 states with a tiny far-away position component that post-selection reweights
 can make the shift arbitrarily large; the weak-regime Gaussian already beats
 the closed-form value whenever 2 (Re A)^2 > |A|^2 + 1).  Inside the window
-the maximizer is the top comb rung, and its shift is the closed-form value.
+the closed-form probe is an extreme comb rung: the maximizer of the final
+mean position when Re A > 0 and its minimizer when Re A < 0, where the
+closed-form shift g(|A|^2 + 1)/(2 Re A) is negative.  So the ascent runs on
+sign(Re A) times the final mean position and reaches the closed-form shift
+for either sign; at Re A = 0 there is neither closed form nor direction.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import evolution_factor
+from .analytic import evolution_factor, max_shift
 from .errors import NonFinite, UnderResolvedGrid, ZeroNorm
 from .evolution import PostSelectedEvolution
-from .expectation import expect_q, shift_report
+from .expectation import expect_q
 from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction, check_norm
 from .system import all_finite
 
@@ -45,9 +50,9 @@ _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 
 
-class _AscentCore:
+class AscentCore:
     """The ascent functional on the endpoint-identified support, built once
-    per (grid, evolution, window cap).
+    per (grid, evolution).
 
     The duplicated last grid point is dropped; the remaining n samples live on
     a circle of circumference n * spacing, where position is diagonal in the
@@ -56,36 +61,52 @@ class _AscentCore:
     which changes sign over each support period pi/g, times a
     twist-compensating phase when the circle spans an odd number of those
     periods; the phase shifts every mean position by a constant offset.
+
+    The position window |q| <= ``cap`` is wide enough to hold the optimal
+    family (whose spectral spread grows with |A|) and small against the grid
+    Nyquist.  ``sign`` is sign(Re A), the direction of the ascent.  Every
+    method takes the n circle samples of a state, not necessarily normalized.
+
+    Raises
+    ------
+    ZeroRealPart
+        If |Re A| is below ``ZERO_REAL_EPS``: the closed form and the ascent
+        direction are undefined.
+    ValueError
+        If the grid does not span a whole number of support periods pi/g.
     """
 
-    def __init__(
-        self, grid: MomentumGrid, evo: PostSelectedEvolution, cap: float | None = None
-    ) -> None:
+    def __init__(self, grid: MomentumGrid, evo: PostSelectedEvolution) -> None:
+        aw = complex(evo.weak.value)
+        reference = max_shift(evo.coupling, aw)
+        self.sign = math.copysign(1.0, aw.real)
         self.n = grid.n_points - 1
         self.spacing = grid.spacing
         self.length = self.n * self.spacing
+        periods = self.length * evo.coupling / math.pi
+        if abs(periods - round(periods)) > 1e-9 * periods:
+            raise ValueError(
+                f"the grid spans {periods:.6g} support periods pi/g; the ascent needs a whole number"
+            )
         self.points = grid.points[: self.n]
         self.positions = -2.0 * math.pi * np.fft.fftfreq(self.n, d=self.spacing)
         self.modulation = evolution_factor(evo.coupling, evo.weak.value, self.points)
         self.offset = 0.0
-        if int(round(self.length * evo.coupling / math.pi)) % 2:
+        if int(round(periods)) % 2:
             twist = np.exp(-1j * math.pi * (self.points - grid.p_min) / self.length)
             self.modulation = self.modulation * twist
             self.offset = math.pi / self.length
-        if cap is None:
-            cap = default_position_cap(grid, evo)
-        self.inside = np.abs(self.positions) <= cap
+        cap = max(10.0 * evo.coupling * (1.0 + abs(aw)), 4.0 * abs(reference))
+        self.cap = min(cap, 0.4 * (math.pi / grid.spacing))
+        self.inside = np.abs(self.positions) <= self.cap
 
-    def circle(self, values: np.ndarray) -> np.ndarray:
-        """Circle samples of ``values``, a closed-grid vector losing its wrap point."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape == (self.n + 1,):
-            return values[: self.n]
-        if values.shape == (self.n,):
-            return values
-        raise ValueError("values must match the grid (with or without the wrap point)")
+    def _circle(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected the {self.n} circle samples, got shape {x.shape}")
+        return x
 
-    def window(self, values: np.ndarray) -> np.ndarray:
+    def _window(self, values: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the position window |q| <= cap."""
         spectrum = np.fft.fft(values)
         spectrum[~self.inside] = 0.0
@@ -97,26 +118,38 @@ class _AscentCore:
         applied = np.fft.ifft(self.positions * np.fft.fft(values))
         return np.vdot(values, applied).real / norm, norm, applied
 
-    def mean_position(self, values: np.ndarray) -> float:
-        return self._moment(values)[0]
-
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean position of the post-selected state (the ascent functional)
-        and its Wirtinger gradient in the conjugate circle samples."""
-        u = self.modulation * x
-        mean, norm, applied = self._moment(u)
-        return mean - self.offset, np.conj(self.modulation) * (applied - mean * u) / norm
-
-    def project(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    def _project(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
         """Windowed gradient with the scale and phase directions of ``x``
         removed, and its L2 norm."""
-        grad = self.window(grad)
+        grad = self._window(grad)
         for d in (x, 1j * x):
             norm = math.sqrt(np.vdot(d, d).real)
             if norm > ZERO_NORM_FLOOR:
                 d = d / norm
                 grad = grad - d * np.vdot(d, grad).real
         return grad, math.sqrt(np.vdot(grad, grad).real / self.spacing)
+
+    def mean_position(self, x: np.ndarray) -> float:
+        """Mean position of the state itself (before post-selection)."""
+        return self._moment(self._circle(x))[0]
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean position of the post-selected state (the variational
+        functional) and its Wirtinger gradient in the conjugate circle
+        samples: d(value)/d(Re x_k) = 2 Re(gradient_k), likewise Im."""
+        u = self.modulation * self._circle(x)
+        mean, norm, applied = self._moment(u)
+        return mean - self.offset, np.conj(self.modulation) * (applied - mean * u) / norm
+
+    def shift(self, x: np.ndarray) -> float:
+        """Shift delta_q of the state, evaluated spectrally."""
+        return self.value_and_gradient(x)[0] - self.mean_position(x)
+
+    def projected_gradient_norm(self, x: np.ndarray) -> float:
+        """L2 norm of the functional's gradient with the window applied and
+        the scale and phase null directions removed."""
+        x = self._circle(x)
+        return self._project(x, self.value_and_gradient(x)[1])[1]
 
 
 def periodic_representative(probe: ProbeWavefunction) -> np.ndarray:
@@ -136,69 +169,14 @@ def periodic_representative(probe: ProbeWavefunction) -> np.ndarray:
     return aligned[:-1]
 
 
-def objective(
-    values: np.ndarray,
-    derivative: np.ndarray,
-    grid: MomentumGrid,
-    evo: PostSelectedEvolution,
-) -> float:
-    """Shift delta_q of a (not necessarily normalized) probe: the
-    :func:`~wva.expectation.shift_report` shift of its normalized samples,
-    so invariant under rescaling of the input."""
-    return shift_report(evo, ProbeWavefunction.normalized(grid, values, derivative)).delta_q
-
-
-def final_position(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
-    """Mean position of the post-selected state: the variational functional.
-
-    ``values`` are circle samples (a closed-grid vector is accepted, its wrap
-    point ignored).  Computed spectrally on the endpoint-identified support.
-    """
-    core = _AscentCore(grid, evo)
-    return core.value_and_gradient(core.circle(values))[0]
-
-
-def shift_on_circle(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
-    """delta_q evaluated spectrally on the endpoint-identified support."""
-    core = _AscentCore(grid, evo)
-    x = core.circle(values)
-    return core.value_and_gradient(x)[0] - core.mean_position(x)
-
-
-def gradient(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> np.ndarray:
-    """Wirtinger gradient of :func:`final_position` in the conjugate circle
-    samples: d(final_position)/d(Re x_k) = 2 Re(gradient_k), likewise Im."""
-    core = _AscentCore(grid, evo)
-    return core.value_and_gradient(core.circle(values))[1]
-
-
-def default_position_cap(grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
-    """Position window for the ascent: wide enough to hold the optimal family
-    (whose spectral spread grows with |A|), small against the grid Nyquist."""
-    aw = complex(evo.weak.value)
-    cap = 10.0 * evo.coupling * (1.0 + abs(aw))
-    if abs(aw.real) > 1e-12:
-        cap = max(cap, 4.0 * abs(evo.coupling * (abs(aw) ** 2 + 1.0) / (2.0 * aw.real)))
-    nyquist = math.pi / grid.spacing
-    return min(cap, 0.4 * nyquist)
-
-
-def projected_gradient_norm(values: np.ndarray, grid: MomentumGrid, evo: PostSelectedEvolution) -> float:
-    """L2 norm of the functional gradient with the default window cutoff
-    applied and the scale/phase null directions removed."""
-    core = _AscentCore(grid, evo)
-    x = core.circle(values)
-    return core.project(x, core.value_and_gradient(x)[1])[1]
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizerConfig:
     """Grid, stopping rules, and initialization for one ascent run.
 
     ``init`` is ``"gaussian"`` (a periodized Gaussian) or ``"random"`` (24
-    random comb modes drawn with ``seed``).  ``position_cap`` overrides the
-    default window radius (:func:`default_position_cap`); ``tol`` applies to
-    the windowed, gauge-projected gradient norm of the ascent functional.
+    random comb modes drawn with ``seed``).  ``tol`` applies to the windowed,
+    gauge-projected gradient norm of the ascent functional
+    (:meth:`AscentCore.projected_gradient_norm`).
     """
 
     grid: MomentumGrid
@@ -207,7 +185,6 @@ class OptimizerConfig:
     tol: float = 1e-5
     seed: int = 0
     init: str = "gaussian"
-    position_cap: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -225,8 +202,8 @@ class OptimizerTrace:
     """Accepted-iterate history (index, shift delta_q, projected gradient
     norm), the final normalized probe, and the convergence verdict.
 
-    The ascent functional (final mean position) increases monotonically by
-    construction; the recorded shift converges to it from either side and
+    The ascent functional, sign(Re A) times the final mean position,
+    increases monotonically by construction; the recorded shift converges to it from either side and
     settles at the closed-form value on the stationary family.
     """
 
@@ -235,7 +212,7 @@ class OptimizerTrace:
     converged: bool
 
 
-def _initial_circle_vector(config: OptimizerConfig, core: _AscentCore) -> np.ndarray:
+def _initial_circle_vector(config: OptimizerConfig, core: AscentCore) -> np.ndarray:
     p = core.points
     if config.init == "gaussian":
         # Periodized so the seam stays smooth even for wide widths.
@@ -254,35 +231,43 @@ def _initial_circle_vector(config: OptimizerConfig, core: _AscentCore) -> np.nda
 
 
 def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTrace:
-    """Projected gradient ascent of the post-selected mean position.
+    """Projected gradient ascent of sign(Re A) times the post-selected mean
+    position, so that the closed-form shift, negative when Re A < 0, is the
+    optimum it reaches.
 
     Iterates are renormalized and kept inside the position window; steps use
     an Armijo backtracking line search with doubling after success.  Stops
     when the windowed, gauge-projected gradient norm falls below ``tol`` or
     after ``max_iters`` accepted steps.  The trace records the shift delta_q
-    of each accepted iterate; on the stationary family it equals the
-    closed-form maximum shift regardless of which comb rung the ascent
+    of each accepted iterate, with its sign; on the stationary family it
+    equals the closed-form shift g(|A|^2 + 1)/(2 Re A) regardless of which comb rung the ascent
     reached (the rungs are translation gauge copies).
 
     Raises
     ------
+    ZeroRealPart
+        If |Re A| is below ``ZERO_REAL_EPS``, before any iteration.
+    ValueError
+        If the grid does not span a whole number of support periods pi/g.
     UnderResolvedGrid
         If the position window holds fewer than three Fourier modes of the grid.
     NonFinite
         If the objective or gradient degenerates.
     """
-    core = _AscentCore(config.grid, evo, config.position_cap)
+    core = AscentCore(config.grid, evo)
     if int(np.count_nonzero(core.inside)) < 3:
         raise UnderResolvedGrid("position window holds fewer than three modes; refine the grid")
 
-    x = core.window(_initial_circle_vector(config, core))
+    x = core._window(_initial_circle_vector(config, core))
     norm = math.sqrt(np.vdot(x, x).real)
     if norm < ZERO_NORM_FLOOR:
         raise ZeroNorm("initialization vanished inside the position window")
     x = x / norm
 
+    # The ascent runs on sign(Re A) <q>_f; current and the trace stay unsigned.
+    sign = core.sign
     current, raw = core.value_and_gradient(x)
-    grad, grad_norm = core.project(x, raw)
+    grad, grad_norm = core._project(x, raw)
     if not (math.isfinite(current) and all_finite(grad)):
         raise NonFinite("non-finite functional or gradient at the initial iterate")
 
@@ -295,16 +280,16 @@ def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTr
             break
         slope = 2.0 * np.vdot(grad, grad).real
         for _ in range(_MAX_BACKTRACKS):
-            candidate = core.window(x + step * grad)
+            candidate = core._window(x + sign * step * grad)
             candidate = candidate / math.sqrt(np.vdot(candidate, candidate).real)
             value, raw = core.value_and_gradient(candidate)
-            if math.isfinite(value) and value >= current + _ARMIJO_C1 * step * slope:
+            if math.isfinite(value) and sign * value >= sign * current + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
         else:
             break
         x, current = candidate, value
-        grad, grad_norm = core.project(x, raw)
+        grad, grad_norm = core._project(x, raw)
         if not all_finite(grad):
             raise NonFinite("non-finite gradient")
         iterations.append((iteration, current - core.mean_position(x), grad_norm))

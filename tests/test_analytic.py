@@ -180,12 +180,12 @@ class TestStationarity:
         # The variational functional (final mean position) changes only at
         # second order under random smooth perturbations of the closed-form
         # probe: log-log slope 2 across three decades.
-        from wva import final_position, periodic_representative
+        from wva import AscentCore, periodic_representative
 
         probe = optimal_probe(G, AW, n_points=4097)
-        evo = PostSelectedEvolution(G, WeakValue.from_value(AW))
+        core = AscentCore(probe.grid, PostSelectedEvolution(G, WeakValue.from_value(AW)))
         x = periodic_representative(probe)
-        base = final_position(x, probe.grid, evo)
+        base = core.value_and_gradient(x)[0]
 
         rng = np.random.default_rng(9)
         n = x.size
@@ -198,7 +198,7 @@ class TestStationarity:
 
         epsilons = (1e-2, 1e-3, 1e-4)
         changes = [
-            abs(final_position(x + eps * bump, probe.grid, evo) - base)
+            abs(core.value_and_gradient(x + eps * bump)[0] - base)
             for eps in epsilons
         ]
         slope = np.polyfit(np.log(epsilons), np.log(changes), 1)[0]

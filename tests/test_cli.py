@@ -564,7 +564,8 @@ class TestOptimizeCommand:
         rows = _read_rows(trace_path)
         assert len(rows) == 1
 
-    def test_seed_variation(self, capsys):
+    def test_seed_variation(self, capsys, monkeypatch, maximize_once):
+        monkeypatch.setattr(cli, "maximize", maximize_once)
         finals = []
         for seed in ("1", "2", "3"):
             rc = main(
@@ -589,6 +590,29 @@ class TestOptimizeCommand:
                 if line.startswith("objective"):
                     finals.append(float(line.split()[1]))
         assert max(finals) - min(finals) < 1e-3 * max(finals)
+
+    @pytest.mark.parametrize(
+        "aw_re, aw_im", [("-2", "0"), ("-2", "0.13"), ("-0.36", "0.13"), ("-" + AW_RE, AW_IM)]
+    )
+    def test_negative_real_part_reaches_closed_form(
+        self, aw_re, aw_im, capsys, monkeypatch, maximize_once
+    ):
+        # For Re A < 0 the closed-form shift is negative; see the library test.
+        monkeypatch.setattr(cli, "maximize", maximize_once)
+        assert main(["optimize", "--g", "0.1", "--aw-re", aw_re, "--aw-im", aw_im]) == 0
+        fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert fields["converged"] == "true"
+        reference = float(fields["reference"])
+        assert reference < 0.0
+        assert float(fields["abs_gap"]) <= 1e-3 * abs(reference)
+
+    def test_zero_real_part_is_refused_before_the_ascent(self, capsys, monkeypatch):
+        def started(*args):
+            raise AssertionError("the ascent started")
+
+        monkeypatch.setattr(wva.optimizer, "_initial_circle_vector", started)
+        assert main(["optimize", "--g", "0.1", "--aw-re", "1e-13", "--aw-im", "1"]) == 1
+        assert capsys.readouterr().err.startswith("ZeroRealPart")
 
 
 class TestMachZehnderCommand:
@@ -780,21 +804,21 @@ def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
 def test_exports_are_pinned():
     # An export is added or removed on purpose, by editing this list.
     assert sorted(wva.__all__) == [
-        "DegenerateDenominator", "DimensionMismatch", "EvolvedProbe", "GaussianShiftPrediction",
-        "GridTooLarge", "MomentumGrid", "NonFinite", "Observable", "OptimizerConfig", "OptimizerTrace",
-        "OrthogonalSelection", "PositionSamples", "PostSelectedEvolution", "ProbeWavefunction",
-        "QuadratureNodes", "ScaleOutOfRange", "ShiftReport", "SystemState", "TailMassTooLarge",
-        "UnderResolvedGrid", "WeakValue", "WvaError", "ZeroNorm", "ZeroRealPart", "analytic",
-        "apply_postselection", "compute_weak_value", "default_position_cap", "errors", "evolution",
-        "evolution_factor", "evolution_factor_and_derivative", "expect_p", "expect_q",
-        "expect_q_with_residual", "expectation", "extrapolate_orthogonality_limit", "final_position",
-        "final_probe_position", "gauge_fix", "gaussian_exact_shifts", "gaussian_probe", "gradient",
-        "inverse_fourth_factor_integral", "inverse_square_factor_integral", "mach_zehnder_setup",
-        "mach_zehnder_weak_value", "max_shift", "maximize", "numeric_derivative", "objective",
-        "optimal_initial_momentum", "optimal_probe", "optimizer", "periodic_representative",
-        "position_amplitudes", "probe", "projected_gradient_norm", "recommended_gaussian_grid",
-        "recommended_support_points", "shift_lower_bound", "shift_on_circle", "shift_report",
-        "smoothed_optimal_probe", "system",
+        "AscentCore", "DegenerateDenominator", "DimensionMismatch", "EvolvedProbe",
+        "GaussianShiftPrediction", "GridTooLarge", "MomentumGrid", "NonFinite", "Observable",
+        "OptimizerConfig", "OptimizerTrace", "OrthogonalSelection", "PositionSamples",
+        "PostSelectedEvolution", "ProbeWavefunction", "QuadratureNodes", "ScaleOutOfRange",
+        "ShiftReport", "SystemState", "TailMassTooLarge", "UnderResolvedGrid", "WeakValue",
+        "WvaError", "ZeroNorm", "ZeroRealPart", "analytic", "apply_postselection",
+        "compute_weak_value", "errors", "evolution", "evolution_factor",
+        "evolution_factor_and_derivative", "expect_q", "expect_q_with_residual", "expectation",
+        "extrapolate_orthogonality_limit", "final_probe_position", "gauge_fix",
+        "gaussian_exact_shifts", "gaussian_probe", "inverse_fourth_factor_integral",
+        "inverse_square_factor_integral", "mach_zehnder_setup", "mach_zehnder_weak_value",
+        "max_shift", "maximize", "numeric_derivative", "optimal_initial_momentum", "optimal_probe",
+        "optimizer", "periodic_representative", "position_amplitudes", "probe",
+        "recommended_gaussian_grid", "recommended_support_points", "shift_lower_bound",
+        "shift_report", "smoothed_optimal_probe", "system",
     ]
 
 

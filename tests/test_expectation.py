@@ -17,7 +17,6 @@ from wva import (
     UnderResolvedGrid,
     WeakValue,
     ZeroNorm,
-    expect_p,
     expect_q,
     expect_q_with_residual,
     gaussian_exact_shifts,
@@ -76,18 +75,15 @@ class TestExpectQ:
         assert abs(residual) < 1e-6
 
 
-class TestExpectP:
+class TestMeanMomentum:
     def test_gaussian_is_centered(self):
         probe = gaussian_probe(1.0, MomentumGrid(-20.0, 20.0, 4001))
-        assert expect_p(probe.values, probe.grid) == pytest.approx(0.0, abs=1e-10)
+        assert shift_report(evo_for(AW), probe).p_initial == pytest.approx(0.0, abs=1e-10)
 
     def test_momentum_shift_against_closed_form(self):
-        from wva import apply_postselection
-
         width = 1.0
         probe = gaussian_probe(width, recommended_gaussian_grid(G, width))
-        evolved = apply_postselection(evo_for(AW), probe)
-        delta_p = expect_p(evolved.values, probe.grid) - expect_p(probe.values, probe.grid)
+        delta_p = shift_report(evo_for(AW), probe).delta_p
         assert delta_p == pytest.approx(
             gaussian_exact_shifts(G, width, AW).delta_p, abs=1e-6
         )

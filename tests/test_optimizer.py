@@ -5,25 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wva import (
+    AscentCore,
     MomentumGrid,
     OptimizerConfig,
     PostSelectedEvolution,
+    ProbeWavefunction,
     WeakValue,
-    default_position_cap,
-    final_position,
+    ZeroRealPart,
     gauge_fix,
     gaussian_exact_shifts,
     gaussian_probe,
-    gradient,
     maximize,
     max_shift,
-    objective,
     optimal_probe,
     periodic_representative,
-    projected_gradient_norm,
     recommended_gaussian_grid,
     shift_lower_bound,
-    shift_on_circle,
+    shift_report,
 )
 
 G = 0.1
@@ -34,26 +32,34 @@ def evo_for(value, coupling=G):
     return PostSelectedEvolution(coupling, WeakValue.from_value(value))
 
 
-class TestObjective:
+def core_for(value, n_points):
+    return AscentCore(MomentumGrid.for_support(G, n_points), evo_for(value))
+
+
+def shift_of(values, derivative, grid, evo):
+    """Shift of a probe given by samples of any scale: the shift report of
+    its normalized samples."""
+    return shift_report(evo, ProbeWavefunction.normalized(grid, values, derivative)).delta_q
+
+
+class TestShiftReport:
     def test_matches_closed_form_on_optimal_probe(self):
         probe = optimal_probe(G, AW, n_points=4097)
-        value = objective(probe.values, probe.derivative, probe.grid, evo_for(AW))
+        value = shift_of(probe.values, probe.derivative, probe.grid, evo_for(AW))
         assert value == pytest.approx(max_shift(G, AW), rel=1e-6)
 
     def test_matches_closed_form_on_gaussian(self):
         width = 1.0
         probe = gaussian_probe(width, recommended_gaussian_grid(G, width))
-        value = objective(probe.values, probe.derivative, probe.grid, evo_for(AW))
+        value = shift_of(probe.values, probe.derivative, probe.grid, evo_for(AW))
         assert value == pytest.approx(gaussian_exact_shifts(G, width, AW).delta_q, rel=1e-8)
 
     def test_scale_invariance(self):
         probe = optimal_probe(G, AW, n_points=513)
         evo = evo_for(AW)
-        base = objective(probe.values, probe.derivative, probe.grid, evo)
+        base = shift_of(probe.values, probe.derivative, probe.grid, evo)
         for scale in (7.0, 0.01j, -2.0 + 1.0j):
-            scaled = objective(
-                scale * probe.values, scale * probe.derivative, probe.grid, evo
-            )
+            scaled = shift_of(scale * probe.values, scale * probe.derivative, probe.grid, evo)
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -62,10 +68,9 @@ class TestGradient:
         # The gradient must reproduce central finite differences of the
         # functional it differentiates, component by component.
         rng = np.random.default_rng(5)
-        grid = MomentumGrid.for_support(G, 33)
-        evo = evo_for(1.5 + 0.7j)
+        core = core_for(1.5 + 0.7j, 33)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        grad = gradient(x, grid, evo)
+        grad = core.value_and_gradient(x)[1]
         eps = 1e-6
         for k in range(x.size):
             for direction in (1.0, 1j):
@@ -74,7 +79,7 @@ class TestGradient:
                 minus = x.copy()
                 minus[k] -= eps * direction
                 fd = (
-                    final_position(plus, grid, evo) - final_position(minus, grid, evo)
+                    core.value_and_gradient(plus)[0] - core.value_and_gradient(minus)[0]
                 ) / (2.0 * eps)
                 analytic = 2.0 * (grad[k].real if direction == 1.0 else grad[k].imag)
                 assert abs(fd - analytic) <= 1e-4 * max(abs(analytic), 1e-10)
@@ -82,27 +87,34 @@ class TestGradient:
     def test_vanishes_at_analytic_optimum(self):
         for value in (2.0 + 0j, AW):
             probe = optimal_probe(G, value, n_points=513)
-            x = periodic_representative(probe)
-            norm = projected_gradient_norm(x, probe.grid, evo_for(value))
-            assert norm < 1e-10
+            core = AscentCore(probe.grid, evo_for(value))
+            assert core.projected_gradient_norm(periodic_representative(probe)) < 1e-10
 
     def test_nonzero_at_gaussian(self):
-        grid = MomentumGrid.for_support(G, 513)
-        p = grid.points[:-1]
-        x = np.exp(-(p**2) / 20.0).astype(complex)
-        norm = projected_gradient_norm(x, grid, evo_for(2.0))
-        assert norm > 1e-3
+        core = core_for(2.0, 513)
+        x = np.exp(-(core.points**2) / 20.0).astype(complex)
+        assert core.projected_gradient_norm(x) > 1e-3
 
     def test_scaling_consistent_with_quotient_rule(self):
         # R(c x) = R(x) forces grad(c x) = grad(x) / conj(c).
         rng = np.random.default_rng(6)
-        grid = MomentumGrid.for_support(G, 65)
-        evo = evo_for(AW)
+        core = core_for(AW, 65)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        base = gradient(x, grid, evo)
+        base = core.value_and_gradient(x)[1]
         c = 2.0 - 3.0j
-        scaled = gradient(c * x, grid, evo)
+        scaled = core.value_and_gradient(c * x)[1]
         assert np.allclose(scaled, base / np.conj(c), atol=1e-12)
+
+    @pytest.mark.parametrize("size", [63, 65, 1])
+    def test_methods_take_the_circle_samples_only(self, size):
+        # The closed grid has 65 points and the circle 64: the wrap point
+        # is not dropped, and no other length broadcasts.
+        core = core_for(AW, 65)
+        x = np.ones(size, dtype=complex)
+        methods = (core.value_and_gradient, core.mean_position, core.shift, core.projected_gradient_norm)
+        for method in methods:
+            with pytest.raises(ValueError, match="circle samples"):
+                method(x)
 
 
 real_parts = st.floats(0.05, 20.0).flatmap(lambda r: st.sampled_from([r, -r]))
@@ -126,30 +138,28 @@ class TestScaleProperties:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
     def test_functionals_are_scale_invariant(self, seed, value, c):
-        evo = evo_for(value)
+        core = AscentCore(self.GRID, evo_for(value))
         x = self._samples(seed, 64)
-        for functional in (final_position, shift_on_circle):
-            base = functional(x, self.GRID, evo)
-            assert functional(c * x, self.GRID, evo) == pytest.approx(
-                base, rel=1e-10, abs=1e-12 * self.SCALE
-            )
+        for functional in (lambda x: core.value_and_gradient(x)[0], core.shift):
+            base = functional(x)
+            assert functional(c * x) == pytest.approx(base, rel=1e-10, abs=1e-12 * self.SCALE)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
-    def test_objective_is_scale_invariant(self, seed, value, c):
+    def test_shift_report_is_scale_invariant(self, seed, value, c):
         evo = evo_for(value)
         values, derivative = self._samples(seed, 65), self._samples(seed + 1, 65)
-        base = objective(values, derivative, self.GRID, evo)
-        scaled = objective(c * values, c * derivative, self.GRID, evo)
+        base = shift_of(values, derivative, self.GRID, evo)
+        scaled = shift_of(c * values, c * derivative, self.GRID, evo)
         assert scaled == pytest.approx(base, rel=1e-10, abs=1e-12 * self.SCALE)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), value=weak_values, c=scales)
     def test_gradient_scales_inversely_with_conjugate(self, seed, value, c):
-        evo = evo_for(value)
+        core = AscentCore(self.GRID, evo_for(value))
         x = self._samples(seed, 64)
-        expected = gradient(x, self.GRID, evo) / np.conj(c)
-        scaled = gradient(c * x, self.GRID, evo)
+        expected = core.value_and_gradient(x)[1] / np.conj(c)
+        scaled = core.value_and_gradient(c * x)[1]
         assert np.max(np.abs(scaled - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -164,18 +174,16 @@ def test_bound_chain(coupling, value):
 
 
 class TestMaximize:
-    def test_gaussian_init_reaches_closed_form(self):
-        grid = MomentumGrid.for_support(G, 513)
-        trace = maximize(OptimizerConfig(grid=grid), evo_for(2.0))
+    GRID = MomentumGrid.for_support(G, 513)
+
+    def test_gaussian_init_reaches_closed_form(self, maximize_once):
+        trace = maximize_once(OptimizerConfig(grid=self.GRID), evo_for(2.0))
         assert trace.converged
         final = trace.iterations[-1][1]
         assert abs(final - 0.125) < 1e-3 * 0.125
 
-    def test_random_init_reaches_closed_form_and_profile(self):
-        grid = MomentumGrid.for_support(G, 513)
-        trace = maximize(
-            OptimizerConfig(grid=grid, seed=7, init="random"), evo_for(AW)
-        )
+    def test_random_init_reaches_closed_form_and_profile(self, maximize_once):
+        trace = maximize_once(OptimizerConfig(grid=self.GRID, seed=7, init="random"), evo_for(AW))
         assert trace.converged
         final = trace.iterations[-1][1]
         reference = max_shift(G, AW)
@@ -185,54 +193,74 @@ class TestMaximize:
         mismatch = np.max(np.abs(np.abs(fixed.values) - np.abs(target.values)))
         assert mismatch < 1e-2 * np.max(np.abs(target.values))
 
+    @pytest.mark.parametrize(
+        "value",
+        [-2.0, -2.0 + 0.13j, -0.36 + 0.13j, -AW.conjugate()],
+        ids=["-2", "-2+0.13i", "-0.36+0.13i", "-A_fig"],
+    )
+    def test_negative_real_part_reaches_closed_form(self, value, maximize_once):
+        # For Re A < 0 the closed-form shift is negative, the minimum of the
+        # final mean position: the ascent must run toward it, not away.
+        for seed, init in ((0, "gaussian"), (1, "random")):
+            trace = maximize_once(OptimizerConfig(grid=self.GRID, seed=seed, init=init), evo_for(value))
+            assert trace.converged
+            final = trace.iterations[-1][1]
+            reference = max_shift(G, value)
+            assert abs(final - reference) <= 1e-3 * abs(reference), (init, final, reference)
+            assert abs(final) <= abs(reference) + 1e-6, (init, final, reference)
+
+    def test_zero_real_part_is_refused_before_the_ascent(self):
+        with pytest.raises(ZeroRealPart):
+            maximize(OptimizerConfig(grid=self.GRID), evo_for(1e-13 + 1j))
+
+    @pytest.mark.parametrize("extent", [1, 2, 3, 4])
+    def test_grid_must_span_whole_support_periods(self, extent):
+        # The twist-compensating phase is exact only on whole periods pi/g.
+        evo = evo_for(2.0)
+        AscentCore(MomentumGrid.for_support(G, 257, extent), evo)
+        half = 0.5 * extent * math.pi / G
+        for p_min, p_max in ((-12.0, 12.0), (-half, half + 1.0), (-half, 0.7 * half)):
+            with pytest.raises(ValueError, match="whole number"):
+                maximize(OptimizerConfig(grid=MomentumGrid(p_min, p_max, 513)), evo)
+
     def test_projective_weak_value_pins_shift_at_coupling(self):
-        grid = MomentumGrid.for_support(G, 513)
-        trace = maximize(OptimizerConfig(grid=grid), evo_for(1.0))
+        trace = maximize(OptimizerConfig(grid=self.GRID), evo_for(1.0))
         final = trace.iterations[-1][1]
         assert final == pytest.approx(G, abs=1e-9)
 
     def test_single_iteration_budget(self):
-        grid = MomentumGrid.for_support(G, 513)
-        trace = maximize(OptimizerConfig(grid=grid, max_iters=1), evo_for(AW))
+        trace = maximize(OptimizerConfig(grid=self.GRID, max_iters=1), evo_for(AW))
         assert not trace.converged
         assert len(trace.iterations) == 1
 
-    def test_seed_variation_agrees(self):
-        grid = MomentumGrid.for_support(G, 513)
+    def test_seed_variation_agrees(self, maximize_once):
         finals = []
         for seed in (1, 2, 3):
-            trace = maximize(
-                OptimizerConfig(grid=grid, seed=seed, init="random"), evo_for(AW)
-            )
+            trace = maximize_once(OptimizerConfig(grid=self.GRID, seed=seed, init="random"), evo_for(AW))
             finals.append(trace.iterations[-1][1])
         spread = max(finals) - min(finals)
         assert spread < 1e-3 * max_shift(G, AW)
 
     def test_reproducible_given_seed(self):
-        grid = MomentumGrid.for_support(G, 513)
-        config = OptimizerConfig(grid=grid, seed=42, init="random")
+        config = OptimizerConfig(grid=self.GRID, seed=42, init="random")
         first = maximize(config, evo_for(AW))
         second = maximize(config, evo_for(AW))
         assert first.iterations == second.iterations
         assert np.array_equal(first.final_probe.values, second.final_probe.values)
 
-    def test_converged_shift_never_claims_more_than_closed_form(self):
+    def test_converged_shift_never_claims_more_than_closed_form(self, maximize_once):
         # The converged report must not exceed the closed-form maximum of the
         # back-action-cancelling family.
-        grid = MomentumGrid.for_support(G, 513)
         for value in (2.0 + 0j, AW):
             for seed, init in ((0, "gaussian"), (7, "random")):
-                trace = maximize(
-                    OptimizerConfig(grid=grid, seed=seed, init=init), evo_for(value)
-                )
+                trace = maximize_once(OptimizerConfig(grid=self.GRID, seed=seed, init=init), evo_for(value))
                 assert trace.iterations[-1][1] <= max_shift(G, value) + 1e-6
 
-    def test_shift_on_circle_matches_objective_for_smooth_states(self):
+    def test_core_shift_matches_shift_report_for_smooth_states(self):
         probe = optimal_probe(G, AW, n_points=513)
         evo = evo_for(AW)
-        circle_value = shift_on_circle(periodic_representative(probe), probe.grid, evo)
-        simpson_value = objective(probe.values, probe.derivative, probe.grid, evo)
-        assert circle_value == pytest.approx(simpson_value, rel=1e-9)
+        circle_value = AscentCore(probe.grid, evo).shift(periodic_representative(probe))
+        assert circle_value == pytest.approx(shift_report(evo, probe).delta_q, rel=1e-9)
 
     def test_config_validation(self):
         grid = MomentumGrid.for_support(G, 65)
@@ -243,24 +271,19 @@ class TestMaximize:
         with pytest.raises(ValueError):
             OptimizerConfig(grid=grid, init="simulated-annealing")
 
-    def test_position_cap_override(self):
-        grid = MomentumGrid.for_support(G, 513)
-        assert default_position_cap(grid, evo_for(AW)) > max_shift(G, AW)
-        trace = maximize(
-            OptimizerConfig(grid=grid, position_cap=3.0), evo_for(AW)
-        )
-        # window too tight for this weak value's spectral spread: the search
-        # still converges but lands measurably short of the closed form
-        final = trace.iterations[-1][1]
-        assert final < max_shift(G, AW)
+    def test_window_holds_the_closed_form_shift(self):
+        for value in (AW, -AW.conjugate(), 2.0, -0.36 + 0.13j):
+            core = AscentCore(self.GRID, evo_for(value))
+            assert core.cap > abs(max_shift(G, value))
+            assert core.cap <= 0.4 * math.pi / self.GRID.spacing
 
 
 class TestGaugeFix:
-    def test_zero_mean_and_real_midpoint(self):
+    def test_zero_mean_and_real_midpoint(self, maximize_once):
         from wva.expectation import expect_q
 
         grid = MomentumGrid.for_support(G, 513)
-        trace = maximize(OptimizerConfig(grid=grid, seed=3, init="random"), evo_for(AW))
+        trace = maximize_once(OptimizerConfig(grid=grid, seed=3, init="random"), evo_for(AW))
         fixed = gauge_fix(trace.final_probe)
         mean = expect_q(fixed.values, fixed.derivative_or_numeric(), grid)
         assert abs(mean) < 1e-6

@@ -29,7 +29,7 @@ from wva import (
 from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
 from wva.cli import format_number
 from wva.evolution import PostSelectedEvolution, apply_postselection
-from wva.expectation import expect_p, expect_q, shift_report
+from wva.expectation import expect_q, shift_report
 from wva.probe import (
     DENSE_SUM_MAX_TERMS,
     MAX_GRID_POINTS,
@@ -140,7 +140,8 @@ class TestGaussianProbe:
     def test_zero_means(self):
         grid = MomentumGrid(-20.0, 20.0, 4001)
         probe = gaussian_probe(1.0, grid)
-        assert expect_p(probe.values, grid) == pytest.approx(0.0, abs=1e-10)
+        mean_p = grid.integrate(grid.points * np.abs(probe.values) ** 2) / probe.norm_squared()
+        assert mean_p == pytest.approx(0.0, abs=1e-10)
         assert expect_q(probe.values, probe.derivative, grid) == pytest.approx(0.0, abs=1e-8)
 
     def test_width_scales_momentum_deviation(self):
