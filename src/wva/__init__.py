@@ -53,7 +53,7 @@ from .errors import (
     ZeroNorm,
     ZeroRealPart,
 )
-from .evolution import EvolvedProbe, PostSelectedEvolution, apply_postselection
+from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import ShiftReport, expect_q, expect_q_with_residual, shift_report
 from .optimizer import (
     AscentCore,
@@ -65,6 +65,7 @@ from .optimizer import (
 )
 from .probe import (
     MomentumGrid,
+    NodeSamples,
     PositionSamples,
     ProbeWavefunction,
     QuadratureNodes,

@@ -7,6 +7,7 @@ the package is tested against the expressions here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,13 @@ def _require_real_part(weak_value: complex) -> complex:
     if abs(aw.real) < ZERO_REAL_EPS:
         raise ZeroRealPart(f"|Re A| = {abs(aw.real):.3e} is below {ZERO_REAL_EPS:.0e}")
     return aw
+
+
+def _require_extent(extent: int) -> None:
+    """Raise :class:`ValueError` unless ``extent``, the count of periods pi/g
+    that a hard-support probe spans, is a positive integer."""
+    if not (isinstance(extent, numbers.Integral) and extent >= 1):
+        raise ValueError("extent must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,7 @@ def optimal_initial_momentum(coupling: float, weak_value: complex, extent: int =
     its mean momentum is zero and the momentum shift is minus this value.
     """
     aw = _require_real_part(weak_value)
+    _require_extent(extent)
     mean = math.atan2(-aw.imag, abs(aw) ** 2 + abs(aw.real)) / coupling
     if extent % 2 == 0:
         mean += math.atan(aw.imag / abs(aw.real)) / coupling

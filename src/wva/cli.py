@@ -31,6 +31,7 @@ from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import ShiftReport, shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
+    GAUSSIAN_HALF_WIDTH,
     MomentumGrid,
     ProbeWavefunction,
     check_point_budget,
@@ -189,7 +190,7 @@ _FIELDS = (
     _Field("width", "width", _scale, "gaussian momentum width"),
     _Field("smoothing", "smoothing", _scale, "smoothing rate for probe=smoothed"),
     _Field("file", "probe_file", _text, "probe CSV for probe=file"),
-    _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian, smoothed, dump, optimize"),
+    _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian probe, dump, optimize"),
     _Field(
         "support_m",
         "support_extent",
@@ -371,7 +372,7 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
         if config.n_points is None:
             grid = recommended_gaussian_grid(config.coupling, config.width)
         else:
-            half = 7.5 * config.width
+            half = GAUSSIAN_HALF_WIDTH * config.width
             grid = MomentumGrid(-half, half, config.n_points)
         return gaussian_probe(config.width, grid)
     if config.probe == "optimal":
@@ -395,28 +396,20 @@ def _require_unit_extent(config: ScenarioConfig) -> None:
 def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
     """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
 
-    Only Gaussian and smoothed probes are sampled on a set ``n_points``, a
-    smoothed one on no fewer than :func:`recommended_support_points` of the
-    weak value.  An optimal probe reports its shift on theta nodes
-    (:func:`optimal_probe` with ``n_points=None``), a file probe on its own
-    grid.
+    Only a Gaussian probe is sampled on a set ``n_points``.  A smoothed probe
+    takes its count from :func:`recommended_support_points` of the weak
+    value (:func:`smoothed_optimal_probe` with ``n_points=None``), an optimal
+    probe reports its shift on theta nodes (:func:`optimal_probe` with
+    ``n_points=None``), and a file probe on its own grid.  A ``dump`` takes
+    a count for every probe.
     """
-    if config.n_points is not None and config.probe not in ("gaussian", "smoothed"):
+    if config.n_points is not None and config.probe != "gaussian":
         raise ConfigError(
-            f"n_points sets the p-grid of a gaussian or smoothed probe; probe={config.probe} "
-            "takes none in shift and sweep"
+            f"n_points sets the p-grid of a gaussian probe; probe={config.probe} takes none in "
+            "shift and sweep"
         )
     _require_unit_extent(config)
     wv = scenario_weak_value(config)
-    if config.probe == "smoothed" and config.n_points is not None:
-        # Nothing estimates a smoothed shift's error, and below the resolution
-        # law it is wrong; a dump's samples are exact at any count.
-        least = recommended_support_points(wv.value)
-        if config.n_points < least:
-            raise ConfigError(
-                f"n_points = {config.n_points} is too few for the shift of a smoothed probe "
-                f"at this weak value; the smallest count accepted is {least}"
-            )
     probe = scenario_probe(config, wv)
     return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
 
@@ -578,10 +571,8 @@ def _sweep_scenario(config: ScenarioConfig, axis: str, value: float) -> Scenario
             raise ConfigError("axis=smoothing_s needs probe=smoothed")
         return _parsed(config, smoothing=value)
     if axis == "grid_n":
-        n = int(round(value))
-        if n % 2 == 0:
-            n += 1
-        return replace(config, n_points=max(n, 3))
+        n = int(round(value))  # a --start/--stop/--count range gives non-integers
+        return _parsed(config, n_points=n + 1 - n % 2)
     # postselection_angle
     if config.selection_mode() == "mach_zehnder":
         return replace(config, varphi=value)

@@ -2,8 +2,8 @@
 
 Because the observable squares to the identity, post-selection acts on the
 momentum wavefunction as multiplication by overlap * (cos gp - i A sin gp).
-States come back unnormalized together with their squared norm, the weight
-|overlap|^2 * integral(|factor * psi|^2); carrying it explicitly keeps the
+States come back unnormalized, as :class:`wva.probe.NodeSamples` whose squared
+norm, the weight |overlap|^2 * integral(|factor * psi|^2), keeps the
 measurement back-action testable.  The weight is the post-selection success
 probability only when the overlap comes from a physical selection (as from
 :func:`wva.system.compute_weak_value`).  :meth:`wva.system.WeakValue.from_value`
@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytic import evolution_factor_and_derivative
-from .probe import Nodes, ProbeWavefunction
+from .probe import NodeSamples, ProbeWavefunction
 from .system import WeakValue
 
 
@@ -39,28 +37,15 @@ class PostSelectedEvolution:
             raise ValueError("coupling must be positive and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class EvolvedProbe:
-    """Unnormalized post-selected probe plus its squared norm ``weight`` and
-    its density |values|^2, whose quadrature that weight is.  The weight is a
-    success probability only for a physical selection (see the module
-    docstring)."""
-
-    grid: Nodes
-    values: np.ndarray
-    derivative: np.ndarray
-    weight: float
-    density: np.ndarray
-
-
-def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> EvolvedProbe:
+def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> NodeSamples:
     """Exact post-selected evolution, valid at any coupling strength.
 
     The output values are overlap * factor(p) * probe values, pointwise; the
     derivative follows by the product rule with the analytic factor
-    derivative.  ``weight`` is the quadrature of |output|^2.  The output is
-    on the node set of the probe's ``evolution_view`` when it has one, and on
-    the probe's own grid otherwise.
+    derivative.  Its ``weight``, the quadrature of |output|^2, is a success
+    probability only for a physical selection (see the module docstring).
+    The output is on the node set of the probe's ``evolution_view`` when it
+    has one, and on the probe's own grid otherwise.
     """
     view = probe.evolution_view
     if view is None:
@@ -69,6 +54,4 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
         grid, values, derivative = view.grid, view.values, view.derivative
     b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, grid.points)
     overlap = evo.weak.overlap
-    values, derivative = overlap * b * values, overlap * (bd * values + b * derivative)
-    density = np.abs(values) ** 2
-    return EvolvedProbe(grid, values, derivative, float(grid.integrate(density)), density)
+    return NodeSamples(grid, overlap * b * values, overlap * (bd * values + b * derivative))

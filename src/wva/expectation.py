@@ -16,17 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PostSelectedEvolution, apply_postselection
-from .probe import Nodes, ProbeWavefunction, check_norm
+from .probe import Nodes, NodeSamples, ProbeWavefunction, check_norm
 
 
-def _integrands(
-    grid: Nodes, values: np.ndarray, derivative: np.ndarray, density: np.ndarray
-) -> dict[str, np.ndarray]:
+def _integrands(state: NodeSamples) -> dict[str, np.ndarray]:
     """One state's density and the integrands of its position and momentum
     moments, formed once for its means and for their halving check."""
-    position = np.conj(values)
-    position *= derivative  # in place: one grid-sized temporary, not two
-    return {"weight": density, "position moment": position, "momentum moment": grid.points * density}
+    position = np.conj(state.values)
+    position *= state.derivative  # in place: one grid-sized temporary, not two
+    density = state.density
+    return {"weight": density, "position moment": position, "momentum moment": state.grid.points * density}
 
 
 def _means(grid: Nodes, integrands: dict[str, np.ndarray], norm_sq: float) -> tuple[float, float, float]:
@@ -36,10 +35,8 @@ def _means(grid: Nodes, integrands: dict[str, np.ndarray], norm_sq: float) -> tu
     return moment.real, float(grid.integrate(integrands["momentum moment"])) / norm_sq, moment.imag
 
 
-def _state_means(grid: Nodes, values: np.ndarray, derivative: np.ndarray) -> tuple[float, float, float]:
-    density = np.abs(values) ** 2
-    norm_sq = check_norm(float(grid.integrate(density)))
-    return _means(grid, _integrands(grid, values, derivative, density), norm_sq)
+def _state_means(state: NodeSamples) -> tuple[float, float, float]:
+    return _means(state.grid, _integrands(state), check_norm(state.weight))
 
 
 def expect_q_with_residual(
@@ -51,7 +48,7 @@ def expect_q_with_residual(
     values at the two grid ends; it is surfaced as a diagnostic rather than
     subtracted.
     """
-    mean_q, _, residual = _state_means(grid, values, derivative)
+    mean_q, _, residual = _state_means(NodeSamples(grid, values, derivative))
     return mean_q, residual
 
 
@@ -79,26 +76,19 @@ class ShiftReport:
     q_final: float
     p_initial: float
     p_final: float
-    delta_q: float
-    delta_p: float
     weight: float
 
     def __post_init__(self) -> None:
-        entries = (
-            self.q_initial,
-            self.q_final,
-            self.p_initial,
-            self.p_final,
-            self.delta_q,
-            self.delta_p,
-            self.weight,
-        )
-        if not all(math.isfinite(x) for x in entries):
+        if not all(math.isfinite(x) for x in (self.q_initial, self.q_final, self.p_initial, self.p_final, self.weight)):
             raise ValueError("shift report entries must be finite")
-        if self.delta_q != self.q_final - self.q_initial:
-            raise ValueError("delta_q must equal q_final - q_initial exactly")
-        if self.delta_p != self.p_final - self.p_initial:
-            raise ValueError("delta_p must equal p_final - p_initial exactly")
+
+    @property
+    def delta_q(self) -> float:
+        return self.q_final - self.q_initial
+
+    @property
+    def delta_p(self) -> float:
+        return self.p_final - self.p_initial
 
 
 def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftReport:
@@ -110,9 +100,7 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     probe, a success probability only for a physical selection.  The
     overlap cancels from every quotient, so the weight is refused as zero
     only when it is below ``ZERO_NORM_FLOOR`` of |overlap|^2.  Each state's
-    density, norm and moment integrands are computed once: the evolved
-    state's weight and density are those that :func:`apply_postselection`
-    returns.
+    density, norm and moment integrands are computed once.
 
     Each state is integrated on its own node set: the initial state on the
     probe's grid, the evolved state on the one :func:`apply_postselection`
@@ -129,10 +117,10 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     """
     grid = probe.grid
     # The initial density is not kept alive through the evolution.
-    q_initial, p_initial, _ = _state_means(grid, probe.values, probe.derivative_or_numeric())
+    q_initial, p_initial, _ = _state_means(NodeSamples(grid, probe.values, probe.derivative_or_numeric()))
     evolved = apply_postselection(evo, probe)
     final = evolved.grid
-    integrands = _integrands(final, evolved.values, evolved.derivative, evolved.density)
+    integrands = _integrands(evolved)
     if final is not grid:  # each integrand against its absolute integral
         final.check_resolved(
             "the post-selected state, exact on the support nodes only under the evolution that "
@@ -141,12 +129,4 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
         )
     weight = check_norm(evolved.weight, abs(evo.weak.overlap) ** 2)
     q_final, p_final, _ = _means(final, integrands, weight)
-    return ShiftReport(
-        q_initial=q_initial,
-        q_final=q_final,
-        p_initial=p_initial,
-        p_final=p_final,
-        delta_q=q_final - q_initial,
-        delta_p=p_final - p_initial,
-        weight=weight,
-    )
+    return ShiftReport(q_initial, q_final, p_initial, p_final, weight)

@@ -98,9 +98,9 @@ class WeakValue:
     """Weak value together with the selection overlap that produced it.
 
     ``value`` is <post|M|pre> / <post|pre> and can be any complex number up
-    to ``SCALE_RANGE[1]`` in modulus; ``overlap`` is <post|pre> and
-    ``success_probability`` its squared modulus, i.e. the probability cost of
-    the post-selection.
+    to ``SCALE_RANGE[1]`` in modulus; ``overlap`` is <post|pre>, at most one
+    in modulus, and ``success_probability`` its squared modulus, i.e. the
+    probability cost of the post-selection.
 
     Raises
     ------
@@ -111,7 +111,6 @@ class WeakValue:
 
     value: complex
     overlap: complex
-    success_probability: float
 
     def __post_init__(self) -> None:
         if self.overlap == 0:
@@ -125,13 +124,17 @@ class WeakValue:
                 f"|weak value| = {modulus:.3e} exceeds {SCALE_RANGE[1]:g}, beyond which "
                 "|A|^2 and the shifts leave double precision"
             )
-        if not 0.0 <= self.success_probability <= 1.0 + 1e-12:
-            raise ValueError("success probability must lie in [0, 1]")
+        if not abs(self.overlap) <= 1.0 + 1e-12:
+            raise ValueError("selection overlap must have modulus at most 1")
+
+    @property
+    def success_probability(self) -> float:
+        return abs(self.overlap) ** 2
 
     @classmethod
     def from_value(cls, value: complex) -> "WeakValue":
         """Wrap a bare weak value, folding the selection into a unit overlap."""
-        return cls(complex(value), 1.0 + 0.0j, 1.0)
+        return cls(complex(value), 1.0 + 0.0j)
 
 
 def compute_weak_value(pre: SystemState, post: SystemState, observable: Observable) -> WeakValue:
@@ -155,7 +158,7 @@ def compute_weak_value(pre: SystemState, post: SystemState, observable: Observab
             f"|<post|pre>| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"
         )
     numerator = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes))
-    return WeakValue(numerator / overlap, overlap, abs(overlap) ** 2)
+    return WeakValue(numerator / overlap, overlap)
 
 
 def mach_zehnder_setup(
@@ -202,4 +205,4 @@ def mach_zehnder_weak_value(path_angle: float, polarizer_angle: float) -> WeakVa
             f"|cos(chi + phi)| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"
         )
     numerator = math.sin(path_angle) * math.sin(polarizer_angle)
-    return WeakValue(complex(numerator / overlap), complex(overlap), overlap**2)
+    return WeakValue(complex(numerator / overlap), complex(overlap))

@@ -237,6 +237,13 @@ def test_optimal_initial_momentum_matches_p_grid(value, n_points):
     assert even == pytest.approx(optimal_initial_momentum(G, value, 2), abs=1e-10)
 
 
+@pytest.mark.parametrize("extent", [0, -1, 1.5])
+def test_optimal_initial_momentum_refuses_an_extent_off_the_positive_integers(extent):
+    # 0 once returned 3.2175 at A = 2 + i.
+    with pytest.raises(ValueError, match="extent must be a positive integer"):
+        optimal_initial_momentum(G, 2.0 + 1.0j, extent)
+
+
 def test_optimal_initial_momentum_of_a_real_weak_value_is_zero():
     assert optimal_initial_momentum(G, 2.0) == 0.0
     assert optimal_initial_momentum(G, -7.0) == 0.0

@@ -478,6 +478,34 @@ class TestSweepCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert [r["error"] for r in _read_rows(out)] == ["ConfigError", "ConfigError", ""]
 
+    def test_grid_counts_below_three_are_row_config_errors(self, tmp_path, capsys):
+        # Both were once clamped to a 3-point grid, whose rows printed
+        # delta_q 0.2 (analytic 0.194230954135) with exit 0.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "grid_n", "--aw-re", "2", "--probe", "gaussian",
+                "--values", "-100,0,4000", "--output", str(out)]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        rows = _read_rows(out)
+        assert [(r["delta_q"], r["error"]) for r in rows[:2]] == [("", "ConfigError")] * 2
+        assert rows[2]["error"] == ""
+        assert float(rows[2]["delta_q"]) == pytest.approx(float(rows[2]["analytic_delta_q"]), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "axis, selection",
+        [
+            ("smoothing_s", ["--aw-re", "2", "--probe", "gaussian"]),
+            ("postselection_angle", ["--aw-re", "2"]),
+            ("postselection_angle", ["--pre", "1,1,0", "--post", "1,0,0", "--obs", "1,0,0;0,-1,0;0,0,1"]),
+        ],
+        ids=["smoothing_s-gaussian", "angle-aw", "angle-three-level"],
+    )
+    def test_axis_off_its_selection_or_probe_is_a_row_config_error(self, axis, selection, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", axis, *selection, "--values", "0.1,0.2", "--output", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert [(r["delta_q"], r["error"]) for r in _read_rows(out)] == [("", "ConfigError")] * 2
+
     def test_grid_sweep_and_determinism(self, tmp_path):
         args = [
             "sweep",
@@ -682,12 +710,27 @@ def _bytes_file(tmp_path, name, data):
         "optimize_output_unwritable",
         "optimize_probe_output_directory",
         "optimize_outputs_one_file",
+        "single_entry_vector",
+        "ragged_matrix",
+        "chi_without_varphi",
+        "pre_without_post_and_obs",
+        "config_line_without_equals",
+        "non_involutory_obs",
+        "probe_file_wrong_header",
+        "probe_file_six_samples",
+        "probe_file_non_uniform",
+        "sweep_values_unparsable",
+        "sweep_without_range",
+        "sweep_count_one",
+        "sweep_single_value",
+        "sweep_values_infinite",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     file_probe = ["shift", "--aw-re", "2", "--probe", "file", "--file"]
     smoothed = ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing"]
     optimize = ["optimize", "--aw-re", "2", "--init", "random"]
+    sweep = ["sweep", "--aw-re", "2", "--axis", "coupling_g"]
     nowhere = str(tmp_path / "missing" / "out.csv")
     argv = {
         "missing_config": ["shift", "--config", str(tmp_path / "missing.cfg")],
@@ -729,6 +772,22 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
                                                        "--probe-output", str(tmp_path)],
         "optimize_outputs_one_file": optimize + ["--output", str(tmp_path / "both.csv"),
                                                  "--probe-output", str(tmp_path / "both.csv")],
+        "single_entry_vector": ["shift", "--pre", "1"],
+        "ragged_matrix": ["shift", "--obs", "1,0;0,-1,0"],
+        "chi_without_varphi": ["shift", "--chi", "0.3"],
+        "pre_without_post_and_obs": ["shift", "--pre", "1,1"],
+        "config_line_without_equals": ["shift", "--config", _bytes_file(tmp_path, "eq.cfg", b"aw_re=2\ng 0.1\n")],
+        "non_involutory_obs": ["shift", "--pre", "1,1", "--post", "1,0", "--obs", "2,0;0,2"],
+        "probe_file_wrong_header": file_probe
+        + [_bytes_file(tmp_path, "head.csv", b"space,q,re,im\n" + b"momentum_initial,0,1,0\n" * 5)],
+        "probe_file_six_samples": file_probe + [_probe_file(tmp_path, "p6.csv", [(q, 1) for q in range(6)])],
+        "probe_file_non_uniform": file_probe
+        + [_probe_file(tmp_path, "pu.csv", [(q, 1) for q in (0, 1, 2, 3, 5)])],
+        "sweep_values_unparsable": sweep + ["--values", "0.1,abc"],
+        "sweep_without_range": sweep,
+        "sweep_count_one": sweep + ["--start", "0.1", "--stop", "0.2", "--count", "1"],
+        "sweep_single_value": sweep + ["--values", "0.1"],
+        "sweep_values_infinite": sweep + ["--values", "0.1,inf"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -770,27 +829,29 @@ def test_smoothed_shift_takes_its_point_count_from_the_weak_value(aw_re, aw_im, 
     argv = ["shift", "--probe", "smoothed", "--smoothing", "30", "--aw-re", aw_re, "--aw-im", aw_im]
     assert main(argv) == 0
     default = float(_report(capsys.readouterr().out)["delta_q"])
-    doubled = str(2 * wva.recommended_support_points(value) - 1)
-    assert main([*argv, "--n-points", doubled]) == 0
-    assert default == pytest.approx(float(_report(capsys.readouterr().out)["delta_q"]), rel=1e-7)
+    doubled = wva.smoothed_optimal_probe(0.1, value, 30.0, 2 * wva.recommended_support_points(value) - 1)
+    report = wva.shift_report(wva.PostSelectedEvolution(0.1, wva.WeakValue.from_value(value)), doubled)
+    assert default == pytest.approx(report.delta_q, rel=1e-7)
     assert default == pytest.approx(wva.max_shift(0.1, value), rel=1.1e-3)
 
 
-def test_smoothed_shift_refuses_a_point_count_below_the_resolution_law(tmp_path, capsys):
-    # 4,097 interior points printed delta_q 106.392405046 with exit 0; the
-    # default count gives 99.8940564664 (closed form 100.00005).
+def test_smoothed_shift_refuses_even_a_count_at_the_resolution_law(tmp_path, capsys):
+    # 4,097 interior points once printed delta_q 106.392405046 with exit 0;
+    # the count of the law, 40,001, gives 99.8940564664 (closed form
+    # 100.00005), which the probe picks itself.
     argv = ["--probe", "smoothed", "--smoothing", "30", "--aw-re", "1e-3", "--aw-im", "1"]
     least = wva.recommended_support_points(1e-3 + 1.0j)
     assert least == 40001
-    assert main(["shift", *argv, "--n-points", "4097"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("ConfigError: n_points = 4097") and f"accepted is {least}" in captured.err
-    assert captured.out == ""
-    assert main(["shift", *argv, "--n-points", str(least)]) == 0
+    for count in ("4097", str(least)):
+        assert main(["shift", *argv, "--n-points", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigError: n_points") and "probe=smoothed" in captured.err
+        assert captured.out == ""
+    assert main(["shift", *argv]) == 0
     assert _report(capsys.readouterr().out)["delta_q"] == "99.8940564664"
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--axis", "grid_n", *argv, "--values", f"4097,{least}", "--output", str(out)]) == 1
-    assert [r["error"] for r in _read_rows(out)] == ["ConfigError", ""]
+    assert [r["error"] for r in _read_rows(out)] == ["ConfigError", "ConfigError"]
     # A dump's samples are exact at any count.
     assert main(["dump", *argv, "--n-points", "4097", "--n-range", "2", "--output", str(tmp_path / "d.csv")]) == 0
 
@@ -804,8 +865,8 @@ def test_smoothed_zero_real_part_is_named_before_the_grid_is_sized(capsys):
 def test_exports_are_pinned():
     # An export is added or removed on purpose, by editing this list.
     assert sorted(wva.__all__) == [
-        "AscentCore", "DegenerateDenominator", "DimensionMismatch", "EvolvedProbe",
-        "GaussianShiftPrediction", "GridTooLarge", "MomentumGrid", "NonFinite", "Observable",
+        "AscentCore", "DegenerateDenominator", "DimensionMismatch",
+        "GaussianShiftPrediction", "GridTooLarge", "MomentumGrid", "NodeSamples", "NonFinite", "Observable",
         "OptimizerConfig", "OptimizerTrace", "OrthogonalSelection", "PositionSamples",
         "PostSelectedEvolution", "ProbeWavefunction", "QuadratureNodes", "ScaleOutOfRange",
         "ShiftReport", "SystemState", "TailMassTooLarge", "UnderResolvedGrid", "WeakValue",
@@ -934,10 +995,11 @@ def _refuse_p_grids(monkeypatch):
     monkeypatch.setattr(wva.probe.MomentumGrid, "__post_init__", refuse)
 
 
-@pytest.mark.parametrize("probe", ["optimal", "file"])
+@pytest.mark.parametrize("probe", ["optimal", "smoothed", "file"])
 @pytest.mark.parametrize("source", ["flag", "key"])
 def test_shift_and_sweep_refuse_a_point_count_off_the_p_grid_probes(probe, source, tmp_path, monkeypatch, capsys):
-    # An optimal probe reports its shift on theta nodes, a file probe on its own grid.
+    # An optimal probe reports its shift on theta nodes, a smoothed one on the
+    # count of its own resolution law, a file probe on its own grid.
     chosen = _probe_flags(probe, tmp_path)
     count = ["--n-points", "4097"]
     if source == "key":

@@ -22,9 +22,7 @@ AW = math.sqrt(3) + 2.0 * math.sqrt(3) * 1j
 def make_evo(coupling=G, value=AW, overlap=None):
     if overlap is None:
         return PostSelectedEvolution(coupling, WeakValue.from_value(value))
-    return PostSelectedEvolution(
-        coupling, WeakValue(complex(value), complex(overlap), abs(overlap) ** 2)
-    )
+    return PostSelectedEvolution(coupling, WeakValue(complex(value), complex(overlap)))
 
 
 def factor(evo, p):
@@ -37,7 +35,7 @@ class TestFactor:
 
     def test_quarter_period_imaginary_weak_value(self):
         # cos(pi/2) - i * i * sin(pi/2) = 1 (direct evaluation)
-        evo = PostSelectedEvolution(G, WeakValue(1j, 1.0 + 0j, 1.0))
+        evo = PostSelectedEvolution(G, WeakValue(1j, 1.0 + 0j))
         value = factor(evo, math.pi / (2.0 * G))
         assert value == pytest.approx(1.0, abs=1e-12)
 

@@ -93,6 +93,18 @@ class TestMomentumGrid:
         assert grid3.p_max == pytest.approx(3.0 * math.pi / (2.0 * G))
 
 
+@pytest.mark.parametrize("extent", [0, -1, 1.5])
+@pytest.mark.parametrize("n_points", [None, 101])
+def test_support_extent_must_be_a_positive_integer(extent, n_points):
+    # On theta nodes 0 once raised ZeroDivisionError, -1 a math domain error
+    # and 1.5 a norm error; the p-grid took 1.5.
+    with pytest.raises(ValueError, match="extent must be a positive integer"):
+        optimal_probe(G, 2.0, n_points, extent=extent)
+    if n_points is not None:
+        with pytest.raises(ValueError, match="extent must be a positive integer"):
+            MomentumGrid.for_support(G, n_points, extent)
+
+
 def test_numeric_derivative_fourth_order():
     # Error on a smooth function should fall ~16x per grid doubling.
     errors = []
@@ -525,7 +537,7 @@ class TestNodeSets:
         for value in (1.0, -1.0):
             probe = optimal_probe(G, value, None)
             assert probe.grid.n_points == 33
-            report = shift_report(PostSelectedEvolution(G, WeakValue(value, 1.0, 1.0)), probe)
+            report = shift_report(PostSelectedEvolution(G, WeakValue(value, 1.0)), probe)
             assert report.delta_q == pytest.approx(max_shift(G, value), rel=1e-12)
 
     @pytest.mark.parametrize(

@@ -76,9 +76,14 @@ def test_weak_value_dimension_mismatch():
         )
 
 
+def test_weak_value_type_rejects_an_overlap_beyond_one():
+    with pytest.raises(ValueError, match="modulus at most 1"):
+        WeakValue(2.0 + 0j, 1.0 + 1e-9 + 1e-9j)
+
+
 def test_weak_value_type_rejects_zero_overlap():
     with pytest.raises(ValueError):
-        WeakValue(1.0 + 0j, 0.0 + 0j, 0.0)
+        WeakValue(1.0 + 0j, 0.0 + 0j)
 
 
 def test_weak_value_beyond_the_scale_range_is_refused():
