@@ -20,8 +20,8 @@ import re
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from functools import cache
-from typing import Callable, NamedTuple
+from functools import cache, partial
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -59,21 +59,18 @@ class ConfigError(Exception):
 
 
 # Number formats by kind: zero (-0.0 included), scientific and general.  The
-# zero format takes its argument and prints none of it, so every kind takes
-# one argument of a ``%`` format.
-_FORMATS = ("0%.0s", "%.11e", "%.12g")
+# zero format is the literal "0" and takes no argument of a ``%`` format.
+_FORMATS = ("0", "%.11e", "%.12g")
 _SCIENTIFIC_BELOW, _SCIENTIFIC_FROM = 1e-3, 1e6
 
 
 def format_number(x: float) -> str:
     """12 significant digits; scientific for |x| < 1e-3 or >= 1e6."""
     if x == 0:
-        kind = 0
-    elif abs(x) < _SCIENTIFIC_BELOW or abs(x) >= _SCIENTIFIC_FROM:
-        kind = 1
-    else:
-        kind = 2
-    return _FORMATS[kind] % x
+        return _FORMATS[0]
+    if abs(x) < _SCIENTIFIC_BELOW or abs(x) >= _SCIENTIFIC_FROM:
+        return _FORMATS[1] % x
+    return _FORMATS[2] % x
 
 
 @cache
@@ -101,23 +98,57 @@ def _csv_block(label: str, *columns: np.ndarray) -> str:
     )
     digits = 3 ** np.arange(table.shape[1] - 1, -1, -1)
     template = "".join(_line_formats(label, table.shape[1])[kinds @ digits].tolist())
-    return template % tuple(table.ravel().tolist())
+    return template % tuple(table[kinds != 0].tolist())
+
+
+def _file_error(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"{path}: {exc.strerror or exc}")
+
+
+@dataclass(frozen=True)
+class _Output:
+    """A user-named file open for writing, whose failed write is a
+    configuration error naming it."""
+
+    handle: TextIO
+    path: str
+
+    def write(self, text: str) -> int:
+        try:
+            return self.handle.write(text)
+        except OSError as exc:
+            raise _file_error(self.path, exc) from exc
+
+    def fileno(self) -> int:
+        return self.handle.fileno()
 
 
 @contextmanager
 def _open(path: str, mode: str = "r"):
-    """Open a user-named UTF-8 file; a missing, unwritable or non-UTF-8 one is
-    a configuration error.  A byte-order mark at the start of a file read is
-    skipped; files are written without one."""
+    """Open a user-named UTF-8 file; one that cannot be opened, read, written
+    or closed, or a read one that is not UTF-8, is a configuration error.  A
+    byte-order mark at the start of a file read is skipped; files are written
+    without one, through an :class:`_Output`, so that an error raised by other
+    code in the ``with`` block is not taken for this file's."""
     try:
         handle = open(path, mode, newline="", encoding="utf-8-sig" if mode == "r" else "utf-8")
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    with handle:
+        raise _file_error(path, exc) from exc
+    try:
+        if mode != "r":
+            yield _Output(handle, path)
+            return
         try:
             yield handle
         except UnicodeDecodeError as exc:  # text is decoded as it is read
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except OSError as exc:
+            raise _file_error(path, exc) from exc
+    finally:
+        try:
+            handle.close()  # writes what is still buffered
+        except OSError as exc:
+            raise _file_error(path, exc) from exc
 
 
 def _checked(convert: Callable, ok: Callable, need: str) -> Callable:
@@ -316,6 +347,15 @@ def scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return scenario_from_table(table)
 
 
+@contextmanager
+def _selection_checked():
+    """A state or observable that its class refuses is a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"pre/post/obs: {exc}") from exc
+
+
 def scenario_weak_value(config: ScenarioConfig) -> WeakValue:
     mode = config.selection_mode()
     if mode == "aw":
@@ -323,10 +363,8 @@ def scenario_weak_value(config: ScenarioConfig) -> WeakValue:
     if mode == "mach_zehnder":
         pre, post, obs = mach_zehnder_setup(config.chi, config.varphi)
         return compute_weak_value(pre, post, obs)
-    try:
+    with _selection_checked():
         pre, post, obs = SystemState(config.pre), SystemState(config.post), Observable(config.obs)
-    except ValueError as exc:
-        raise ConfigError(f"pre/post/obs: {exc}") from exc
     return compute_weak_value(pre, post, obs)
 
 
@@ -393,9 +431,13 @@ def _require_unit_extent(config: ScenarioConfig) -> None:
         )
 
 
-def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
+def _reported_shift(
+    config: ScenarioConfig, weak_value: Callable[[], WeakValue]
+) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
     """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
 
+    The caller gives the scenario's weak value as ``weak_value()``, which is
+    called after the checks of the probe's point count and support extent.
     Only a Gaussian probe is sampled on a set ``n_points``.  A smoothed probe
     takes its count from :func:`recommended_support_points` of the weak
     value (:func:`smoothed_optimal_probe` with ``n_points=None``), an optimal
@@ -409,7 +451,7 @@ def _reported_shift(config: ScenarioConfig) -> tuple[WeakValue, ProbeWavefunctio
             "shift and sweep"
         )
     _require_unit_extent(config)
-    wv = scenario_weak_value(config)
+    wv = weak_value()
     probe = scenario_probe(config, wv)
     return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
 
@@ -453,7 +495,7 @@ def _optional(value: float | None) -> str:
 
 def cmd_shift(config: ScenarioConfig) -> int:
     with _output_file(config.output) as handle:
-        wv, probe, report = _reported_shift(config)
+        wv, probe, report = _reported_shift(config, partial(scenario_weak_value, config))
         ref_q, ref_p = analytic_reference(config, wv)
         diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
         diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
@@ -564,31 +606,64 @@ def _parsed(config: ScenarioConfig, **changes) -> ScenarioConfig:
 
 
 def _sweep_scenario(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """The scenario of a ``coupling_g``, ``smoothing_s`` or ``grid_n`` row."""
     if axis == "coupling_g":
         return _parsed(config, coupling=value)
     if axis == "smoothing_s":
         if config.probe != "smoothed":
             raise ConfigError("axis=smoothing_s needs probe=smoothed")
         return _parsed(config, smoothing=value)
-    if axis == "grid_n":
-        n = int(round(value))  # a --start/--stop/--count range gives non-integers
-        return _parsed(config, n_points=n + 1 - n % 2)
-    # postselection_angle
-    if config.selection_mode() == "mach_zehnder":
-        return replace(config, varphi=value)
-    if config.selection_mode() == "vectors":
-        if config.pre is None or len(config.pre) != 2:
-            raise ConfigError("postselection_angle sweep needs a two-level explicit selection")
-        return replace(config, post=np.array([math.cos(value), math.sin(value)]))
-    raise ConfigError("postselection_angle sweep needs mach-zehnder or vector selection")
+    n = int(round(value))  # a --start/--stop/--count range gives non-integers
+    return _parsed(config, n_points=n + 1 - n % 2)
 
 
-def _sweep_row(config: ScenarioConfig, axis: str, value: float) -> list[str]:
+# A sweep row's scenario and its weak value, each from the row's axis value.
+_SweepRule = tuple[Callable[[float], ScenarioConfig], Callable[[float], WeakValue]]
+
+
+def _sweep_rule(config: ScenarioConfig, axis: str) -> _SweepRule:
+    """How each row of a sweep gets its scenario and its weak value.
+
+    Only the weak value depends on the post-selection angle, so every angle
+    row runs the sweep's own scenario.  Its weak value is that of the state
+    (cos v, sin v) on a two-level vector selection, whose pre-selected state
+    and observable are built once, or that of polarizer angle v on a
+    Mach-Zehnder selection.  The weak value of the other axes is the
+    sweep's, computed once.  An error of the whole sweep is not kept: each
+    row meets it again, at the step where it does on its own.
+    """
+    if axis != "postselection_angle":
+        shared = cache(partial(scenario_weak_value, config))
+        return partial(_sweep_scenario, config, axis), lambda value: shared()
+    mode = config.selection_mode()
+    if mode == "mach_zehnder":
+        return (lambda angle: config), lambda angle: compute_weak_value(*mach_zehnder_setup(config.chi, angle))
+    if mode == "vectors" and len(config.pre) == 2:
+
+        @cache
+        def pre_and_observable() -> tuple[SystemState, Observable]:
+            with _selection_checked():
+                return SystemState(config.pre), Observable(config.obs)
+
+        def weak_value(angle: float) -> WeakValue:
+            pre, obs = pre_and_observable()
+            return compute_weak_value(pre, SystemState(np.array([math.cos(angle), math.sin(angle)])), obs)
+
+        return (lambda angle: config), weak_value
+    need = "a two-level explicit" if mode == "vectors" else "mach-zehnder or vector"
+
+    def refuse(angle: float):
+        raise ConfigError(f"postselection_angle sweep needs {need} selection")
+
+    return refuse, refuse
+
+
+def _sweep_row(axis: str, value: float, rule: _SweepRule) -> list[str]:
     row = [axis, format_number(value)]
+    scenario, weak_value = rule
     try:
-        variant = _sweep_scenario(config, axis, value)
-        variant.validate()
-        wv, _, report = _reported_shift(variant)
+        variant = scenario(value)
+        wv, _, report = _reported_shift(variant, partial(weak_value, value))
         ref_q, _ = analytic_reference(variant, wv)
         overlap_q = (
             format_number(abs(wv.overlap) * report.q_final)
@@ -629,8 +704,19 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
+    """One CSV row per axis value, each with the shift report of ``shift``
+    on that row's scenario, or the name of the error that ended the row.
+
+    Built once per sweep (:func:`_sweep_rule`): the weak value of a
+    ``coupling_g``, ``smoothing_s`` or ``grid_n`` sweep, and the pre-selected
+    state and observable of a vector selection swept in post-selection
+    angle.  Built by each row: a variant scenario holding its parsed axis
+    value (the angle axis needs none), the post-selected state and its weak
+    value on the angle axis, and the probe and shift report.
+    """
     with _output(config.output) as handle:
-        rows = [_sweep_row(config, axis, value) for value in values]
+        rule = _sweep_rule(config, axis)
+        rows = [_sweep_row(axis, value, rule) for value in values]
         writer = _csv_writer(handle)
         writer.writerow(
             [
@@ -777,11 +863,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(parser, args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout has gone (``wva dump | head``).  Point stdout at
-        # devnull so that the flush at exit finds no broken pipe either.
+    except OSError as exc:
+        # Only a write to stdout gets here: every file error is a ConfigError.
+        # Its reader has gone (``wva dump | head``, exit 1 in silence) or its
+        # device is full.  Point stdout at devnull so that the flush at exit
+        # finds nothing to fail on.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        print(f"ConfigError: {_file_error('stdout', exc)}", file=sys.stderr)
+        return 2
     return code
 
 

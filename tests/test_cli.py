@@ -497,8 +497,13 @@ class TestSweepCommand:
             ("smoothing_s", ["--aw-re", "2", "--probe", "gaussian"]),
             ("postselection_angle", ["--aw-re", "2"]),
             ("postselection_angle", ["--pre", "1,1,0", "--post", "1,0,0", "--obs", "1,0,0;0,-1,0;0,0,1"]),
+            # Errors of the selection, which a sweep builds once, still end every row.
+            ("postselection_angle", ["--pre", "0,0", "--post", "1,0", "--obs", "1,0;0,-1"]),
+            ("postselection_angle", ["--pre", "1,1", "--post", "1,0", "--obs", "2,0;0,-1"]),
         ],
-        ids=["smoothing_s-gaussian", "angle-aw", "angle-three-level"],
+        ids=[
+            "smoothing_s-gaussian", "angle-aw", "angle-three-level", "angle-zero-pre", "angle-non-involutory-obs"
+        ],
     )
     def test_axis_off_its_selection_or_probe_is_a_row_config_error(self, axis, selection, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -534,6 +539,76 @@ class TestSweepCommand:
         reference = [float(r["analytic_delta_q"]) for r in rows]
         errors = [abs(float(r["delta_q"]) - ref) for r, ref in zip(rows, reference)]
         assert errors[0] / errors[1] >= 8.0
+
+    _VECTORS = ["--pre", "1,1", "--obs", "1,0;0,-1"]
+    _ORTHOGONAL = 3 * math.pi / 4  # cos + sin of it is 1e-16: an exactly orthogonal selection
+
+    @pytest.mark.parametrize(
+        "selection, axis, values, row_flags",
+        [
+            (
+                [*_VECTORS, "--post", "1,0"],
+                "postselection_angle",
+                [_ORTHOGONAL - 0.3, _ORTHOGONAL - 1e-4, _ORTHOGONAL],
+                lambda v: ["--post", f"{math.cos(v)!r},{math.sin(v)!r}"],
+            ),
+            (
+                ["--chi", "0.3", "--varphi", "0.2"],
+                "postselection_angle",
+                [0.2, math.pi / 2 - 0.31, math.pi / 2 - 0.3],
+                lambda v: ["--varphi", repr(v)],
+            ),
+            (["--aw-re", AW_RE, "--aw-im", AW_IM], "coupling_g", [0.05, 0.1, 0.4], lambda v: ["--g", repr(v)]),
+        ],
+        ids=["vector-angle", "mach-zehnder-angle", "coupling"],
+    )
+    def test_rows_are_the_shift_of_their_scenarios(self, selection, axis, values, row_flags, tmp_path, capsys):
+        # A sweep builds its selection or its weak value once; each row must
+        # still print what ``shift`` prints for that row's scenario.
+        out = tmp_path / "sweep.csv"
+        flags = ["--probe", "optimal", *selection]
+        main(["sweep", "--axis", axis, *flags, "--values", ",".join(map(repr, values)), "--output", str(out)])
+        columns = ["delta_q", "delta_p", "weight", "analytic_delta_q"]
+        for row, value in zip(_read_rows(out), values, strict=True):
+            shift_out = tmp_path / "shift.csv"
+            code = main(["shift", *flags, *row_flags(value), "--output", str(shift_out)])
+            error = capsys.readouterr().err.partition(":")[0]
+            if code == 0:
+                assert [row[c] for c in columns] == [_read_rows(shift_out)[0][c] for c in columns]
+                assert row["error"] == ""
+            else:
+                assert row["error"] == error != ""
+        assert row["error"] == ("OrthogonalSelection" if axis == "postselection_angle" else "")
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["--axis", "postselection_angle", *_VECTORS, "--post", "1,0"],
+             {"scenario_weak_value": 0, "Observable": 1, "SystemState": 4}),
+            (["--axis", "postselection_angle", "--chi", "0.3", "--varphi", "0.2"],
+             {"scenario_weak_value": 0, "Observable": 0, "SystemState": 0}),
+            (["--axis", "coupling_g", *_VECTORS, "--post", "1,0"],
+             {"scenario_weak_value": 1, "Observable": 1, "SystemState": 2}),
+        ],
+        ids=["vector-angle", "mach-zehnder-angle", "coupling"],
+    )
+    def test_what_does_not_change_along_the_axis_is_built_once(self, argv, built, tmp_path, monkeypatch):
+        calls = dict.fromkeys(built, 0)
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in built:
+            monkeypatch.setattr(cli, name, counted(name))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--probe", "optimal", "--values", "0.1,0.2,0.3", "--output", str(out)]) == 0
+        assert calls == built
 
 
 class TestOptimizeCommand:
@@ -1080,6 +1155,38 @@ def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
     assert [(r["axis_value"], r["error"]) for r in rows] == [("-1", "ConfigError"), ("0.1", "")]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+@pytest.mark.parametrize(
+    "argv, to_stdout",
+    [
+        (["shift", "--aw-re", "2"], False),
+        (["dump", "--probe", "gaussian", "--aw-re", "2"], False),
+        (["sweep", "--axis", "coupling_g", "--aw-re", "2", "--values", "0.1,0.2"], False),
+        (["optimize", "--aw-re", "2", "--n-points", "65", "--max-iters", "5"], False),
+        (["shift", "--aw-re", "2"], True),
+        (["dump", "--probe", "gaussian", "--aw-re", "2"], True),
+        (["sweep", "--axis", "coupling_g", "--aw-re", "2", "--values", "0.1,0.2"], True),
+        (["optimize", "--aw-re", "2", "--n-points", "65", "--max-iters", "5"], True),
+        (["mach-zehnder", "--chi", "0.3", "--varphi", "0.2"], True),
+    ],
+    ids=lambda v: (v[0] if isinstance(v, list) else ("stdout" if v else "output")),
+)
+def test_a_full_device_is_a_config_error(argv, to_stdout):
+    # Each once ended in an OSError traceback, raised as the output was
+    # written or closed, or as stdout was flushed at exit.
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "wva.cli", *argv, *([] if to_stdout else ["--output", "/dev/full"])],
+            env=_subprocess_env(),
+            stdout=full if to_stdout else subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    path = "stdout" if to_stdout else "/dev/full"
+    assert (child.returncode, child.stderr) == (2, f"ConfigError: {path}: No space left on device\n")
+
+
 def _report(out: str) -> dict[str, str]:
     """Label -> first value of each line of a ``shift`` report."""
     return {line.split()[0]: line.split()[1] for line in out.splitlines()}
@@ -1219,10 +1326,14 @@ def test_weak_value_beyond_the_scale_range_is_a_domain_error(argv, capsys):
 
 def test_sweep_rows_carry_the_weak_value_scale_error(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--probe", "optimal", "--aw-re", "1e160", "--axis", "coupling_g", "--values", "0.1,0.2"]
-    assert main(argv + ["--output", str(out)]) == 1
+    argv = ["sweep", "--probe", "optimal", "--aw-re", "1e160", "--axis", "coupling_g", "--output", str(out)]
+    assert main(argv + ["--values", "0.1,0.2"]) == 1
     rows = _read_rows(out)
     assert [(r["delta_q"], r["error"]) for r in rows] == [("", "ScaleOutOfRange")] * 2
+    # The weak value is computed once per sweep, but a row meets it only
+    # after its own coupling has been parsed.
+    assert main(argv + ["--values=-1,0.1"]) == 1
+    assert [r["error"] for r in _read_rows(out)] == ["ConfigError", "ScaleOutOfRange"]
 
 
 @pytest.mark.parametrize("probe", ["optimal", "gaussian"])
