@@ -558,6 +558,8 @@ def _write_samples(handle, sections) -> None:
 
 def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
     _require_unit_extent(config)
+    if config.probe == "file" and config.n_points is not None:
+        raise ConfigError("n_points sets the p-grid of a dump; probe=file keeps the grid of its file")
     wv = scenario_weak_value(config)
     if config.probe == "optimal" and config.n_points is None:
         # A dump samples on a p-grid, which the position transform needs.
@@ -565,8 +567,9 @@ def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.nda
     evo = PostSelectedEvolution(config.coupling, wv)
     probe = scenario_probe(config, wv)
     evolved = apply_postselection(evo, probe)
-    final_values = evolved.values / math.sqrt(evolved.weight)
-    final_probe = ProbeWavefunction.normalized(probe.grid, final_values, label="final")
+    norm = math.sqrt(evolved.weight)
+    final_values = evolved.values / norm
+    final_probe = ProbeWavefunction.normalized(probe.grid, final_values, evolved.derivative / norm, "final")
 
     if config.probe in ("optimal", "smoothed"):
         # Discrete position samples on the comb q = 2 g n.
@@ -735,6 +738,8 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
 
 
 def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
+    if config.probe_file is not None or config.smoothing is not None:
+        raise ConfigError("optimize searches its own probe: it takes no file or smoothing key")
     wv = scenario_weak_value(config)
     evo = PostSelectedEvolution(config.coupling, wv)
     n = config.n_points if config.n_points is not None else 513

@@ -47,11 +47,8 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
     The output is on the node set of the probe's ``evolution_view`` when it
     has one, and on the probe's own grid otherwise.
     """
-    view = probe.evolution_view
-    if view is None:
-        grid, values, derivative = probe.grid, probe.values, probe.derivative_or_numeric()
-    else:
-        grid, values, derivative = view.grid, view.values, view.derivative
-    b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, grid.points)
+    state = probe.evolution_view or probe
+    b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, state.grid.points)
     overlap = evo.weak.overlap
-    return NodeSamples(grid, overlap * b * values, overlap * (bd * values + b * derivative))
+    values = state.values
+    return NodeSamples(state.grid, overlap * b * values, overlap * (bd * values + b * state.derivative))

@@ -115,13 +115,11 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     UnderResolvedGrid
         If the evolution view does not resolve the evolved state.
     """
-    grid = probe.grid
-    # The initial density is not kept alive through the evolution.
-    q_initial, p_initial, _ = _state_means(NodeSamples(grid, probe.values, probe.derivative_or_numeric()))
+    q_initial, p_initial, _ = _state_means(probe)
     evolved = apply_postselection(evo, probe)
     final = evolved.grid
     integrands = _integrands(evolved)
-    if final is not grid:  # each integrand against its absolute integral
+    if final is not probe.grid:  # each integrand against its absolute integral
         final.check_resolved(
             "the post-selected state, exact on the support nodes only under the evolution that "
             "the probe cancels",

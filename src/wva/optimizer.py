@@ -314,7 +314,7 @@ def gauge_fix(probe: ProbeWavefunction) -> ProbeWavefunction:
     rotate the global phase so the midpoint value is real positive (falling
     back to the largest sample when the midpoint is negligible)."""
     grid = probe.grid
-    derivative = probe.derivative_or_numeric()
+    derivative = probe.derivative
     mean_q = expect_q(probe.values, derivative, grid)
     phase = np.exp(1j * mean_q * grid.points)
     values = probe.values * phase

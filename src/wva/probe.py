@@ -19,8 +19,9 @@ of node set exist:
   Its post-selected state lives on a small rule in p over the support
   (:func:`support_nodes`).
 
-Constructed probes carry analytic derivatives; user-supplied samples fall back
-to fourth-order finite differences.
+Every probe stores its derivative: constructed probes their analytic one,
+user-supplied samples on a :class:`MomentumGrid` a fourth-order
+finite-difference one, taken once when the probe is built.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ Nodes = MomentumGrid | QuadratureNodes
 @dataclass(frozen=True, eq=False)
 class NodeSamples:
     """Values and derivative of a wavefunction at the points of a node set,
-    with no normalization implied on that set: the optimal probe's
-    ``evolution_view`` and every post-selected state.  ``density`` is
-    |values|^2 and ``weight`` its quadrature, the squared norm; each is
-    computed once, at first use.
+    of any norm: the optimal probe's ``evolution_view`` and every
+    post-selected state.  :class:`ProbeWavefunction` is the normalized kind.
+    ``density`` is |values|^2 and ``weight`` its quadrature, the squared norm;
+    each is computed once, at first use.
 
     A post-selected state keeps nodes of its own because the probe's do not
     resolve it.  The optimal probe's density is uniform in theta = arg B, and
@@ -393,19 +394,19 @@ def _require_finite(samples: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbeWavefunction:
-    """Complex momentum-space wavefunction sampled on a node set.
+class ProbeWavefunction(NodeSamples):
+    """A probe: :class:`NodeSamples` normalized on its node set, with a name.
 
-    Instances are immutable and normalized: the node set's quadrature of
-    |values|^2 equals one within ``NORMALIZATION_TOL``.  ``derivative`` holds
-    analytic derivative samples when the constructor knows them.
-    ``evolution_view``, when set, holds the same wavefunction's samples on
-    the node set on which :func:`wva.evolution.apply_postselection` integrates
-    its post-selected state.
+    Instances are immutable and normalized: their ``weight`` equals one within
+    ``NORMALIZATION_TOL``.  ``derivative`` is always stored: the analytic
+    samples when the constructor knows them, else :func:`numeric_derivative`
+    of the values, computed once at construction, which needs a
+    :class:`MomentumGrid`.  ``evolution_view``, when set, holds the same
+    wavefunction's samples on the node set on which
+    :func:`wva.evolution.apply_postselection` integrates its post-selected
+    state.
     """
 
-    grid: Nodes
-    values: np.ndarray
     derivative: np.ndarray | None = None
     label: str = ""
     evolution_view: NodeSamples | None = None
@@ -415,20 +416,23 @@ class ProbeWavefunction:
         if values.shape != (self.grid.n_points,):
             raise ValueError("values must match the grid point count")
         _require_finite(values, "values")
-        norm_sq = float(self.grid.integrate(np.abs(values) ** 2))
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"wavefunction norm^2 = {norm_sq!r} deviates from 1 beyond {NORMALIZATION_TOL}"
-            )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.derivative is not None:
+        if abs(self.weight - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(
+                f"wavefunction norm^2 = {self.weight!r} deviates from 1 beyond {NORMALIZATION_TOL}"
+            )
+        if self.derivative is None:
+            if not isinstance(self.grid, MomentumGrid):
+                raise ValueError("a probe on quadrature nodes needs a derivative: the stencil needs a MomentumGrid")
+            deriv = numeric_derivative(values, self.grid)
+        else:
             deriv = np.asarray(self.derivative, dtype=np.complex128)
             if deriv.shape != values.shape:
                 raise ValueError("derivative must match the grid point count")
             _require_finite(deriv, "derivative")
-            deriv.flags.writeable = False
-            object.__setattr__(self, "derivative", deriv)
+        deriv.flags.writeable = False
+        object.__setattr__(self, "derivative", deriv)
 
     @classmethod
     def normalized(
@@ -455,23 +459,6 @@ class ProbeWavefunction:
             _require_finite(deriv, "derivative")
             deriv = deriv * scale
         return cls(grid, values * scale, deriv, label)
-
-    def norm_squared(self) -> float:
-        return float(self.grid.integrate(np.abs(self.values) ** 2))
-
-    def derivative_or_numeric(self) -> np.ndarray:
-        """Analytic derivative samples when present, stencil fallback (on a
-        :class:`MomentumGrid` only) otherwise."""
-        if self.derivative is not None:
-            return self.derivative
-        return self._stencil_derivative
-
-    @cached_property
-    def _stencil_derivative(self) -> np.ndarray:
-        """:func:`numeric_derivative` of the values, computed once per instance."""
-        deriv = numeric_derivative(self.values, self.grid)
-        deriv.flags.writeable = False
-        return deriv
 
 
 def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:

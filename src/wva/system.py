@@ -161,6 +161,11 @@ def compute_weak_value(pre: SystemState, post: SystemState, observable: Observab
     return WeakValue(numerator / overlap, overlap)
 
 
+#: The observable of :func:`mach_zehnder_setup`, built once: it is frozen and
+#: read-only, so every setup shares it.
+_MACH_ZEHNDER_OBSERVABLE = Observable(np.diag([-1.0, 1.0]))
+
+
 def mach_zehnder_setup(
     path_angle: float, polarizer_angle: float
 ) -> tuple[SystemState, SystemState, Observable]:
@@ -182,8 +187,7 @@ def mach_zehnder_setup(
     """
     pre = SystemState(np.array([math.cos(path_angle), math.sin(path_angle)]))
     post = SystemState(np.array([-math.cos(polarizer_angle), math.sin(polarizer_angle)]))
-    observable = Observable(np.diag([-1.0, 1.0]))
-    return pre, post, observable
+    return pre, post, _MACH_ZEHNDER_OBSERVABLE
 
 
 def mach_zehnder_weak_value(path_angle: float, polarizer_angle: float) -> WeakValue:

@@ -610,6 +610,17 @@ class TestSweepCommand:
         assert main(["sweep", *argv, "--probe", "optimal", "--values", "0.1,0.2,0.3", "--output", str(out)]) == 0
         assert calls == built
 
+    def test_mach_zehnder_angle_rows_build_no_observable(self, tmp_path, monkeypatch):
+        # Every Mach-Zehnder setup shares one observable, built at import.
+        built = []
+        check = wva.system.Observable.__post_init__
+        monkeypatch.setattr(wva.system.Observable, "__post_init__", lambda obs: built.append(1) or check(obs))
+        out = tmp_path / "sweep.csv"
+        argv = ["--axis", "postselection_angle", "--chi", "0.3", "--varphi", "0.2", "--probe", "optimal"]
+        assert main(["sweep", *argv, "--values", "0.1,0.2,0.3", "--output", str(out)]) == 0
+        assert len(_read_rows(out)) == 3
+        assert built == []
+
 
 class TestOptimizeCommand:
     def test_trace_and_probe_outputs(self, tmp_path, capsys, monkeypatch):
@@ -799,6 +810,9 @@ def _bytes_file(tmp_path, name, data):
         "sweep_count_one",
         "sweep_single_value",
         "sweep_values_infinite",
+        "dump_file_probe_n_points",
+        "optimize_file_key",
+        "optimize_smoothing_key",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
@@ -863,6 +877,12 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "sweep_count_one": sweep + ["--start", "0.1", "--stop", "0.2", "--count", "1"],
         "sweep_single_value": sweep + ["--values", "0.1"],
         "sweep_values_infinite": sweep + ["--values", "0.1,inf"],
+        # A file probe keeps its own grid, and optimize searches its own probe:
+        # each was once accepted and ignored.
+        "dump_file_probe_n_points": ["dump", "--aw-re", "2", "--probe", "file", "--n-points", "5", "--file",
+                                     _probe_file(tmp_path, "p5.csv", [(q, 1) for q in range(5)])],
+        "optimize_file_key": optimize + ["--probe", "file", "--file", str(tmp_path / "missing.csv")],
+        "optimize_smoothing_key": optimize + ["--probe", "smoothed", "--smoothing", "3"],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -991,6 +1011,24 @@ def test_benchmark_wrap_points_exist_and_are_restored(monkeypatch):
         after = vars(module)
         assert after.keys() == namespace.keys() and all(after[k] is v for k, v in namespace.items())
     assert wva.probe.MomentumGrid.integrate is integrate
+
+
+def test_traced_file_probe_shift_takes_one_stencil_span(monkeypatch, tmp_path, capsys):
+    # A file probe takes its derivative when it is read, not in the report;
+    # the traced benchmark must still see that one stencil call.
+    probe_file = tmp_path / "probe.csv"
+    assert main(["dump", "--aw-re", "2", "--probe", "gaussian", "--n-points", "201", "--output", str(probe_file)]) == 0
+    tracing = _bench_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    saved = tracing.instrument(tracer, wva)
+    try:
+        assert main(["shift", "--aw-re", "2", "--probe", "file", "--file", str(probe_file)]) == 0
+    finally:
+        tracing.restore(saved)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("probe.numeric_derivative") == 1
+    assert names.count("expectation.shift_report") == 1
 
 
 def test_tracing_leaves_the_shared_parser_clean(monkeypatch, capsys):

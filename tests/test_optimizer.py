@@ -285,7 +285,7 @@ class TestGaugeFix:
         grid = MomentumGrid.for_support(G, 513)
         trace = maximize_once(OptimizerConfig(grid=grid, seed=3, init="random"), evo_for(AW))
         fixed = gauge_fix(trace.final_probe)
-        mean = expect_q(fixed.values, fixed.derivative_or_numeric(), grid)
+        mean = expect_q(fixed.values, fixed.derivative, grid)
         assert abs(mean) < 1e-6
         midpoint = fixed.values[grid.n_points // 2]
         assert midpoint.imag == pytest.approx(0.0, abs=1e-10)

@@ -122,7 +122,7 @@ def test_wavefunction_requires_normalization():
     with pytest.raises(ValueError):
         ProbeWavefunction(grid, np.full(21, 10.0 + 0j))
     probe = ProbeWavefunction.normalized(grid, np.full(21, 10.0 + 0j))
-    assert probe.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert probe.weight == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)], ids=["nan", "inf", "imag-inf"])
@@ -143,16 +143,27 @@ def test_wavefunction_rejects_non_finite_samples(bad):
         ProbeWavefunction.normalized(grid, probe.values, derivative)
 
 
+def test_probe_without_derivative_needs_a_momentum_grid():
+    # The stencil runs once, at construction, and only on a uniform grid.
+    source = optimal_probe(G, AW)
+    with pytest.raises(ValueError, match="the stencil needs a MomentumGrid"):
+        ProbeWavefunction(source.grid, source.values)
+    grid = MomentumGrid(-1.0, 1.0, 21)
+    probe = ProbeWavefunction.normalized(grid, np.exp(1j * grid.points))
+    assert np.array_equal(probe.derivative, numeric_derivative(probe.values, grid))
+    assert not probe.derivative.flags.writeable
+
+
 class TestGaussianProbe:
     def test_normalized_on_grid(self):
         grid = MomentumGrid(-20.0, 20.0, 4001)
         probe = gaussian_probe(1.0, grid)
-        assert probe.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        assert probe.weight == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_means(self):
         grid = MomentumGrid(-20.0, 20.0, 4001)
         probe = gaussian_probe(1.0, grid)
-        mean_p = grid.integrate(grid.points * np.abs(probe.values) ** 2) / probe.norm_squared()
+        mean_p = grid.integrate(grid.points * np.abs(probe.values) ** 2) / probe.weight
         assert mean_p == pytest.approx(0.0, abs=1e-10)
         assert expect_q(probe.values, probe.derivative, grid) == pytest.approx(0.0, abs=1e-8)
 
@@ -182,7 +193,7 @@ class TestGaussianProbe:
 class TestOptimalProbe:
     def test_normalized(self):
         probe = optimal_probe(G, AW)
-        assert probe.norm_squared() == pytest.approx(1.0, abs=1e-8)
+        assert probe.weight == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_imaginary_weak_value(self):
         with pytest.raises(ZeroRealPart):
@@ -522,7 +533,7 @@ class TestNodeSets:
         assert isinstance(probe.grid, QuadratureNodes)
         assert probe.grid.n_points <= 257
         # The analytic amplitude is normalized on the nodes without rescaling.
-        assert probe.norm_squared() == pytest.approx(1.0, abs=1e-14)
+        assert probe.weight == pytest.approx(1.0, abs=1e-14)
         view = probe.evolution_view
         assert isinstance(view.grid, QuadratureNodes) and view.grid.n_points == 17
         assert isinstance(optimal_probe(G, AW, 4097).grid, MomentumGrid)  # an explicit count keeps its p-grid
