@@ -3,9 +3,9 @@ sweeps, optimizer runs, and interferometer weak values.
 
 Scenarios are described by a flat key=value config file plus command-line
 overrides (flags win).  One table of fields defines every key: its flag, its
-parser and domain check, and its line in a serialized scenario.  All numeric
-output is printed with 12 significant digits, scientific notation outside
-[1e-3, 1e6), so CSV artifacts are stable regression fixtures.
+parser and domain check, its line in a serialized scenario, and which commands
+read it.  All numeric output is printed with 12 significant digits, scientific
+notation outside [1e-3, 1e6), so CSV artifacts are stable regression fixtures.
 """
 
 from __future__ import annotations
@@ -219,20 +219,41 @@ _FIELDS = (
     _Field("post", "post", _vector, "post-selected state, comma-separated complex entries"),
     _Field("obs", "obs", _matrix, "observable matrix, ';'-separated rows"),
     _Field("width", "width", _scale, "gaussian momentum width"),
-    _Field("smoothing", "smoothing", _scale, "smoothing rate for probe=smoothed"),
-    _Field("file", "probe_file", _text, "probe CSV for probe=file"),
-    _Field("n_points", "n_points", _odd_count, "p-grid points (odd): gaussian probe, dump, optimize"),
-    _Field(
-        "support_m",
-        "support_extent",
-        _count,
-        "support extent in periods pi/g: optimal probe (shift, sweep, dump) and optimize; other probes take 1",
-    ),
-    _Field("n_range", "n_range", _count, "discrete position range"),
+    _Field("smoothing", "smoothing", _scale, "smoothing rate of the smoothed probe"),
+    _Field("file", "probe_file", _text, "probe CSV, as written by dump"),
+    _Field("n_points", "n_points", _odd_count, "odd count of p-grid points"),
+    _Field("support_m", "support_extent", _count, "support extent in periods pi/g"),
+    _Field("n_range", "n_range", _count, "discrete positions q = 2gn, |n| <= n_range"),
     _Field("output", "output", _text, "output CSV path (default: stdout or none)"),
 )
 
 _CONFIG_KEYS = frozenset(field.key for field in _FIELDS)
+
+# The probes with which ``shift`` (and each ``sweep`` row), ``dump`` and
+# ``optimize`` read each key that only some scenarios read; a command absent
+# from a key's entry never reads it.  Only a Gaussian probe is sampled on a set
+# p-grid in a shift report: an optimal probe reports it on theta nodes, a
+# smoothed one on the count of its resolution law, a file probe on its own
+# grid.  A dump samples every probe but a file one on a set p-grid, and only
+# the comb probes on discrete positions.  ``optimize`` searches its own probe.
+_READ_BY: dict[str, dict[str, tuple[str, ...]]] = {
+    "width": {"shift": ("gaussian",), "dump": ("gaussian",)},
+    "smoothing": {"shift": ("smoothed",), "dump": ("smoothed",)},
+    "file": {"shift": ("file",), "dump": ("file",)},
+    "n_points": {"shift": ("gaussian",), "dump": ("gaussian", "optimal", "smoothed"), "optimize": _PROBE_KINDS},
+    "support_m": {"shift": ("optimal",), "dump": ("optimal",), "optimize": _PROBE_KINDS},
+    "n_range": {"dump": ("optimal", "smoothed")},
+}
+
+
+def _help(field: _Field) -> str:
+    """The field's --help text, with the commands and probes that read it."""
+    uses = [
+        ("shift, sweep" if command == "shift" else command)
+        + ("" if probes == _PROBE_KINDS else f" with probe={'/'.join(probes)}")
+        for command, probes in _READ_BY.get(field.key, {}).items()
+    ]
+    return f"{field.help} (read by {'; '.join(uses)})" if uses else field.help
 
 
 def _show(value) -> str:
@@ -289,8 +310,20 @@ class ScenarioConfig:
         self.selection_mode()
         if (self.probe == "smoothed") != (self.smoothing is not None):
             raise ConfigError("probe=smoothed needs the smoothing key, and no other probe takes it")
-        if (self.probe == "file") != bool(self.probe_file):
+        if (self.probe == "file") != (self.probe_file is not None):
             raise ConfigError("probe=file needs the file key, and no other probe takes it")
+
+    def require_read(self, command: str) -> None:
+        """Refuse a key of :data:`_READ_BY` that is set away from its default
+        and that ``command`` does not read with this scenario's probe.  Not a
+        :meth:`validate` check: which keys are read depends on the command."""
+        for field in _FIELDS:
+            if field.key not in _READ_BY:
+                continue
+            probes = _READ_BY[field.key].get(command, ())
+            if self.probe not in probes and getattr(self, field.attr) != getattr(ScenarioConfig, field.attr):
+                where = f"only with probe={'/'.join(probes)}" if probes else "with no probe"
+                raise ConfigError(f"{field.key}: {command} reads it {where} (here probe={self.probe})")
 
     def to_text(self) -> str:
         """Serialize as a config file; parsing it back yields an identical
@@ -420,37 +453,16 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     return read_probe_csv(config.probe_file)
 
 
-def _require_unit_extent(config: ScenarioConfig) -> None:
-    """Refuse a ``support_m`` other than 1 off the optimal probe, the only
-    probe of ``shift``, ``sweep`` and ``dump`` whose support it widens.  Not a
-    :meth:`ScenarioConfig.validate` check: ``optimize`` takes it with any
-    probe kind."""
-    if config.support_extent != 1 and config.probe != "optimal":
-        raise ConfigError(
-            f"support_m widens the support of an optimal probe; probe={config.probe} takes only 1"
-        )
-
-
 def _reported_shift(
     config: ScenarioConfig, weak_value: Callable[[], WeakValue]
 ) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
     """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
 
     The caller gives the scenario's weak value as ``weak_value()``, which is
-    called after the checks of the probe's point count and support extent.
-    Only a Gaussian probe is sampled on a set ``n_points``.  A smoothed probe
-    takes its count from :func:`recommended_support_points` of the weak
-    value (:func:`smoothed_optimal_probe` with ``n_points=None``), an optimal
-    probe reports its shift on theta nodes (:func:`optimal_probe` with
-    ``n_points=None``), and a file probe on its own grid.  A ``dump`` takes
-    a count for every probe.
+    called after the keys are checked against the ``shift`` entries of
+    :data:`_READ_BY`.
     """
-    if config.n_points is not None and config.probe != "gaussian":
-        raise ConfigError(
-            f"n_points sets the p-grid of a gaussian probe; probe={config.probe} takes none in "
-            "shift and sweep"
-        )
-    _require_unit_extent(config)
+    config.require_read("shift")
     wv = weak_value()
     probe = scenario_probe(config, wv)
     return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
@@ -493,32 +505,26 @@ def _optional(value: float | None) -> str:
     return "" if value is None else format_number(value)
 
 
+# The report's values as ``shift`` prints them and names its CSV columns.
+_REPORTED = ("q_initial", "q_final", "p_initial", "p_final", "delta_q", "delta_p", "weight")
+
+
 def cmd_shift(config: ScenarioConfig) -> int:
     with _output_file(config.output) as handle:
         wv, probe, report = _reported_shift(config, partial(scenario_weak_value, config))
-        ref_q, ref_p = analytic_reference(config, wv)
-        diff_q = None if ref_q is None else abs(report.delta_q - ref_q)
-        diff_p = None if ref_p is None else abs(report.delta_p - ref_p)
+        references = dict(zip(("delta_q", "delta_p"), analytic_reference(config, wv)))
+        # Each value with its closed form and their |difference|, where it has one.
+        rows = []
+        for name in _REPORTED:
+            value, ref = getattr(report, name), references.get(name)
+            rows.append((name, value, ref, None if ref is None else abs(value - ref)))
 
-        print(f"probe          {probe.label}")
-        print(f"g              {format_number(config.coupling)}")
-        print(f"weak_value     {format_number(wv.value.real)} {format_number(wv.value.imag)}j")
-        print(f"q_initial      {format_number(report.q_initial)}")
-        print(f"q_final        {format_number(report.q_final)}")
-        print(f"p_initial      {format_number(report.p_initial)}")
-        print(f"p_final        {format_number(report.p_final)}")
-        for name, value, ref, diff in (
-            ("delta_q", report.delta_q, ref_q, diff_q),
-            ("delta_p", report.delta_p, ref_p, diff_p),
-        ):
-            if ref is None:
-                print(f"{name}        {format_number(value)}")
-            else:
-                print(
-                    f"{name}        {format_number(value)}  analytic {format_number(ref)}"
-                    f"  |diff| {format_number(diff)}"
-                )
-        print(f"weight         {format_number(report.weight)}")
+        print(f"{'probe':<15}{probe.label}")
+        print(f"{'g':<15}{format_number(config.coupling)}")
+        print(f"{'weak_value':<15}{format_number(wv.value.real)} {format_number(wv.value.imag)}j")
+        for name, value, ref, diff in rows:
+            tail = "" if ref is None else f"  analytic {format_number(ref)}  |diff| {format_number(diff)}"
+            print(f"{name:<15}{format_number(value)}{tail}")
 
         if handle is not None:
             # The scenario as run, under the first four config keys.
@@ -528,19 +534,12 @@ def cmd_shift(config: ScenarioConfig) -> int:
                 format_number(wv.value.real),
                 format_number(wv.value.imag),
             )
+            compared = [row for row in rows if row[0] in references]
             columns = [
                 *zip((field.key for field in _FIELDS), scenario),
-                ("q_initial", format_number(report.q_initial)),
-                ("q_final", format_number(report.q_final)),
-                ("p_initial", format_number(report.p_initial)),
-                ("p_final", format_number(report.p_final)),
-                ("delta_q", format_number(report.delta_q)),
-                ("delta_p", format_number(report.delta_p)),
-                ("weight", format_number(report.weight)),
-                ("analytic_delta_q", _optional(ref_q)),
-                ("analytic_delta_p", _optional(ref_p)),
-                ("abs_diff_delta_q", _optional(diff_q)),
-                ("abs_diff_delta_p", _optional(diff_p)),
+                *((name, format_number(value)) for name, value, _, _ in rows),
+                *((f"analytic_{name}", _optional(ref)) for name, _, ref, _ in compared),
+                *((f"abs_diff_{name}", _optional(diff)) for name, _, _, diff in compared),
             ]
             writer = _csv_writer(handle)
             writer.writerow([name for name, _ in columns])
@@ -557,9 +556,7 @@ def _write_samples(handle, sections) -> None:
 
 
 def _dump_sections(config: ScenarioConfig) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    _require_unit_extent(config)
-    if config.probe == "file" and config.n_points is not None:
-        raise ConfigError("n_points sets the p-grid of a dump; probe=file keeps the grid of its file")
+    config.require_read("dump")
     wv = scenario_weak_value(config)
     if config.probe == "optimal" and config.n_points is None:
         # A dump samples on a p-grid, which the position transform needs.
@@ -613,8 +610,6 @@ def _sweep_scenario(config: ScenarioConfig, axis: str, value: float) -> Scenario
     if axis == "coupling_g":
         return _parsed(config, coupling=value)
     if axis == "smoothing_s":
-        if config.probe != "smoothed":
-            raise ConfigError("axis=smoothing_s needs probe=smoothed")
         return _parsed(config, smoothing=value)
     n = int(round(value))  # a --start/--stop/--count range gives non-integers
     return _parsed(config, n_points=n + 1 - n % 2)
@@ -738,8 +733,7 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
 
 
 def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    if config.probe_file is not None or config.smoothing is not None:
-        raise ConfigError("optimize searches its own probe: it takes no file or smoothing key")
+    config.require_read("optimize")
     wv = scenario_weak_value(config)
     evo = PostSelectedEvolution(config.coupling, wv)
     n = config.n_points if config.n_points is not None else 513
@@ -790,7 +784,7 @@ def cmd_mach_zehnder(chi: float, varphi: float) -> int:
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value scenario file")
     for field in _FIELDS:
-        parser.add_argument("--" + field.key.replace("_", "-"), help=field.help)
+        parser.add_argument("--" + field.key.replace("_", "-"), help=_help(field))
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")

@@ -813,6 +813,11 @@ def _bytes_file(tmp_path, name, data):
         "dump_file_probe_n_points",
         "optimize_file_key",
         "optimize_smoothing_key",
+        "shift_optimal_width",
+        "shift_n_range",
+        "dump_gaussian_n_range",
+        "optimize_width",
+        "shift_empty_file_key",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
@@ -883,6 +888,13 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
                                      _probe_file(tmp_path, "p5.csv", [(q, 1) for q in range(5)])],
         "optimize_file_key": optimize + ["--probe", "file", "--file", str(tmp_path / "missing.csv")],
         "optimize_smoothing_key": optimize + ["--probe", "smoothed", "--smoothing", "3"],
+        # Keys that the command does not read with the probe, each once
+        # ignored with exit 0; an empty file key once counted as none.
+        "shift_optimal_width": ["shift", "--probe", "optimal", "--aw-re", "2", "--width", "3"],
+        "shift_n_range": ["shift", "--aw-re", "2", "--n-range", "5"],
+        "dump_gaussian_n_range": ["dump", "--probe", "gaussian", "--aw-re", "2", "--n-range", "3"],
+        "optimize_width": ["optimize", "--aw-re", "2", "--width", "3"],
+        "shift_empty_file_key": ["shift", "--aw-re", "2", "--file", ""],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -1177,6 +1189,97 @@ def test_optimize_takes_a_support_extent_with_the_default_probe(capsys):
     argv = ["optimize", "--aw-re", "2", "--support-m", "3", "--n-points", "769", "--max-iters", "2"]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("converged")
+
+
+# The probes with which each command reads each key that only some scenarios
+# read, written out here rather than taken from the CLI's own table.  A sweep
+# row reads what ``shift`` reads.
+_PROBES_THAT_READ = {
+    ("shift", "width"): {"gaussian"},
+    ("shift", "smoothing"): {"smoothed"},
+    ("shift", "file"): {"file"},
+    ("shift", "n_points"): {"gaussian"},
+    ("shift", "support_m"): {"optimal"},
+    ("shift", "n_range"): set(),
+    ("dump", "width"): {"gaussian"},
+    ("dump", "smoothing"): {"smoothed"},
+    ("dump", "file"): {"file"},
+    ("dump", "n_points"): {"gaussian", "optimal", "smoothed"},
+    ("dump", "support_m"): {"optimal"},
+    ("dump", "n_range"): {"optimal", "smoothed"},
+    # optimize searches its own probe, and reads only the keys of its grid;
+    # the smoothing and file keys of the other two probes are refused first.
+    ("optimize", "width"): set(),
+    ("optimize", "smoothing"): set(),
+    ("optimize", "file"): set(),
+    ("optimize", "n_points"): {"gaussian", "optimal"},
+    ("optimize", "support_m"): {"gaussian", "optimal"},
+    ("optimize", "n_range"): set(),
+}
+
+
+@pytest.mark.parametrize("key", ["width", "smoothing", "file", "n_points", "support_m", "n_range"])
+@pytest.mark.parametrize("probe", ["gaussian", "optimal", "smoothed", "file"])
+@pytest.mark.parametrize("command", ["shift", "sweep", "dump", "optimize"])
+def test_a_command_refuses_exactly_the_keys_it_does_not_read_with_the_probe(command, probe, key, tmp_path, capsys):
+    # Each of these was once ignored with exit 0 somewhere: width with an
+    # optimal probe, n_range in shift and in a Gaussian dump, width in optimize.
+    reads = probe in _PROBES_THAT_READ["shift" if command == "sweep" else command, key]
+    probe_csv = _probe_file(tmp_path, "other.csv", [(q, 1 + q * (4 - q)) for q in range(5)])
+    value = {"width": "2", "smoothing": "20", "file": probe_csv, "n_points": "129", "support_m": "2", "n_range": "3"}
+    argv = [command, *_probe_flags(probe, tmp_path), "--" + key.replace("_", "-"), value[key]]
+    out = tmp_path / "out.csv"
+    argv += {
+        "shift": [],
+        "sweep": ["--axis", "coupling_g", "--values", "0.1,0.2", "--output", str(out)],
+        "dump": ["--output", str(out)],
+        "optimize": ["--max-iters", "1"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if reads:
+        assert code == 0, captured.err
+    elif command == "sweep" and key not in ("smoothing", "file"):
+        # A smoothing or file key off its probe fails the scenario as a whole.
+        assert code == 1
+        assert [(r["delta_q"], r["error"]) for r in _read_rows(out)] == [("", "ConfigError")] * 2
+    else:
+        assert code == 2
+        assert captured.err.startswith("ConfigError: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("probe", ["gaussian", "optimal", "smoothed", "file"])
+def test_every_command_that_runs_a_probe_accepts_its_serialized_default_scenario(probe, tmp_path, capsys):
+    # to_text() writes width, support_m and n_range into every scenario, so
+    # only a key set away from its default may count as set.
+    probe_csv = _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])
+    extra = {"smoothed": {"smoothing": 30.0}, "file": {"probe_file": probe_csv}}
+    config = cli.ScenarioConfig(aw=2 + 0j, probe=probe, **extra.get(probe, {}))
+    assert "width=1.0" in config.to_text() and "n_range=16" in config.to_text()
+    path = tmp_path / "default.cfg"
+    path.write_text(config.to_text())
+    out = tmp_path / "out.csv"
+    commands = [
+        ["shift"],
+        ["sweep", "--axis", "coupling_g", "--values", "0.1,0.2"],
+        ["dump"],
+    ]
+    if probe in ("gaussian", "optimal"):  # optimize refuses the smoothing and file keys
+        commands.append(["optimize", "--max-iters", "1", "--n-points", "129"])
+    for command in commands:
+        assert main([*command, "--config", str(path), "--output", str(out)]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+
+def test_the_read_table_names_only_real_keys_probes_and_commands():
+    # A misspelled key would leave the real key unchecked.
+    assert set(cli._READ_BY) <= {field.key for field in cli._FIELDS}
+    for readers in cli._READ_BY.values():
+        assert set(readers) <= {"shift", "dump", "optimize"}
+        for probes in readers.values():
+            assert set(probes) <= set(cli._PROBE_KINDS)
 
 
 def test_negative_values_in_scientific_notation_and_lists(tmp_path, capsys):
