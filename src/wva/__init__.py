@@ -54,7 +54,7 @@ from .errors import (
     ZeroRealPart,
 )
 from .evolution import PostSelectedEvolution, apply_postselection
-from .expectation import ShiftReport, expect_q, expect_q_with_residual, shift_report
+from .expectation import ShiftReport, shift_report
 from .optimizer import (
     AscentCore,
     OptimizerConfig,

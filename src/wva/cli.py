@@ -177,10 +177,7 @@ _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _odd_count = _checked(int, lambda n: n >= 3 and n % 2 == 1, "odd and at least 3")
 _entry = _checked(lambda text: complex(text.strip()), cmath.isfinite, "a finite complex number")
 _probe_kind = _checked(str, _PROBE_KINDS.__contains__, f"one of {_PROBE_KINDS}")
-
-
-def _text(text: str, key: str) -> str:
-    return text
+_path = _checked(str, bool, "a non-empty path")
 
 
 def _vector(text: str, key: str) -> np.ndarray:
@@ -220,11 +217,11 @@ _FIELDS = (
     _Field("obs", "obs", _matrix, "observable matrix, ';'-separated rows"),
     _Field("width", "width", _scale, "gaussian momentum width"),
     _Field("smoothing", "smoothing", _scale, "smoothing rate of the smoothed probe"),
-    _Field("file", "probe_file", _text, "probe CSV, as written by dump"),
+    _Field("file", "probe_file", _path, "probe CSV, as written by dump"),
     _Field("n_points", "n_points", _odd_count, "odd count of p-grid points"),
     _Field("support_m", "support_extent", _count, "support extent in periods pi/g"),
     _Field("n_range", "n_range", _count, "discrete positions q = 2gn, |n| <= n_range"),
-    _Field("output", "output", _text, "output CSV path (default: stdout or none)"),
+    _Field("output", "output", _path, "output CSV path (default: stdout or none)"),
 )
 
 _CONFIG_KEYS = frozenset(field.key for field in _FIELDS)
@@ -371,8 +368,8 @@ def scenario_from_table(table: dict[str, str]) -> ScenarioConfig:
 def scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file (if any) with command-line overrides; flags win."""
     table: dict[str, str] = {}
-    if getattr(args, "config", None):
-        table.update(load_config_file(args.config))
+    if getattr(args, "config", None) is not None:
+        table.update(load_config_file(_path(args.config, "config")))
     for field in _FIELDS:
         value = getattr(args, field.key)
         if value is not None:
@@ -733,6 +730,7 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
 
 
 def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
+    probe_output = None if args.probe_output is None else _path(args.probe_output, "probe_output")
     config.require_read("optimize")
     wv = scenario_weak_value(config)
     evo = PostSelectedEvolution(config.coupling, wv)
@@ -746,7 +744,7 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
         seed=_checked(int, lambda n: n >= 0, "a non-negative integer")(args.seed, "seed"),
         init=args.init,
     )
-    with _output_file(config.output) as trace_file, _output_file(args.probe_output) as probe_file:
+    with _output_file(config.output) as trace_file, _output_file(probe_output) as probe_file:
         if trace_file and probe_file and os.path.sameopenfile(trace_file.fileno(), probe_file.fileno()):
             raise ConfigError("--output and --probe-output name the same file")
         trace = maximize(optimizer_config, evo)

@@ -1,11 +1,12 @@
-"""Quadrature of position/momentum expectation values and their shifts.
+"""Shift reports: the mean position and momentum of a probe before and after
+its post-selected evolution, and their differences.
 
-Position acts in momentum space as i d/dp, so its expectation is the real
-part of i * integral(conj(psi) psi') / integral(|psi|^2); the quotient form
-makes every result independent of normalization.  Every integral is the
-quadrature rule of the state's node set: composite Simpson on a
-:class:`~wva.probe.MomentumGrid`, Clenshaw-Curtis on
-:class:`~wva.probe.QuadratureNodes`.
+Each state measures itself (:meth:`wva.probe.NodeSamples.means`): position
+acts in momentum space as i d/dp, so its mean is the real part of
+i * integral(conj(psi) psi') / integral(|psi|^2), a quotient independent of
+normalization.  Every integral is the quadrature rule of the state's node
+set: composite Simpson on a :class:`~wva.probe.MomentumGrid`,
+Clenshaw-Curtis on :class:`~wva.probe.QuadratureNodes`.
 """
 
 from __future__ import annotations
@@ -16,51 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import PostSelectedEvolution, apply_postselection
-from .probe import Nodes, NodeSamples, ProbeWavefunction, check_norm
-
-
-def _integrands(state: NodeSamples) -> dict[str, np.ndarray]:
-    """One state's density and the integrands of its position and momentum
-    moments, formed once for its means and for their halving check."""
-    position = np.conj(state.values)
-    position *= state.derivative  # in place: one grid-sized temporary, not two
-    density = state.density
-    return {"weight": density, "position moment": position, "momentum moment": state.grid.points * density}
-
-
-def _means(grid: Nodes, integrands: dict[str, np.ndarray], norm_sq: float) -> tuple[float, float, float]:
-    """Mean position and momentum of one state, and the imaginary residual of
-    the position's quadrature."""
-    moment = 1j * complex(grid.integrate(integrands["position moment"])) / norm_sq
-    return moment.real, float(grid.integrate(integrands["momentum moment"])) / norm_sq, moment.imag
-
-
-def _state_means(state: NodeSamples) -> tuple[float, float, float]:
-    return _means(state.grid, _integrands(state), check_norm(state.weight))
-
-
-def expect_q_with_residual(
-    values: np.ndarray, derivative: np.ndarray, grid: Nodes
-) -> tuple[float, float]:
-    """Mean position and the imaginary residual of its quadrature.
-
-    The residual vanishes (up to rounding) whenever |psi|^2 takes equal
-    values at the two grid ends; it is surfaced as a diagnostic rather than
-    subtracted.
-    """
-    mean_q, _, residual = _state_means(NodeSamples(grid, values, derivative))
-    return mean_q, residual
-
-
-def expect_q(values: np.ndarray, derivative: np.ndarray, grid: Nodes) -> float:
-    """Mean position of a momentum-space wavefunction (normalization-free).
-
-    Raises
-    ------
-    ZeroNorm
-        If the quadrature norm of ``values`` is numerically zero.
-    """
-    return expect_q_with_residual(values, derivative, grid)[0]
+from .probe import ProbeWavefunction
 
 
 @dataclass(frozen=True)
@@ -100,7 +57,8 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     probe, a success probability only for a physical selection.  The
     overlap cancels from every quotient, so the weight is refused as zero
     only when it is below ``ZERO_NORM_FLOOR`` of |overlap|^2.  Each state's
-    density, norm and moment integrands are computed once.
+    density, weight and moment integrands are its own cached members, formed
+    once for its halving check and its means.
 
     Each state is integrated on its own node set: the initial state on the
     probe's grid, the evolved state on the one :func:`apply_postselection`
@@ -115,16 +73,14 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     UnderResolvedGrid
         If the evolution view does not resolve the evolved state.
     """
-    q_initial, p_initial, _ = _state_means(probe)
+    q_initial, p_initial, _ = probe.means()
     evolved = apply_postselection(evo, probe)
     final = evolved.grid
-    integrands = _integrands(evolved)
     if final is not probe.grid:  # each integrand against its absolute integral
         final.check_resolved(
             "the post-selected state, exact on the support nodes only under the evolution that "
             "the probe cancels",
-            {name: (x, float(final.integrate(np.abs(x)))) for name, x in integrands.items()},
+            {name: (x, float(final.integrate(np.abs(x)))) for name, x in evolved.integrands.items()},
         )
-    weight = check_norm(evolved.weight, abs(evo.weak.overlap) ** 2)
-    q_final, p_final, _ = _means(final, integrands, weight)
-    return ShiftReport(q_initial, q_final, p_initial, p_final, weight)
+    q_final, p_final, _ = evolved.means(abs(evo.weak.overlap) ** 2)
+    return ShiftReport(q_initial, q_final, p_initial, p_final, evolved.weight)

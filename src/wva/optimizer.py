@@ -42,7 +42,6 @@ import numpy as np
 from .analytic import evolution_factor, max_shift
 from .errors import NonFinite, UnderResolvedGrid, ZeroNorm
 from .evolution import PostSelectedEvolution
-from .expectation import expect_q
 from .probe import ZERO_NORM_FLOOR, MomentumGrid, ProbeWavefunction, check_norm
 from .system import all_finite
 
@@ -280,11 +279,14 @@ def maximize(config: OptimizerConfig, evo: PostSelectedEvolution) -> OptimizerTr
             break
         slope = 2.0 * np.vdot(grad, grad).real
         for _ in range(_MAX_BACKTRACKS):
-            candidate = core._window(x + sign * step * grad)
-            candidate = candidate / math.sqrt(np.vdot(candidate, candidate).real)
-            value, raw = core.value_and_gradient(candidate)
-            if math.isfinite(value) and sign * value >= sign * current + _ARMIJO_C1 * step * slope:
-                break
+            with np.errstate(over="ignore", invalid="ignore"):  # a trial too long for doubles fails
+                candidate = core._window(x + sign * step * grad)
+                norm_sq = np.vdot(candidate, candidate).real
+            if math.isfinite(norm_sq):
+                candidate = candidate / math.sqrt(norm_sq)
+                value, raw = core.value_and_gradient(candidate)
+                if math.isfinite(value) and sign * value >= sign * current + _ARMIJO_C1 * step * slope:
+                    break
             step *= 0.5
         else:
             break
@@ -315,7 +317,7 @@ def gauge_fix(probe: ProbeWavefunction) -> ProbeWavefunction:
     back to the largest sample when the midpoint is negligible)."""
     grid = probe.grid
     derivative = probe.derivative
-    mean_q = expect_q(probe.values, derivative, grid)
+    mean_q = probe.means()[0]
     phase = np.exp(1j * mean_q * grid.points)
     values = probe.values * phase
     derivative = (derivative + 1j * mean_q * probe.values) * phase

@@ -157,6 +157,7 @@ class MomentumGrid:
         integer multiple of it) on which the hard-support probes live."""
         if coupling <= 0:
             raise ValueError("coupling must be positive")
+        check_scale(coupling, "coupling")  # the support's scale is 1/g
         _require_extent(extent)
         half = math.pi * extent / (2.0 * coupling)
         return cls(-half, half, n_points)
@@ -220,8 +221,8 @@ class NodeSamples:
     """Values and derivative of a wavefunction at the points of a node set,
     of any norm: the optimal probe's ``evolution_view`` and every
     post-selected state.  :class:`ProbeWavefunction` is the normalized kind.
-    ``density`` is |values|^2 and ``weight`` its quadrature, the squared norm;
-    each is computed once, at first use.
+    A state's quadratures are formed here alone, each once, at first use:
+    ``density`` |values|^2, ``weight`` its quadrature and the ``integrands``.
 
     A post-selected state keeps nodes of its own because the probe's do not
     resolve it.  The optimal probe's density is uniform in theta = arg B, and
@@ -243,6 +244,21 @@ class NodeSamples:
     @cached_property
     def weight(self) -> float:
         return float(self.grid.integrate(self.density))
+
+    @cached_property
+    def integrands(self) -> dict[str, np.ndarray]:
+        """The weight, position-moment and momentum-moment integrands."""
+        position = np.conj(self.values)
+        position *= self.derivative  # in place: one grid-sized temporary, not two
+        return {"weight": self.density, "position moment": position, "momentum moment": self.grid.points * self.density}
+
+    def means(self, scale: float = 1.0) -> tuple[float, float, float]:
+        """Mean position, mean momentum and the imaginary residual, once
+        :func:`check_norm` accepts the weight against ``scale``.  Position is
+        i d/dp: its mean is the real part of i * integral(conj(psi) psi') / weight."""
+        weight = check_norm(self.weight, scale)
+        moment = 1j * complex(self.grid.integrate(self.integrands["position moment"])) / weight
+        return moment.real, float(self.grid.integrate(self.integrands["momentum moment"])) / weight, moment.imag
 
 
 @lru_cache(maxsize=8)
@@ -447,11 +463,14 @@ class ProbeWavefunction(NodeSamples):
         Raises
         ------
         ZeroNorm
-            If the raw samples carry no usable norm.
+            If the weight is below ``ZERO_NORM_FLOOR`` of the samples' own
+            size, max |values|^2 times the length of the node set.
         """
         values = np.asarray(values, dtype=np.complex128)
         _require_finite(values, "values")
-        scale = 1.0 / math.sqrt(check_norm(float(grid.integrate(np.abs(values) ** 2))))
+        raw = NodeSamples(grid, values, None)
+        size = float(raw.density.max()) * float(np.ptp(grid.points))
+        scale = 1.0 / math.sqrt(check_norm(raw.weight, size))
         deriv = None
         if derivative is not None:
             # Checked before scaling: inf * scale is a complex product with NaN parts.
@@ -497,8 +516,10 @@ def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
     fine enough to resolve oscillations at scale 1/coupling."""
     half = GAUSSIAN_HALF_WIDTH * width
     spacing = min(width / 80.0, 0.022 / max(coupling, 1e-12))
-    n = int(math.ceil(2.0 * half / spacing)) + 1
-    n = max(n, 4001)
+    count = 2.0 * half / spacing
+    if math.isinf(count):  # the spacing underflowed: int() cannot take the count
+        check_point_budget(count, "grid points")
+    n = max(int(math.ceil(count)) + 1, 4001)
     if n % 2 == 0:
         n += 1
     return MomentumGrid(-half, half, n)
@@ -597,11 +618,13 @@ def optimal_probe(
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
     nodes, factor = theta_nodes(coupling, aw, extent, PANEL_INTERVALS)
     values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+    # Certified first: the probe's norm check would refuse an under-resolved rule as a bad norm.
+    integrands = NodeSamples(nodes, values, derivative).integrands
     nodes.check_resolved(
         f"the optimal probe on theta panels of {PANEL_INTERVALS} intervals",
         {
-            "position moment": (np.conj(values) * derivative, q_scale),
-            "momentum moment": (nodes.points * np.abs(values) ** 2, 0.5 * math.pi / coupling),
+            "position moment": (integrands["position moment"], q_scale),
+            "momentum moment": (integrands["momentum moment"], 0.5 * math.pi / coupling),
         },
     )
     return ProbeWavefunction(nodes, values, derivative, "optimal", view)
@@ -640,14 +663,15 @@ def smoothed_optimal_probe(
     ZeroRealPart
         If |Re weak_value| < 1e-12, before any grid is sized.
     ScaleOutOfRange
-        If ``smoothing`` lies outside ``SCALE_RANGE``, where sizing the grid
-        divides by zero or overflows.
+        If the coupling or ``smoothing`` lies outside ``SCALE_RANGE``, where
+        sizing the grid divides by zero or overflows.
     GridTooLarge
         If the grid exceeds ``MAX_GRID_POINTS``.
     """
     aw = _require_real_part(weak_value)
     if coupling <= 0 or smoothing <= 0:
         raise ValueError("coupling and smoothing must be positive")
+    check_scale(coupling, "coupling")
     check_scale(smoothing, "smoothing")
     if n_points is None:
         n_points = recommended_support_points(aw)

@@ -56,6 +56,9 @@ class SystemState:
         if not all_finite(arr):
             raise ValueError("state amplitudes must be finite")
         norm = math.sqrt(np.vdot(arr, arr).real)
+        if math.isinf(norm):  # |amplitudes|^2 overflows: scale by 2^-k first, which is exact
+            arr = arr * np.ldexp(1.0, -np.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1])
+            norm = math.sqrt(np.vdot(arr, arr).real)
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero state vector")
         arr = arr / norm
@@ -203,7 +206,9 @@ def mach_zehnder_weak_value(path_angle: float, polarizer_angle: float) -> WeakVa
     OrthogonalSelection
         When |cos(chi + phi)| < ``ORTHOGONALITY_EPS``.
     """
-    overlap = -math.cos(path_angle + polarizer_angle)
+    angle = path_angle + polarizer_angle  # cos(chi + phi) by its identity where the sum overflows
+    overlap = -math.cos(angle) if math.isfinite(angle) else (
+        math.sin(path_angle) * math.sin(polarizer_angle) - math.cos(path_angle) * math.cos(polarizer_angle))
     if abs(overlap) < ORTHOGONALITY_EPS:
         raise OrthogonalSelection(
             f"|cos(chi + phi)| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"

@@ -182,7 +182,7 @@ class TestConfigParsing:
             cli._vector: vectors.map(lambda v: ",".join(map(repr, v))),
             cli._matrix: matrices.map(lambda m: ";".join(",".join(map(repr, r)) for r in m)),
             cli._probe_kind: st.sampled_from(cli._PROBE_KINDS),
-            cli._text: st.text("abc_./-0123456789", min_size=1, max_size=12),
+            cli._path: st.text("abc_./-0123456789", min_size=1, max_size=12),
         }
         table = {f.key: data.draw(text_for[f.parse], label=f.key) for f in cli._FIELDS}
         # One selection mode, and the probe keys only for the probes that take them.
@@ -818,6 +818,11 @@ def _bytes_file(tmp_path, name, data):
         "dump_gaussian_n_range",
         "optimize_width",
         "shift_empty_file_key",
+        "shift_empty_output",
+        "dump_empty_output",
+        "optimize_empty_probe_output",
+        "empty_config",
+        "file_probe_empty_file",
     ],
 )
 def test_bad_input_is_a_config_error(case, tmp_path, capsys):
@@ -895,12 +900,33 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
         "dump_gaussian_n_range": ["dump", "--probe", "gaussian", "--aw-re", "2", "--n-range", "3"],
         "optimize_width": ["optimize", "--aw-re", "2", "--width", "3"],
         "shift_empty_file_key": ["shift", "--aw-re", "2", "--file", ""],
+        # An empty path once meant no file: no CSV, stdout, no probe, no
+        # config; with probe=file it was refused naming no key.
+        "shift_empty_output": ["shift", "--aw-re", "2", "--output", ""],
+        "dump_empty_output": ["dump", "--aw-re", "2", "--output", ""],
+        "optimize_empty_probe_output": optimize + ["--probe-output", ""],
+        "empty_config": ["shift", "--config", "", "--aw-re", "2"],
+        "file_probe_empty_file": file_probe + [""],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "ConfigError" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["shift", "--aw-re", "2", "--output", ""], "output"),
+        (["optimize", "--aw-re", "2", "--probe-output", ""], "probe_output"),
+        (["shift", "--config", "", "--aw-re", "2"], "config"),
+        (["shift", "--probe", "file", "--aw-re", "2", "--file", ""], "file"),
+    ],
+)
+def test_an_empty_path_is_refused_by_its_key(argv, key, capsys):
+    assert main(argv) == 2
+    assert f"ConfigError: field '{key}': must be a non-empty path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -979,7 +1005,7 @@ def test_exports_are_pinned():
         "ShiftReport", "SystemState", "TailMassTooLarge", "UnderResolvedGrid", "WeakValue",
         "WvaError", "ZeroNorm", "ZeroRealPart", "analytic", "apply_postselection",
         "compute_weak_value", "errors", "evolution", "evolution_factor",
-        "evolution_factor_and_derivative", "expect_q", "expect_q_with_residual", "expectation",
+        "evolution_factor_and_derivative", "expectation",
         "extrapolate_orthogonality_limit", "final_probe_position", "gauge_fix",
         "gaussian_exact_shifts", "gaussian_probe", "inverse_fourth_factor_integral",
         "inverse_square_factor_integral", "mach_zehnder_setup", "mach_zehnder_weak_value",
@@ -1556,3 +1582,54 @@ def test_probe_file_reads_the_momentum_rows_of_a_dump_and_names_a_bad_one_after_
     path.write_text(text + "momentum_initial,0.5,abc,0\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{text.count(chr(10)) + 1}': cannot parse 'abc'")):
         read_probe_csv(str(path))
+
+
+_EXTREME_VALUES = ("5e-324", "1e-300", "1e-100", "1e100", "1e300", "1e308", "-1e308")
+_EXTREME_BASES = (
+    ["shift", "--aw-re", "2", "--probe", "gaussian"],
+    ["shift", "--aw-re", "2", "--probe", "optimal"],
+    ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "30"],
+    ["dump", "--aw-re", "2", "--probe", "gaussian"],
+    ["dump", "--aw-re", "2", "--probe", "optimal", "--n-range", "2"],
+    ["optimize", "--aw-re", "2", "--max-iters", "2", "--n-points", "65"],
+)
+
+
+def _extreme_cases() -> list[list[str]]:
+    """Each numeric flag of each command at the extremes of double precision,
+    alone or beside a plain value; a later flag overrides the base's."""
+    cases = [
+        base + [flag, value]
+        for base in _EXTREME_BASES
+        for flag in ("--g", "--aw-re", "--aw-im", "--width", "--smoothing")
+        for value in _EXTREME_VALUES
+    ]
+    for value in _EXTREME_VALUES:
+        for chi, varphi in ((value, value), (value, "0.3"), ("0.3", value)):
+            cases.append(["mach-zehnder", "--chi", chi, "--varphi", varphi])
+            cases.append(["shift", "--probe", "optimal", "--chi", chi, "--varphi", varphi])
+        for pre in (f"1,{value}", f"{value},{value}"):
+            cases.append(["shift", "--pre", pre, "--post", "1,0.5", "--obs", "1,0;0,-1"])
+        cases.append(["sweep", "--aw-re", "2", "--axis", "coupling_g", "--values", f"0.1,{value}"])
+        cases.append(["sweep", "--probe", "optimal", "--chi", "0.3", "--varphi", "0.5",
+                      "--axis", "postselection_angle", "--values", f"0.5,{value}"])
+        for flag in ("--step", "--tol"):
+            cases.append(_EXTREME_BASES[-1] + [flag, value])
+    return cases
+
+
+def test_no_command_ends_in_a_traceback_at_the_extremes_of_its_numeric_flags(capsys):
+    # Each case ends as a report (0), a domain error (1) or a configuration
+    # error (2).  OverflowError, ZeroDivisionError and ValueError once escaped
+    # from grid sizing at couplings of 5e-324, 1e-300 and 1e308, and from the
+    # Mach-Zehnder angle sum at 1e308.
+    escaped = []
+    for argv in _extreme_cases():
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is the failure reported
+            escaped.append(f"{' '.join(argv)}: {type(exc).__name__}: {exc}")
+        else:
+            assert code in (0, 1, 2), argv
+        capsys.readouterr()
+    assert escaped == []

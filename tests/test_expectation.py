@@ -11,14 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 import wva
 from wva import (
     MomentumGrid,
+    NodeSamples,
     PostSelectedEvolution,
     ProbeWavefunction,
     ShiftReport,
     UnderResolvedGrid,
     WeakValue,
     ZeroNorm,
-    expect_q,
-    expect_q_with_residual,
     gaussian_exact_shifts,
     gaussian_probe,
     max_shift,
@@ -40,7 +39,7 @@ def evo_for(value, coupling=G):
 class TestExpectQ:
     def test_gaussian_is_centered(self):
         probe = gaussian_probe(1.0, MomentumGrid(-20.0, 20.0, 4001))
-        assert expect_q(probe.values, probe.derivative, probe.grid) == pytest.approx(
+        assert NodeSamples(probe.grid, probe.values, probe.derivative).means()[0] == pytest.approx(
             0.0, abs=1e-8
         )
 
@@ -52,7 +51,7 @@ class TestExpectQ:
         derivative = (probe.derivative - 1j * a * probe.values) * np.exp(
             -1j * a * grid.points
         )
-        assert expect_q(values, derivative, grid) == pytest.approx(a, abs=1e-8)
+        assert NodeSamples(grid, values, derivative).means()[0] == pytest.approx(a, abs=1e-8)
 
     def test_optimal_probe_final_mean(self):
         # g (|A|^2 + 1) / (2 Re A) = 0.1 * 16 / (2 sqrt 3) = 0.4618802...
@@ -60,18 +59,18 @@ class TestExpectQ:
 
         probe = optimal_probe(G, AW)
         evolved = apply_postselection(evo_for(AW), probe)
-        mean = expect_q(evolved.values, evolved.derivative, evolved.grid)
+        mean = NodeSamples(evolved.grid, evolved.values, evolved.derivative).means()[0]
         assert mean == pytest.approx(0.461880215352, abs=1e-6)
 
     def test_zero_norm_raises(self):
         grid = MomentumGrid(-1.0, 1.0, 21)
         zeros = np.zeros(21, dtype=complex)
         with pytest.raises(ZeroNorm):
-            expect_q(zeros, zeros, grid)
+            NodeSamples(grid, zeros, zeros).means()[0]
 
     def test_imaginary_residual_small_for_analytic_probes(self):
         probe = optimal_probe(G, AW)
-        _, residual = expect_q_with_residual(probe.values, probe.derivative, probe.grid)
+        residual = NodeSamples(probe.grid, probe.values, probe.derivative).means()[2]
         assert abs(residual) < 1e-6
 
 

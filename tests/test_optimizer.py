@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wva import (
     AscentCore,
     MomentumGrid,
+    NodeSamples,
     OptimizerConfig,
     PostSelectedEvolution,
     ProbeWavefunction,
@@ -280,12 +281,10 @@ class TestMaximize:
 
 class TestGaugeFix:
     def test_zero_mean_and_real_midpoint(self, maximize_once):
-        from wva.expectation import expect_q
-
         grid = MomentumGrid.for_support(G, 513)
         trace = maximize_once(OptimizerConfig(grid=grid, seed=3, init="random"), evo_for(AW))
         fixed = gauge_fix(trace.final_probe)
-        mean = expect_q(fixed.values, fixed.derivative, grid)
+        mean = NodeSamples(grid, fixed.values, fixed.derivative).means()[0]
         assert abs(mean) < 1e-6
         midpoint = fixed.values[grid.n_points // 2]
         assert midpoint.imag == pytest.approx(0.0, abs=1e-10)

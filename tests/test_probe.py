@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from wva import (
     GridTooLarge,
     MomentumGrid,
+    NodeSamples,
     ProbeWavefunction,
     QuadratureNodes,
     ScaleOutOfRange,
     TailMassTooLarge,
     UnderResolvedGrid,
+    ZeroNorm,
     ZeroRealPart,
     evolution_factor,
     final_probe_position,
@@ -29,7 +31,7 @@ from wva import (
 from wva.analytic import inverse_fourth_factor_integral, inverse_square_factor_integral
 from wva.cli import format_number
 from wva.evolution import PostSelectedEvolution, apply_postselection
-from wva.expectation import expect_q, shift_report
+from wva.expectation import shift_report
 from wva.probe import (
     DENSE_SUM_MAX_TERMS,
     MAX_GRID_POINTS,
@@ -125,6 +127,16 @@ def test_wavefunction_requires_normalization():
     assert probe.weight == pytest.approx(1.0, abs=1e-12)
 
 
+def test_normalized_refuses_a_weight_as_zero_only_against_the_samples_own_size():
+    # Unit circle samples on the support of g = 1e12, as the ascent leaves
+    # them, weigh pi / (512 g) = 6.1e-15: small, not zero.
+    grid = MomentumGrid.for_support(1e12, 513)
+    probe = ProbeWavefunction.normalized(grid, np.full(513, 512**-0.5 + 0j))
+    assert probe.weight == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ZeroNorm):
+        ProbeWavefunction.normalized(grid, np.zeros(513, dtype=complex))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)], ids=["nan", "inf", "imag-inf"])
 def test_wavefunction_rejects_non_finite_samples(bad):
     grid = MomentumGrid(-1.0, 1.0, 21)
@@ -165,7 +177,7 @@ class TestGaussianProbe:
         probe = gaussian_probe(1.0, grid)
         mean_p = grid.integrate(grid.points * np.abs(probe.values) ** 2) / probe.weight
         assert mean_p == pytest.approx(0.0, abs=1e-10)
-        assert expect_q(probe.values, probe.derivative, grid) == pytest.approx(0.0, abs=1e-8)
+        assert NodeSamples(grid, probe.values, probe.derivative).means()[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_width_scales_momentum_deviation(self):
         # Quadrature oracle for the second moment.
@@ -224,7 +236,7 @@ class TestOptimalProbe:
 
     def test_zero_initial_mean_position(self):
         probe = optimal_probe(G, AW)
-        assert expect_q(probe.values, probe.derivative, probe.grid) == pytest.approx(
+        assert NodeSamples(probe.grid, probe.values, probe.derivative).means()[0] == pytest.approx(
             0.0, abs=1e-6
         )
 

@@ -23,6 +23,13 @@ def test_state_normalized_on_construction():
     assert np.isclose(np.vdot(state.amplitudes, state.amplitudes).real, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("amplitudes", [[1e200, 1e200], [1.0, 1e308], [1.7e308, 1.7e308j], [-1.7e308, 5e-324]])
+def test_state_whose_squared_norm_overflows_is_normalized(amplitudes):
+    # The squared norm overflows to inf, which once normalized the state to zeros.
+    scaled = np.array(amplitudes) / np.abs(np.array(amplitudes)).max()
+    np.testing.assert_allclose(SystemState(amplitudes).amplitudes, SystemState(scaled).amplitudes, rtol=1e-15)
+
+
 def test_state_rejects_zero_and_nonfinite():
     with pytest.raises(ValueError):
         SystemState([0.0, 0.0])
@@ -159,6 +166,13 @@ class TestMachZehnder:
     def test_divergence_near_orthogonality(self):
         wv = mach_zehnder_weak_value(math.pi / 4, math.pi / 4 - 1e-4)
         assert abs(wv.value) > 1e3
+
+    @pytest.mark.parametrize("chi, phi", [(1e308, 1e308), (-1e308, -1e308), (1.7e308, 1e308)])
+    def test_angles_whose_sum_overflows_agree_with_the_matrix_route(self, chi, phi):
+        closed = mach_zehnder_weak_value(chi, phi)
+        matrix = compute_weak_value(*mach_zehnder_setup(chi, phi))
+        assert 2.0 * closed.value - 1.0 == pytest.approx(matrix.value, rel=1e-12)
+        assert closed.overlap == pytest.approx(matrix.overlap, rel=1e-12)
 
     def test_agreement_everywhere_defined(self):
         angles = np.linspace(0.0, 2.0 * math.pi, 29, endpoint=False)
