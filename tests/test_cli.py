@@ -1000,13 +1000,13 @@ def test_exports_are_pinned():
     assert sorted(wva.__all__) == [
         "AscentCore", "DegenerateDenominator", "DimensionMismatch",
         "GaussianShiftPrediction", "GridTooLarge", "MomentumGrid", "NodeSamples", "NonFinite", "Observable",
-        "OptimizerConfig", "OptimizerTrace", "OrthogonalSelection", "PositionSamples",
+        "OptimizerConfig", "OptimizerTrace", "OrthogonalSelection",
         "PostSelectedEvolution", "ProbeWavefunction", "QuadratureNodes", "ScaleOutOfRange",
         "ShiftReport", "SystemState", "TailMassTooLarge", "UnderResolvedGrid", "WeakValue",
         "WvaError", "ZeroNorm", "ZeroRealPart", "analytic", "apply_postselection",
         "compute_weak_value", "errors", "evolution", "evolution_factor",
         "evolution_factor_and_derivative", "expectation",
-        "extrapolate_orthogonality_limit", "final_probe_position", "gauge_fix",
+        "extrapolate_orthogonality_limit", "gauge_fix",
         "gaussian_exact_shifts", "gaussian_probe", "inverse_fourth_factor_integral",
         "inverse_square_factor_integral", "mach_zehnder_setup", "mach_zehnder_weak_value",
         "max_shift", "maximize", "numeric_derivative", "optimal_initial_momentum", "optimal_probe",
@@ -1582,6 +1582,20 @@ def test_probe_file_reads_the_momentum_rows_of_a_dump_and_names_a_bad_one_after_
     path.write_text(text + "momentum_initial,0.5,abc,0\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{text.count(chr(10)) + 1}': cannot parse 'abc'")):
         read_probe_csv(str(path))
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-1000])
+def test_file_probe_at_any_scale_prints_the_bytes_of_unit_rows(scale, tmp_path, capsys):
+    # Its weight once overflowed (a traceback) or underflowed (a false
+    # ZeroNorm); scaling by a power of two first is exact.
+    printed = []
+    for value in (1.0, scale):
+        path = tmp_path / f"{value!r}.csv"
+        rows = [f"momentum_initial,{-1.0 + k / 4.0!r},{value!r},0" for k in range(9)]
+        path.write_text("\n".join(["space,coordinate,re,im", *rows]) + "\n")
+        assert main(["shift", "--probe", "file", "--file", str(path), "--aw-re", "2"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 _EXTREME_VALUES = ("5e-324", "1e-300", "1e-100", "1e100", "1e300", "1e308", "-1e308")

@@ -17,7 +17,6 @@ from wva import (
     ZeroNorm,
     ZeroRealPart,
     evolution_factor,
-    final_probe_position,
     gaussian_probe,
     max_shift,
     numeric_derivative,
@@ -254,38 +253,71 @@ class TestOptimalProbe:
         report = shift_report(evo, probe)
         assert report.delta_q == pytest.approx(max_shift(G, AW), abs=1e-6)
 
+    @pytest.mark.parametrize("intervals", [2, 4, 8])
+    @pytest.mark.parametrize("value", [AW, 2.0, 1.0 + 30.0j, -0.36 + 0.13j, 1e-3 + 1.0j])
+    def test_coarse_theta_rule_is_refused_by_its_certificate(self, monkeypatch, intervals, value):
+        # The probe is built before it is certified; its norm check must not
+        # refuse a coarse rule first, as a ValueError.
+        monkeypatch.setattr("wva.probe.PANEL_INTERVALS", intervals)
+        with pytest.raises(UnderResolvedGrid, match=f"theta panels of {intervals} intervals"):
+            optimal_probe(G, value, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_real=st.floats(-3.0, 1.5),
+        log_imag=st.floats(-3.0, 1.5),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+        coupling=st.sampled_from([0.1, 0.5, 2.0]),
+        extent=st.integers(1, 4),
+    )
+    @example(log_real=-4.0, log_imag=-7.0, signs=(1.0, 1.0), coupling=G, extent=1)
+    @example(log_real=-4.0, log_imag=math.log10(3e-6), signs=(-1.0, 1.0), coupling=G, extent=1)
+    @example(log_real=-9.0, log_imag=0.0, signs=(1.0, 1.0), coupling=G, extent=1)
+    @example(log_real=math.log10(2.05), log_imag=math.log10(0.06), signs=(-1.0, 1.0), coupling=G, extent=1)
+    @example(log_real=-3.0, log_imag=-9.0, signs=(1.0, 1.0), coupling=G, extent=1)
+    def test_theta_node_weight_is_one_to_rounding(self, log_real, log_imag, signs, coupling, extent):
+        # The density times dp/dtheta is constant on every theta panel, and
+        # Clenshaw-Curtis integrates constants exactly: whatever the rule, the
+        # analytic amplitude weighs 1 up to the rounding of the sum.
+        value = complex(signs[0] * 10.0**log_real, signs[1] * 10.0**log_imag)
+        probe = optimal_probe(coupling, value, None, extent)
+        assert abs(probe.weight - 1.0) <= 8.0 * np.finfo(float).eps
+
+
+def _final_optimal_probe() -> ProbeWavefunction:
+    """The post-selected p-grid optimal probe, normalized as a dump normalizes it."""
+    initial = optimal_probe(G, AW, n_points=8193)
+    evolved = apply_postselection(PostSelectedEvolution(G, WeakValue.from_value(AW)), initial)
+    return ProbeWavefunction.normalized(initial.grid, evolved.values / math.sqrt(evolved.weight))
+
 
 class TestFinalProbePosition:
     def test_parseval_of_series_coefficients(self):
-        samples = final_probe_position(G, AW, n_range=12)
-        total = float(np.sum(np.abs(samples.series_coefficients) ** 2))
+        # The final state without its linear phase is flat on the support; its
+        # coefficients on the orthonormal comb of spacing 2g are sqrt(2g) times
+        # its position amplitudes at q = 2 g n, and only the zeroth survives.
+        grid = MomentumGrid.for_support(G, 4097)
+        flat = ProbeWavefunction.normalized(grid, np.ones(grid.n_points, dtype=complex))
+        coefficients = math.sqrt(2.0 * G) * position_amplitudes(flat, 2.0 * G * np.arange(-12, 13))
+        total = float(np.sum(np.abs(coefficients) ** 2))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_peak_sample_nearest_final_mean(self):
-        samples = final_probe_position(G, AW, n_range=16)
+        positions = 2.0 * G * np.arange(-16, 17)
+        values = position_amplitudes(_final_optimal_probe(), positions)
         shift = max_shift(G, AW)
-        peak = samples.positions[int(np.argmax(np.abs(samples.values)))]
-        nearest = samples.positions[int(np.argmin(np.abs(samples.positions - shift)))]
+        peak = positions[int(np.argmax(np.abs(values)))]
+        nearest = positions[int(np.argmin(np.abs(positions - shift)))]
         assert peak == nearest
 
-    def test_positions_exactly_on_comb(self):
-        samples = final_probe_position(G, AW, n_range=5)
-        assert np.array_equal(samples.positions, 2.0 * G * samples.offsets)
-
     def test_values_match_quadrature(self):
-        # Cross-check the closed-form samples against the direct Fourier
-        # integral of the post-selected p-grid optimal probe, normalized as a
-        # dump normalizes it.
-        samples = final_probe_position(G, AW, n_range=8)
-        initial = optimal_probe(G, AW, n_points=8193)
-        evolved = apply_postselection(PostSelectedEvolution(G, WeakValue.from_value(AW)), initial)
-        final = ProbeWavefunction.normalized(initial.grid, evolved.values / math.sqrt(evolved.weight))
-        quad = position_amplitudes(final, samples.positions)
-        assert np.max(np.abs(quad - samples.values)) < 1e-8
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            final_probe_position(G, AW, n_range=0)
+        # The direct Fourier integral of the post-selected p-grid optimal
+        # probe against its closed form, the shifted Dirichlet kernel (np.sinc
+        # handles the removable singularity at the mean final position).
+        positions = 2.0 * G * np.arange(-8, 9)
+        quad = position_amplitudes(_final_optimal_probe(), positions)
+        closed = np.sinc((positions - max_shift(G, AW)) / (2.0 * G)) / math.sqrt(2.0 * G)
+        assert np.max(np.abs(quad - closed)) < 1e-8
 
 
 class TestSmoothedProbe:
@@ -499,8 +531,6 @@ def test_grid_budget_checked_before_allocation():
         MomentumGrid(-1.0, 1.0, MAX_GRID_POINTS + 1)
     with pytest.raises(GridTooLarge):
         MomentumGrid.for_support(G, recommended_support_points(1e-9 + 1j))
-    with pytest.raises(GridTooLarge):
-        final_probe_position(G, AW, n_range=MAX_GRID_POINTS)
 
 
 class TestNodeSets:

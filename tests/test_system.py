@@ -23,9 +23,14 @@ def test_state_normalized_on_construction():
     assert np.isclose(np.vdot(state.amplitudes, state.amplitudes).real, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("amplitudes", [[1e200, 1e200], [1.0, 1e308], [1.7e308, 1.7e308j], [-1.7e308, 5e-324]])
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[1e200, 1e200], [1.0, 1e308], [1.7e308, 1.7e308j], [-1.7e308, 5e-324],
+     [1e-13, 1e-13], [1e-200, 1e-200], [5e-324, 5e-324]],
+)
 def test_state_whose_squared_norm_overflows_is_normalized(amplitudes):
-    # The squared norm overflows to inf, which once normalized the state to zeros.
+    # The squared norm overflows to inf, which once normalized the state to
+    # zeros, or it falls below an absolute floor, once refused as zero.
     scaled = np.array(amplitudes) / np.abs(np.array(amplitudes)).max()
     np.testing.assert_allclose(SystemState(amplitudes).amplitudes, SystemState(scaled).amplitudes, rtol=1e-15)
 
