@@ -218,7 +218,7 @@ _FIELDS = (
     _Field("width", "width", _scale, "gaussian momentum width"),
     _Field("smoothing", "smoothing", _scale, "smoothing rate of the smoothed probe"),
     _Field("file", "probe_file", _path, "probe CSV, as written by dump"),
-    _Field("n_points", "n_points", _odd_count, "odd count of p-grid points"),
+    _Field("n_points", "n_points", _odd_count, "odd count of p-grid points (shift and sweep certify 4k + 1)"),
     _Field("support_m", "support_extent", _count, "support extent in periods pi/g"),
     _Field("n_range", "n_range", _count, "discrete positions q = 2gn, |n| <= n_range"),
     _Field("output", "output", _path, "output CSV path (default: stdout or none)"),

@@ -43,7 +43,8 @@ class GridTooLarge(WvaError):
 class UnderResolvedGrid(WvaError):
     """A node set resolves too little of what it samples: a halving error
     estimate exceeds its tolerance, so the quantity it integrates would not
-    hold to the reported digits, or an optimizer grid is so coarse that its
+    hold to the reported digits; a grid's count (not 4k + 1) has no nested
+    rule to estimate with; or an optimizer grid is so coarse that its
     position window holds fewer than three Fourier modes."""
 
 

@@ -1,23 +1,24 @@
 """Momentum-space probe wavefunctions: node sets, constructors, the position transform.
 
-A wavefunction is sampled on a node set: momenta ``points``, their count
-``n_points`` and a quadrature rule ``integrate`` on them.  It is normalized
-under that rule, so all downstream quadrature is self-consistent.  Two kinds
-of node set exist:
+A wavefunction is sampled on a node set (:class:`Nodes`): momenta ``points``,
+their count ``n_points``, quadrature ``weights`` and the ``coarse_weights`` of
+the nested rule on half as many intervals, whose difference is the set's one
+halving error estimate.  A wavefunction is normalized under the set's rule,
+so all downstream quadrature is self-consistent.  Two kinds of node set exist:
 
 - :class:`MomentumGrid`, a uniform grid with an odd point count under
-  composite Simpson.  Gaussian, file and smoothed probes and every dump live
+  composite Simpson, nested in Simpson on its even-index points when the
+  count is 4k + 1.  Gaussian, file and smoothed probes and every dump live
   here; the position transform (:func:`position_amplitudes`) and the
   finite-difference derivative need its uniform spacing.  The caller passes
   the grid of a Gaussian probe; a smoothed probe sizes its own from the weak
   value and the smoothing rate.
-- :class:`QuadratureNodes`, Clenshaw-Curtis nodes with a halving error
-  estimate.  The optimal probe of a shift lives on nodes in theta = arg B(p),
-  where its density is uniform: one Clenshaw-Curtis rule on each theta panel
-  of a mesh graded toward the singularities of arg B (:func:`theta_nodes`),
-  at 32 intervals per panel, checked against the nested 16-interval rule.
-  Its post-selected state lives on a small rule in p over the support
-  (:func:`support_nodes`).
+- :class:`QuadratureNodes`, Clenshaw-Curtis nodes nested in the rule on
+  their even-index nodes.  The optimal probe of a shift lives on nodes in
+  theta = arg B(p), where its density is uniform: one Clenshaw-Curtis rule
+  on each theta panel of a mesh graded toward the singularities of arg B
+  (:func:`theta_nodes`), at 32 intervals per panel.  Its post-selected state
+  lives on a small rule in p over the support (:func:`support_nodes`).
 
 Every probe stores its derivative: constructed probes their analytic one,
 user-supplied samples on a :class:`MomentumGrid` a fourth-order
@@ -63,8 +64,8 @@ PANEL_INTERVALS = 32
 #: Ratio of successive panel widths of the geometric mesh toward a
 #: singularity of arg B.
 MESH_RATIO = 0.125
-#: Largest halving estimate, relative to its scale, of an integral on node sets
-#: (:meth:`QuadratureNodes.check_resolved`).
+#: Largest halving estimate, relative to its scale, of a state's integrals
+#: (:meth:`NodeSamples.check_resolved`).
 HALVING_TOL = 1e-10
 
 
@@ -95,12 +96,29 @@ def check_scale(scale: float, what: str) -> None:
         )
 
 
+class Nodes:
+    """A node set: momenta ``points``, their count ``n_points``, quadrature
+    ``weights``, and the ``coarse_weights`` of the nested rule on half as many
+    intervals (zero on the nodes it skips).  What probes, evolution and
+    expectations use of it is ``points``, ``n_points``, ``integrate`` and
+    ``halving_error``."""
+
+    def integrate(self, samples: np.ndarray):
+        """Numpy's pairwise sum of weights times samples."""
+        return (self.weights * samples).sum()
+
+    def halving_error(self, samples: np.ndarray) -> float:
+        """|fine rule - nested coarse rule| of the samples: the halving estimate."""
+        return float(abs(((self.weights - self.coarse_weights) * samples).sum()))
+
+
 @dataclass(frozen=True)
-class MomentumGrid:
+class MomentumGrid(Nodes):
     """Uniform, strictly increasing momentum grid with an odd point count.
 
     Odd counts keep composite Simpson quadrature applicable without a
-    remainder panel.
+    remainder panel.  The nested rule is Simpson on the even-index points at
+    twice the spacing, which needs an odd count of them: a count 4k + 1.
     """
 
     p_min: float
@@ -127,11 +145,27 @@ class MomentumGrid:
         return pts
 
     @cached_property
-    def simpson_weights(self) -> np.ndarray:
+    def weights(self) -> np.ndarray:
         w = np.full(self.n_points, 2.0)
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
         w *= self.spacing / 3.0
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def coarse_weights(self) -> np.ndarray:
+        """Simpson weights of the even-index points, zero on the odd ones.
+
+        Raises
+        ------
+        UnderResolvedGrid
+            If the count is not 4k + 1, so that no nested rule exists.
+        """
+        if self.n_points % 4 != 1:
+            raise UnderResolvedGrid(f"{self.n_points} points have no nested Simpson rule: it needs 4k + 1 points")
+        w = np.zeros(self.n_points)
+        w[::2] = MomentumGrid(self.p_min, self.p_max, (self.n_points + 1) // 2).weights
         w.flags.writeable = False
         return w
 
@@ -140,12 +174,12 @@ class MomentumGrid:
 
         Summed as h/3 * (s[0] + s[-1] + 4 * sum(s[1:-1:2]) + 2 * sum(s[2:-1:2])),
         each strided sum by numpy's pairwise summation.  This summation order
-        is part of the output: ``(simpson_weights * samples).sum()`` agrees
-        with it only to rounding, and in its place the figure dump of
+        is part of the output: ``(weights * samples).sum()`` agrees with it
+        only to rounding, and in its place the figure dump of
         ``tests/data/golden_dump.csv`` no longer comes out byte for byte.  It
-        also keeps the sum on the calling thread, where ``simpson_weights @
-        samples``, a BLAS call, would wake the helper threads of a pool that a
-        host loaded before ``wva`` (see :mod:`wva`).  Real samples stay real;
+        also keeps the sum on the calling thread, where ``weights @ samples``,
+        a BLAS call, would wake the helper threads of a pool that a host
+        loaded before ``wva`` (see :mod:`wva`).  Real samples stay real;
         nothing is cast to complex.
         """
         s = samples
@@ -164,14 +198,8 @@ class MomentumGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class QuadratureNodes:
-    """Momenta with quadrature weights, and the weights of the nested rule on
-    half as many intervals (zero on the nodes it skips).
-
-    The difference of the two rules is the halving error estimate.  Sums are
-    numpy pairwise sums of weights times samples, as in
-    :meth:`MomentumGrid.integrate`.
-    """
+class QuadratureNodes(Nodes):
+    """Momenta with the weights of a rule and of its nested rule, given."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -180,25 +208,6 @@ class QuadratureNodes:
     @property
     def n_points(self) -> int:
         return self.points.size
-
-    def integrate(self, samples: np.ndarray):
-        return (self.weights * samples).sum()
-
-    def halving_error(self, samples: np.ndarray) -> float:
-        """|fine rule - nested coarse rule| of the samples."""
-        return float(abs(((self.weights - self.coarse_weights) * samples).sum()))
-
-    def check_resolved(self, what: str, integrands: dict[str, tuple[np.ndarray, float]]) -> None:
-        """Raise :class:`UnderResolvedGrid` unless the halving estimate of each
-        named integrand, given as (samples, scale), is within ``HALVING_TOL``
-        times its scale; an estimate that is not a number fails."""
-        errors = {name: (self.halving_error(samples), scale) for name, (samples, scale) in integrands.items()}
-        if not all(error <= HALVING_TOL * scale for error, scale in errors.values()):
-            found = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in errors.items())
-            raise UnderResolvedGrid(
-                f"{what}: on {self.n_points} nodes the halving estimates ({found}) must be "
-                f"within {HALVING_TOL:g} of their scales"
-            )
 
     @classmethod
     def mapped(cls, n: int, p: np.ndarray, jacobian) -> "QuadratureNodes":
@@ -209,11 +218,6 @@ class QuadratureNodes:
         if np.size(scale) != p.size:  # shared by every period, or a constant
             scale = np.broadcast_to(scale, p.shape)
         return cls(p.ravel(), (scale * w).ravel(), (scale * w_coarse).ravel())
-
-
-#: A node set: what probes, evolution and expectations use of it is
-#: ``points``, ``n_points`` and ``integrate``.
-Nodes = MomentumGrid | QuadratureNodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +233,9 @@ class NodeSamples:
     its theta nodes are graded toward the singularities of arg B; the
     post-selected state is flat in p instead.  On the probe's own 198 theta
     nodes (A = sqrt(3) + 2 sqrt(3) i, g = 0.1) its halving estimates are
-    7.0e-9 of the weight 1.7, 3.2e-9 of the position moment 0.8 and 1.6e-8 of
-    the momentum moment 14, against ``HALVING_TOL`` = 1e-10.
+    7.0e-9 of the weight 1.7, 3.2e-9 of the position scale 0.8 and 1.6e-8 of
+    the momentum scale 27 (:meth:`check_resolved`), against ``HALVING_TOL`` =
+    1e-10.
     """
 
     grid: Nodes
@@ -259,6 +264,29 @@ class NodeSamples:
         weight = check_norm(self.weight, scale)
         moment = 1j * complex(self.grid.integrate(self.integrands["position moment"])) / weight
         return moment.real, float(self.grid.integrate(self.integrands["momentum moment"])) / weight, moment.imag
+
+    def check_resolved(self, what: str) -> None:
+        """Raise :class:`UnderResolvedGrid`, naming the state ``what``, unless
+        the halving estimate of each integrand is within ``HALVING_TOL`` of its
+        scale; an estimate that is not a number fails.
+
+        With P = max |p| over the node set, the scales are the weight W for
+        the weight, max(integral |conj(psi) psi'|, W pi / P) for the position
+        moment, and W P, which bounds integral |p| |psi|^2, for the momentum
+        moment.  Only the position scale costs a quadrature.
+        """
+        grid, weight, integrands = self.grid, self.weight, self.integrands
+        reach = max(-float(grid.points.min()), float(grid.points.max()))
+        position = float(grid.integrate(np.abs(integrands["position moment"])))
+        position = max(position, weight * math.pi / reach)
+        scales = {"weight": weight, "position moment": position, "momentum moment": weight * reach}
+        errors = {name: (grid.halving_error(integrands[name]), scale) for name, scale in scales.items()}
+        if not all(error <= HALVING_TOL * scale for error, scale in errors.values()):
+            found = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in errors.items())
+            raise UnderResolvedGrid(
+                f"{what}: on {grid.n_points} nodes the halving estimates ({found}) must be "
+                f"within {HALVING_TOL:g} of their scales"
+            )
 
 
 @lru_cache(maxsize=8)
@@ -515,16 +543,15 @@ def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:
 
 def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
     """Grid sized for Gaussian-probe quadrature: wide enough for the tails,
-    fine enough to resolve oscillations at scale 1/coupling."""
+    fine enough to resolve oscillations at scale 1/coupling, with a count
+    4k + 1."""
     half = GAUSSIAN_HALF_WIDTH * width
     spacing = min(width / 80.0, 0.022 / max(coupling, 1e-12))
     count = 2.0 * half / spacing
     if math.isinf(count):  # the spacing underflowed: int() cannot take the count
         check_point_budget(count, "grid points")
     n = max(int(math.ceil(count)) + 1, 4001)
-    if n % 2 == 0:
-        n += 1
-    return MomentumGrid(-half, half, n)
+    return MomentumGrid(-half, half, n + (1 - n) % 4)  # 4k + 1: a nested rule exists
 
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
@@ -534,8 +561,11 @@ def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
 
     The inverse evolution factor peaks like |A|^2 / (Re A)^2 over a narrow
     angular window, so resolution must grow with |A|^2 / |Re A| to keep the
-    Simpson quadrature at the part-per-million level.  The optimal probe
-    escapes this law on :func:`theta_nodes`.
+    Simpson quadrature at the part-per-million level; the count is rounded
+    up to 4k + 1.  That sizes for dumps, not for the halving check of
+    :func:`wva.expectation.shift_report`, which refuses the count for sharp
+    weak values: at 0.1 - 5i the position moment's estimate is 5.7e-8 of its
+    scale.  The optimal probe escapes this law on :func:`theta_nodes`.
 
     Raises
     ------
@@ -545,9 +575,7 @@ def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     aw = _require_real_part(weak_value)
     sharpness = abs(aw) ** 2 / abs(aw.real)
     n = max(4097 * extent, int(math.ceil(40.0 * sharpness * extent)))
-    if n % 2 == 0:
-        n += 1
-    return n
+    return n + (1 - n) % 4  # 4k + 1: a nested rule exists
 
 
 def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, factor=None):
@@ -579,18 +607,16 @@ def optimal_probe(
 
     By default (``n_points=None``) it keeps its analytic amplitude on
     :func:`theta_nodes`: theta panels graded toward the singularities of
-    arg B, each at ``PANEL_INTERVALS`` (32) intervals.  The rule is accepted
-    when the halving estimates of the probe's mean position and momentum
-    (against the nested 16-interval rule) are within ``HALVING_TOL`` of
-    |max_shift| and of pi/2g.  Its ``evolution_view`` is the probe on the
+    arg B, each at ``PANEL_INTERVALS`` (32) intervals; the halving check of
+    :func:`wva.expectation.shift_report` certifies that rule against its
+    nested 16-interval rule.  Its ``evolution_view`` is the probe on the
     16-interval :func:`support_nodes`, on which the post-selected state (flat
     density, linear phase) integrates exactly; the theta nodes do not
     resolve that state (see :class:`NodeSamples`).
 
     With a point count the probe is sampled on a :class:`MomentumGrid` and
-    renormalized there, as position transforms and the optimizer need; its
-    shift is wrong, with no error, once |A|^2 / |Re A| outgrows that count
-    (see :func:`recommended_support_points`).
+    renormalized there, as position transforms and the optimizer need; that
+    count must grow with |A|^2 / |Re A| (see :func:`recommended_support_points`).
 
     Raises
     ------
@@ -603,13 +629,10 @@ def optimal_probe(
         position moment's integrand grows like the square of the shift.
     GridTooLarge
         If the grid or the node set exceeds ``MAX_GRID_POINTS``.
-    UnderResolvedGrid
-        If the 32-interval rule's halving estimates exceed the tolerance.
     """
     aw = _require_real_part(weak_value)
     check_scale(coupling, "coupling")
-    q_scale = abs(max_shift(coupling, aw))
-    check_scale(q_scale, "|max_shift|")
+    check_scale(abs(max_shift(coupling, aw)), "|max_shift|")
     if n_points is not None:
         grid = MomentumGrid.for_support(coupling, n_points, extent)
         values, derivative = _optimal_samples(coupling, aw, extent, grid.points)
@@ -620,17 +643,7 @@ def optimal_probe(
     view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
     nodes, factor = theta_nodes(coupling, aw, extent, PANEL_INTERVALS)
     samples = _optimal_samples(coupling, aw, extent, nodes.points, factor)
-    # It weighs 1 on any theta rule, so its norm check cannot pre-empt the certificate.
-    probe = ProbeWavefunction(nodes, *samples, "optimal", view)
-    integrands = probe.integrands
-    nodes.check_resolved(
-        f"the optimal probe on theta panels of {PANEL_INTERVALS} intervals",
-        {
-            "position moment": (integrands["position moment"], q_scale),
-            "momentum moment": (integrands["momentum moment"], 0.5 * math.pi / coupling),
-        },
-    )
-    return probe
+    return ProbeWavefunction(nodes, *samples, "optimal", view)
 
 
 def smoothed_optimal_probe(
@@ -778,7 +791,7 @@ def position_amplitudes(probe: ProbeWavefunction, positions) -> np.ndarray:
     """
     q = np.atleast_1d(np.asarray(positions, dtype=float))
     grid = probe.grid
-    weighted = grid.simpson_weights * probe.values
+    weighted = grid.weights * probe.values
     if q.size > 1 and q.size * grid.n_points > DENSE_SUM_MAX_TERMS:
         step = (q[-1] - q[0]) / (q.size - 1)
         drift = np.max(np.abs(q - (q[0] + step * np.arange(q.size))))

@@ -527,18 +527,29 @@ class TestSweepCommand:
             "--width",
             "1",
             "--values",
-            "11,21,41",
+            "21,129,257",
         ]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        assert main(args + ["--output", str(first)]) == 0
-        assert main(args + ["--output", str(second)]) == 0
+        assert main(args + ["--output", str(first)]) == 1
+        assert main(args + ["--output", str(second)]) == 1
         assert first.read_bytes() == second.read_bytes()
         assert b"\r\n" not in first.read_bytes()
         rows = _read_rows(first)
-        reference = [float(r["analytic_delta_q"]) for r in rows]
-        errors = [abs(float(r["delta_q"]) - ref) for r, ref in zip(rows, reference)]
-        assert errors[0] / errors[1] >= 8.0
+        # 21 points at g = 0.5 read 7.5e-2 of the probe's weight.
+        assert [(r["delta_q"], r["error"]) for r in rows[:1]] == [("", "UnderResolvedGrid")]
+        assert [r["delta_q"] for r in rows[1:]] == [rows[1]["analytic_delta_q"]] * 2
+
+    def test_gaussian_grid_sweep_prints_only_certified_shifts(self, tmp_path):
+        # 3, 5 and 7 points once printed 0.2, 0.199716835448 and 0.1984652138
+        # against 0.194230954135, with exit 0.
+        out = tmp_path / "sweep.csv"
+        values = "3,5,7,9,17,33,65,129,257"
+        argv = ["sweep", "--axis", "grid_n", "--probe", "gaussian", "--aw-re", "2", "--values", values]
+        assert main([*argv, "--output", str(out)]) == 1
+        rows = _read_rows(out)
+        assert [r["error"] for r in rows] == ["UnderResolvedGrid"] * 7 + ["", ""]
+        assert [r["delta_q"] for r in rows] == [""] * 7 + ["0.194230954135"] * 2
 
     _VECTORS = ["--pre", "1,1", "--obs", "1,0;0,-1"]
     _ORTHOGONAL = 3 * math.pi / 4  # cos + sin of it is 1e-16: an exactly orthogonal selection
@@ -954,6 +965,17 @@ def test_optimizer_grid_without_three_window_modes_is_a_domain_error(n_points, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "n_points, message",
+    [("5", "the probe: on 5 nodes the halving estimates"), ("7", "7 points have no nested Simpson rule: it needs 4k + 1")],
+)
+def test_shift_refuses_a_gaussian_count_it_cannot_certify(n_points, message, capsys):
+    assert main(["shift", "--probe", "gaussian", "--aw-re", "2", "--n-points", n_points]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"UnderResolvedGrid: {message}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("aw_re, aw_im", [("1", "30"), ("1e-3", "1")])
 def test_smoothed_shift_takes_its_point_count_from_the_weak_value(aw_re, aw_im, capsys):
     # 4,097 interior points gave 44.997 and 106.39; the closed form of the
@@ -1173,7 +1195,7 @@ def _probe_flags(probe, tmp_path):
     if probe == "smoothed":
         flags += ["--smoothing", "30"]
     if probe == "file":
-        flags += ["--file", _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])]
+        flags += ["--file", _probe_file(tmp_path, "probe.csv", [(q / 1000, 1) for q in range(5)])]
     return flags
 
 
@@ -1251,7 +1273,7 @@ def test_a_command_refuses_exactly_the_keys_it_does_not_read_with_the_probe(comm
     # Each of these was once ignored with exit 0 somewhere: width with an
     # optimal probe, n_range in shift and in a Gaussian dump, width in optimize.
     reads = probe in _PROBES_THAT_READ["shift" if command == "sweep" else command, key]
-    probe_csv = _probe_file(tmp_path, "other.csv", [(q, 1 + q * (4 - q)) for q in range(5)])
+    probe_csv = _probe_file(tmp_path, "other.csv", [(q / 1000, 2) for q in range(5)])
     value = {"width": "2", "smoothing": "20", "file": probe_csv, "n_points": "129", "support_m": "2", "n_range": "3"}
     argv = [command, *_probe_flags(probe, tmp_path), "--" + key.replace("_", "-"), value[key]]
     out = tmp_path / "out.csv"
@@ -1280,7 +1302,7 @@ def test_a_command_refuses_exactly_the_keys_it_does_not_read_with_the_probe(comm
 def test_every_command_that_runs_a_probe_accepts_its_serialized_default_scenario(probe, tmp_path, capsys):
     # to_text() writes width, support_m and n_range into every scenario, so
     # only a key set away from its default may count as set.
-    probe_csv = _probe_file(tmp_path, "probe.csv", [(q, 1) for q in range(5)])
+    probe_csv = _probe_file(tmp_path, "probe.csv", [(q / 1000, 1) for q in range(5)])
     extra = {"smoothed": {"smoothing": 30.0}, "file": {"probe_file": probe_csv}}
     config = cli.ScenarioConfig(aw=2 + 0j, probe=probe, **extra.get(probe, {}))
     assert "width=1.0" in config.to_text() and "n_range=16" in config.to_text()
@@ -1591,7 +1613,7 @@ def test_file_probe_at_any_scale_prints_the_bytes_of_unit_rows(scale, tmp_path, 
     printed = []
     for value in (1.0, scale):
         path = tmp_path / f"{value!r}.csv"
-        rows = [f"momentum_initial,{-1.0 + k / 4.0!r},{value!r},0" for k in range(9)]
+        rows = [f"momentum_initial,{(k - 4) / 400.0!r},{value!r},0" for k in range(9)]
         path.write_text("\n".join(["space,coordinate,re,im", *rows]) + "\n")
         assert main(["shift", "--probe", "file", "--file", str(path), "--aw-re", "2"]) == 0
         printed.append(capsys.readouterr())

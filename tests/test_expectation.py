@@ -26,6 +26,7 @@ from wva import (
     recommended_gaussian_grid,
     shift_report,
 )
+from wva.evolution import apply_postselection
 from wva.probe import ZERO_NORM_FLOOR
 
 G = 0.1
@@ -179,16 +180,21 @@ class TestQuadratureConvergence:
         # Halving the spacing must cut the error by at least 8x while it sits
         # above the rounding floor.  (For this family the integrands are
         # nearly band-limited, so convergence is faster than fourth order and
-        # bottoms out quickly; the coarse window shows the decay.)
+        # bottoms out quickly; the coarse window shows the decay.)  The means
+        # are the quadratures themselves: a shift report refuses every one of
+        # these grids, the 11 points for want of a nested rule.
         coupling, width, value = 0.5, 1.0, 1.0 + 1.0j
         prediction = gaussian_exact_shifts(coupling, width, value)
         q_errors = []
         p_errors = []
-        for n in (11, 21, 41):
+        evo = evo_for(value, coupling)
+        for n, refusal in ((11, "11 points have no nested"), (21, "the probe: on 21"), (41, "the probe: on 41")):
             probe = gaussian_probe(width, MomentumGrid(-7.5, 7.5, n))
-            report = shift_report(evo_for(value, coupling), probe)
-            q_errors.append(abs(report.delta_q - prediction.delta_q))
-            p_errors.append(abs(report.delta_p - prediction.delta_p))
+            (q_initial, p_initial, _), (q_final, p_final, _) = probe.means(), apply_postselection(evo, probe).means()
+            q_errors.append(abs(q_final - q_initial - prediction.delta_q))
+            p_errors.append(abs(p_final - p_initial - prediction.delta_p))
+            with pytest.raises(UnderResolvedGrid, match=refusal):
+                shift_report(evo, probe)
         assert q_errors[-1] > 1e-15  # still above the exact-cancellation floor
         for errors in (q_errors, p_errors):
             assert errors[0] / errors[1] >= 8.0
@@ -271,11 +277,13 @@ class TestThetaNodeReport:
             shift_report(evo_for(AW + 1.0), optimal_probe(G, AW, None))
 
     def test_the_evolved_state_reads_the_one_halving_tolerance(self, monkeypatch):
-        # Its halving estimates are 1e-17 to 2e-16 of their scales, not zero.
-        probe = optimal_probe(G, AW, None)
+        # Its halving estimates are 1e-17 to 2e-16 of their scales, not zero;
+        # in a shift report the probe's own check would refuse first.
+        evolved = apply_postselection(evo_for(AW), optimal_probe(G, AW, None))
+        evolved.check_resolved("the post-selected state")
         monkeypatch.setattr("wva.probe.HALVING_TOL", 1e-30)
-        with pytest.raises(UnderResolvedGrid, match="post-selected"):
-            shift_report(evo_for(AW), probe)
+        with pytest.raises(UnderResolvedGrid, match="the post-selected state: on 17 nodes"):
+            evolved.check_resolved("the post-selected state")
 
     def test_weight_below_the_absolute_floor_is_reported(self):
         # The weight |overlap|^2 |Re A| = 6.1e-15 is below ZERO_NORM_FLOOR, but

@@ -256,11 +256,13 @@ class TestOptimalProbe:
     @pytest.mark.parametrize("intervals", [2, 4, 8])
     @pytest.mark.parametrize("value", [AW, 2.0, 1.0 + 30.0j, -0.36 + 0.13j, 1e-3 + 1.0j])
     def test_coarse_theta_rule_is_refused_by_its_certificate(self, monkeypatch, intervals, value):
-        # The probe is built before it is certified; its norm check must not
-        # refuse a coarse rule first, as a ValueError.
+        # The probe is built unchecked, and its norm check must not refuse a
+        # coarse rule as a ValueError; the shift report's halving check
+        # refuses it.
         monkeypatch.setattr("wva.probe.PANEL_INTERVALS", intervals)
-        with pytest.raises(UnderResolvedGrid, match=f"theta panels of {intervals} intervals"):
-            optimal_probe(G, value, None)
+        probe = optimal_probe(G, value, None)
+        with pytest.raises(UnderResolvedGrid, match="the probe: on"):
+            shift_report(PostSelectedEvolution(G, WeakValue.from_value(value)), probe)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -415,7 +417,7 @@ class TestChirpZ:
         # Ascending grids, with or without zero inside, from two points up.
         grid = MomentumGrid(p_min, p_max, n_p)
         rng = np.random.default_rng(seed)
-        weighted = grid.simpson_weights * (rng.normal(size=n_p) + 1j * rng.normal(size=n_p))
+        weighted = grid.weights * (rng.normal(size=n_p) + 1j * rng.normal(size=n_p))
         q = np.linspace(q0, q0 + span, n_q)
         step = (q[-1] - q[0]) / (n_q - 1)
         dense = _dense_sum(q, grid, weighted)
@@ -432,7 +434,7 @@ class TestChirpZ:
     )
     def test_matches_dense_sum_on_the_comb(self, coupling, aw_re, aw_im, n_range, n_p):
         probe = optimal_probe(coupling, complex(aw_re, aw_im), n_points=n_p)
-        weighted = probe.grid.simpson_weights * probe.values
+        weighted = probe.grid.weights * probe.values
         q = 2.0 * coupling * np.arange(-n_range, n_range + 1)
         dense = _dense_sum(q, probe.grid, weighted)
         fast = _chirp_z_sum(q[0], 2.0 * coupling, q.size, probe.grid, weighted)
@@ -443,7 +445,7 @@ class TestChirpZ:
         q = np.linspace(-20.0, 20.0, 801)
         q[400] += 0.05  # one position off the uniform spacing
         assert q.size * probe.grid.n_points > DENSE_SUM_MAX_TERMS
-        dense = _dense_sum(q, probe.grid, probe.grid.simpson_weights * probe.values)
+        dense = _dense_sum(q, probe.grid, probe.grid.weights * probe.values)
         amplitudes = position_amplitudes(probe, q) * math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(amplitudes - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -452,7 +454,7 @@ class TestChirpZ:
         # (over 120 MiB); the chirp-z transform needs a few length-65,536 arrays.
         probe = gaussian_probe(1.0, MomentumGrid(-7.5, 7.5, 40001))
         positions = np.linspace(-8.0, 8.0, 801)
-        probe.grid.simpson_weights, probe.grid.points  # cached before tracing
+        probe.grid.weights, probe.grid.points  # cached before tracing
         tracemalloc.start()
         try:
             amplitudes = position_amplitudes(probe, positions)
@@ -460,7 +462,7 @@ class TestChirpZ:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        weighted = probe.grid.simpson_weights * probe.values
+        weighted = probe.grid.weights * probe.values
         dense = _dense_sum(positions[::40], probe.grid, weighted) / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(amplitudes[::40] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -538,18 +540,33 @@ class TestNodeSets:
     def test_clenshaw_curtis_is_exact_to_its_degree(self, n):
         # n intervals integrate polynomials of degree n exactly; the nested
         # rule on n/2 intervals those of degree n/2, so the halving estimate
-        # vanishes there.
-        nodes = support_nodes(G, 1, n)
+        # vanishes there.  Simpson on a MomentumGrid of the same n + 1 points
+        # and its nested rule on the even-index points both integrate cubics
+        # exactly.
         half = math.pi / (2.0 * G)
-        x = nodes.points / half
-        assert nodes.points[0] == -half and nodes.points[-1] == half
-        for k in range(n + 1):
-            exact = half * (1.0 - (-1.0) ** (k + 1)) / (k + 1)
-            assert float(nodes.integrate(x**k)) == pytest.approx(exact, abs=1e-13 * half)
-            if k <= n // 2:
-                assert nodes.halving_error(x**k) <= 1e-13 * half
-        runge = 1.0 / (1.0 + 25.0 * x**2)  # unresolved on 16 intervals
-        assert (nodes.halving_error(runge) > 1e-4 * half) == (n == 16)
+        rules = ((support_nodes(G, 1, n), n, n // 2), (MomentumGrid.for_support(G, n + 1), 3, 3))
+        for nodes, degree, nested in rules:
+            x = nodes.points / half
+            assert nodes.points[0] == -half and nodes.points[-1] == half
+            for k in range(degree + 1):
+                exact = half * (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+                assert float(nodes.integrate(x**k)) == pytest.approx(exact, abs=1e-13 * half)
+                if k <= nested:
+                    assert nodes.halving_error(x**k) <= 1e-13 * half
+            runge = 1.0 / (1.0 + 25.0 * x**2)  # unresolved on 16 intervals
+            assert (nodes.halving_error(runge) > 1e-4 * half) == (n == 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_real=st.floats(-3.0, 3.0),
+        imag=st.floats(-1e3, 1e3),
+        extent=st.integers(1, 4),
+        coupling=st.floats(1e-3, 10.0),
+        width=st.floats(1e-2, 1e2),
+    )
+    def test_recommended_counts_have_a_nested_rule(self, log_real, imag, extent, coupling, width):
+        assert recommended_support_points(complex(10.0**log_real, imag), extent) % 4 == 1
+        assert recommended_gaussian_grid(coupling, width).n_points % 4 == 1
 
     @pytest.mark.parametrize("extent", [1, 2, 3])
     @pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, 1e-3 + 1.0j, -1.5 + 2.0j, 5.0])
@@ -623,9 +640,10 @@ class TestNodeSets:
         assert report.delta_p == pytest.approx(-optimal_initial_momentum(G, value), abs=1e-12 * math.pi / (2 * G))
 
     def test_unresolved_rule_is_refused(self, monkeypatch):
+        probe = optimal_probe(G, AW, None)
         monkeypatch.setattr("wva.probe.HALVING_TOL", 1e-30)
-        with pytest.raises(UnderResolvedGrid, match="theta panels of 32 intervals"):
-            optimal_probe(G, AW, None)
+        with pytest.raises(UnderResolvedGrid, match=f"the probe: on {probe.grid.n_points} nodes"):
+            shift_report(PostSelectedEvolution(G, WeakValue.from_value(AW)), probe)
 
     def test_scales_outside_double_range_are_refused(self):
         with pytest.raises(ScaleOutOfRange):
