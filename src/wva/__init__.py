@@ -47,7 +47,6 @@ from .errors import (
     NonFinite,
     OrthogonalSelection,
     ScaleOutOfRange,
-    TailMassTooLarge,
     UnderResolvedGrid,
     WvaError,
     ZeroNorm,
@@ -72,7 +71,6 @@ from .probe import (
     numeric_derivative,
     optimal_probe,
     position_amplitudes,
-    recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
 )

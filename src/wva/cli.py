@@ -31,14 +31,12 @@ from .evolution import PostSelectedEvolution, apply_postselection
 from .expectation import ShiftReport, shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
-    GAUSSIAN_HALF_WIDTH,
     MomentumGrid,
     ProbeWavefunction,
     check_point_budget,
     optimal_probe,
     gaussian_probe,
     position_amplitudes,
-    recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
 )
@@ -118,9 +116,6 @@ class _Output:
             return self.handle.write(text)
         except OSError as exc:
             raise _file_error(self.path, exc) from exc
-
-    def fileno(self) -> int:
-        return self.handle.fileno()
 
 
 @contextmanager
@@ -437,12 +432,7 @@ def read_probe_csv(path: str) -> ProbeWavefunction:
 
 def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefunction:
     if config.probe == "gaussian":
-        if config.n_points is None:
-            grid = recommended_gaussian_grid(config.coupling, config.width)
-        else:
-            half = GAUSSIAN_HALF_WIDTH * config.width
-            grid = MomentumGrid(-half, half, config.n_points)
-        return gaussian_probe(config.width, grid)
+        return gaussian_probe(config.coupling, config.width, config.n_points)
     if config.probe == "optimal":
         return optimal_probe(config.coupling, weak_value.value, config.n_points, config.support_extent)
     if config.probe == "smoothed":
@@ -486,6 +476,25 @@ def _csv_writer(handle):
 
 # Commands open their output files before they compute, so that a path that
 # cannot be opened is a configuration error before any work or output.
+
+
+def _same_file(path: str, other: str) -> bool:
+    try:
+        return os.path.samefile(path, other)
+    except OSError:  # one is not there yet: compare where the paths lead
+        return os.path.realpath(path) == os.path.realpath(other)
+
+
+def _refuse_overwrites(args: argparse.Namespace, config: ScenarioConfig) -> None:
+    """Refuse an output path that names an input file or another output,
+    before any file is opened for writing, which would empty it."""
+    seen = [(flag, path) for flag, path in (("--config", args.config), ("--file", config.probe_file)) if path]
+    for flag, path in (("--output", config.output), ("--probe-output", getattr(args, "probe_output", None))):
+        if path:
+            for other, other_path in seen:
+                if _same_file(path, other_path):
+                    raise ConfigError(f"{other} and {flag} name the same file")
+            seen.append((flag, path))
 
 
 def _output_file(path: str | None):
@@ -745,8 +754,6 @@ def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:
         init=args.init,
     )
     with _output_file(config.output) as trace_file, _output_file(probe_output) as probe_file:
-        if trace_file and probe_file and os.path.sameopenfile(trace_file.fileno(), probe_file.fileno()):
-            raise ConfigError("--output and --probe-output name the same file")
         trace = maximize(optimizer_config, evo)
         reference = max_shift(config.coupling, wv.value)
         last_iter, last_objective, last_norm = trace.iterations[-1]
@@ -880,6 +887,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "mach-zehnder":
             return cmd_mach_zehnder(_finite(args.chi, "chi"), _finite(args.varphi, "varphi"))
         config = scenario_from_args(args)
+        _refuse_overwrites(args, config)
         if args.command == "shift":
             return cmd_shift(config)
         if args.command == "dump":

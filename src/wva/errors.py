@@ -19,10 +19,6 @@ class ZeroRealPart(WvaError):
     probe is not normalizable in that case."""
 
 
-class TailMassTooLarge(WvaError):
-    """The requested grid truncates more probability mass than tolerated."""
-
-
 class ZeroNorm(WvaError):
     """A wavefunction with (numerically) zero norm was passed to a
     normalization-dependent operation."""

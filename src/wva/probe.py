@@ -10,9 +10,9 @@ so all downstream quadrature is self-consistent.  Two kinds of node set exist:
   composite Simpson, nested in Simpson on its even-index points when the
   count is 4k + 1.  Gaussian, file and smoothed probes and every dump live
   here; the position transform (:func:`position_amplitudes`) and the
-  finite-difference derivative need its uniform spacing.  The caller passes
-  the grid of a Gaussian probe; a smoothed probe sizes its own from the weak
-  value and the smoothing rate.
+  finite-difference derivative need its uniform spacing.  A Gaussian probe
+  sizes its own from its width and the coupling, a smoothed probe from the
+  weak value and the smoothing rate.
 - :class:`QuadratureNodes`, Clenshaw-Curtis nodes nested in the rule on
   their even-index nodes.  The optimal probe of a shift lives on nodes in
   theta = arg B(p), where its density is uniform: one Clenshaw-Curtis rule
@@ -40,13 +40,11 @@ from .analytic import (
     evolution_factor_and_derivative,
     max_shift,
 )
-from .errors import GridTooLarge, ScaleOutOfRange, TailMassTooLarge, UnderResolvedGrid, ZeroNorm
+from .errors import GridTooLarge, ScaleOutOfRange, UnderResolvedGrid, ZeroNorm
 from .system import SCALE_RANGE, _unit_peak, all_finite
 
 #: Tolerance on the grid-quadrature norm of a stored wavefunction.
 NORMALIZATION_TOL = 1e-8
-#: Largest truncated probability mass a constructor grid may discard.
-TAIL_MASS_TOL = 1e-10
 #: Half-width of a Gaussian probe's p-grid in units of its momentum width;
 #: the grid drops 6.4e-14 of the probe's mass.
 GAUSSIAN_HALF_WIDTH = 7.5
@@ -189,8 +187,6 @@ class MomentumGrid(Nodes):
     def for_support(cls, coupling: float, n_points: int = 4097, extent: int = 1) -> "MomentumGrid":
         """Grid covering [-pi*extent/2g, pi*extent/2g], the support (or an
         integer multiple of it) on which the hard-support probes live."""
-        if coupling <= 0:
-            raise ValueError("coupling must be positive")
         check_scale(coupling, "coupling")  # the support's scale is 1/g
         _require_extent(extent)
         half = math.pi * extent / (2.0 * coupling)
@@ -510,48 +506,42 @@ class ProbeWavefunction(NodeSamples):
         return cls(grid, values * scale, given[0] * scale if given else None, label)
 
 
-def gaussian_probe(width: float, grid: MomentumGrid) -> ProbeWavefunction:
+def gaussian_probe(coupling: float, width: float, n_points: int | None = None) -> ProbeWavefunction:
     """Gaussian probe; ``width`` is the standard deviation of the momentum
     density (its position density has standard deviation 1/(2*width)).
 
-    The grid must carry all but ``TAIL_MASS_TOL`` of the Gaussian's mass;
-    values are renormalized on the grid and the analytic derivative is
-    attached.
+    The probe sizes its own :class:`MomentumGrid` over
+    +/-``GAUSSIAN_HALF_WIDTH`` widths, which drops 6.4e-14 of the Gaussian's
+    mass.  The grid has ``n_points`` points when given; by default its
+    spacing is at most width/80 and 0.022/coupling, which resolves the
+    oscillations at scale 1/coupling, and its count is at least 4001, rounded
+    up to 4k + 1 so that a nested rule exists.  Values are renormalized on the
+    grid and the analytic derivative is attached.
 
     Raises
     ------
     ScaleOutOfRange
         If ``width`` lies outside ``SCALE_RANGE``.
-    TailMassTooLarge
-        If the grid truncates the Gaussian beyond tolerance.
+    ValueError
+        If ``n_points`` is even or below 3.
+    GridTooLarge
+        If the grid exceeds ``MAX_GRID_POINTS``.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
     check_scale(width, "width")
-    scale = width * math.sqrt(2.0)
-    tail = 0.5 * math.erfc(grid.p_max / scale) + 0.5 * math.erfc(-grid.p_min / scale)
-    if tail > TAIL_MASS_TOL:
-        raise TailMassTooLarge(
-            f"grid truncates {tail:.3e} of the momentum density (tolerance {TAIL_MASS_TOL})"
-        )
+    half = GAUSSIAN_HALF_WIDTH * width
+    if n_points is None:
+        spacing = min(width / 80.0, 0.022 / max(coupling, 1e-12))
+        count = 2.0 * half / spacing
+        if math.isinf(count):  # the spacing underflowed: int() cannot take the count
+            check_point_budget(count, "grid points")
+        n_points = max(int(math.ceil(count)) + 1, 4001)
+        n_points += (1 - n_points) % 4
+    grid = MomentumGrid(-half, half, n_points)
     p = grid.points
     values = (2.0 * math.pi * width**2) ** (-0.25) * np.exp(-(p**2) / (4.0 * width**2))
     values = values.astype(np.complex128)
     derivative = -p / (2.0 * width**2) * values
     return ProbeWavefunction.normalized(grid, values, derivative, label=f"gaussian(width={width:g})")
-
-
-def recommended_gaussian_grid(coupling: float, width: float) -> MomentumGrid:
-    """Grid sized for Gaussian-probe quadrature: wide enough for the tails,
-    fine enough to resolve oscillations at scale 1/coupling, with a count
-    4k + 1."""
-    half = GAUSSIAN_HALF_WIDTH * width
-    spacing = min(width / 80.0, 0.022 / max(coupling, 1e-12))
-    count = 2.0 * half / spacing
-    if math.isinf(count):  # the spacing underflowed: int() cannot take the count
-        check_point_budget(count, "grid points")
-    n = max(int(math.ceil(count)) + 1, 4001)
-    return MomentumGrid(-half, half, n + (1 - n) % 4)  # 4k + 1: a nested rule exists
 
 
 def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
@@ -672,7 +662,7 @@ def smoothed_optimal_probe(
     The tails need no mass check: they drop at most
     1e-28 g / (pi |Re A| smoothing) of the norm, a grid within
     ``MAX_GRID_POINTS`` has g / smoothing < 4.1e5, and |Re A| >= 1e-12, so
-    the loss stays below 1.4e-11, under ``TAIL_MASS_TOL``.
+    the loss stays below 1.4e-11.
 
     Raises
     ------
@@ -685,8 +675,6 @@ def smoothed_optimal_probe(
         If the grid exceeds ``MAX_GRID_POINTS``.
     """
     aw = _require_real_part(weak_value)
-    if coupling <= 0 or smoothing <= 0:
-        raise ValueError("coupling and smoothing must be positive")
     check_scale(coupling, "coupling")
     check_scale(smoothing, "smoothing")
     if n_points is None:

@@ -55,8 +55,7 @@ def test_criterion_02_gaussian_backaction_oracle():
         for width in WIDTHS:
             for value in WEAK_VALUES:
                 prediction = wva.gaussian_exact_shifts(coupling, width, value)
-                grid = wva.recommended_gaussian_grid(coupling, width)
-                probe = wva.gaussian_probe(width, grid)
+                probe = wva.gaussian_probe(coupling, width)
                 report = wva.shift_report(evo_for(value, coupling), probe)
                 # atol is the double-precision quadrature floor: shifts whose
                 # true size is ~1e-13 (damping e^{-2 g^2 W^2} underflowing)
@@ -76,11 +75,11 @@ def test_criterion_03_weak_regime_limits():
     width = 1.0
     coupling = 1e-3
     for value in (2.0 + 0j, 1.0 + 1.0j, AW_FIG):
-        probe = wva.gaussian_probe(width, wva.recommended_gaussian_grid(coupling, width))
+        probe = wva.gaussian_probe(coupling, width)
         report = wva.shift_report(evo_for(value, coupling), probe)
         assert abs(report.delta_q / (coupling * value.real) - 1.0) <= 1e-3
     for value in (1j, 1.0 + 1.0j, AW_FIG):
-        probe = wva.gaussian_probe(width, wva.recommended_gaussian_grid(coupling, width))
+        probe = wva.gaussian_probe(coupling, width)
         report = wva.shift_report(evo_for(value, coupling), probe)
         assert abs(report.delta_p / (2.0 * coupling * width**2 * value.imag) - 1.0) <= 1e-3
 
@@ -88,7 +87,7 @@ def test_criterion_03_weak_regime_limits():
     q_deviations = []
     p_deviations = []
     for coupling in couplings:
-        probe = wva.gaussian_probe(width, wva.recommended_gaussian_grid(coupling, width))
+        probe = wva.gaussian_probe(coupling, width)
         report = wva.shift_report(evo_for(AW_FIG, coupling), probe)
         q_deviations.append(abs(report.delta_q / (coupling * AW_FIG.real) - 1.0))
         p_deviations.append(

@@ -19,7 +19,6 @@ from wva import (
     max_shift,
     optimal_initial_momentum,
     optimal_probe,
-    recommended_gaussian_grid,
     recommended_support_points,
     shift_lower_bound,
     shift_report,
@@ -171,7 +170,7 @@ class TestClosedFormsAgainstPipeline:
     @pytest.mark.parametrize("width", [0.5, 2.0])
     def test_gaussian_shifts_match_pipeline(self, coupling, width):
         value = 1.0 + 1.0j
-        probe = gaussian_probe(width, recommended_gaussian_grid(coupling, width))
+        probe = gaussian_probe(coupling, width)
         evo = PostSelectedEvolution(coupling, WeakValue.from_value(value))
         report = shift_report(evo, probe)
         prediction = gaussian_exact_shifts(coupling, width, value)
@@ -218,7 +217,7 @@ class TestStationarity:
 
 @pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, -0.5 + 0.25j])
 def test_factor_and_derivative_equal_the_separate_views(value):
-    grids = (MomentumGrid.for_support(G, 4097), recommended_gaussian_grid(G, 1.0))
+    grids = (MomentumGrid.for_support(G, 4097), gaussian_probe(G, 1.0).grid)
     for grid in grids:
         factor, derivative = evolution_factor_and_derivative(G, value, grid.points)
         gp = G * grid.points  # the two factors as written before they shared one cos/sin

@@ -941,6 +941,34 @@ def test_an_empty_path_is_refused_by_its_key(argv, key, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["shift", "--probe", "file", "--file", "p.csv", "--aw-re", "2", "--output", "p.csv"], "--file and --output"),
+        (["dump", "--probe", "file", "--file", "p.csv", "--aw-re", "2", "--output", "./p.csv"], "--file and --output"),
+        (["sweep", "--axis", "coupling_g", "--values", "0.1,0.2", "--probe", "file", "--file", "p.csv",
+          "--aw-re", "2", "--output", "link.csv"], "--file and --output"),
+        (["shift", "--config", "c.cfg", "--output", "c.cfg"], "--config and --output"),
+        (["shift", "--config", "out.cfg"], "--config and --output"),
+        (["optimize", "--aw-re", "2", "--output", "t.csv", "--probe-output", "./t.csv"], "--output and --probe-output"),
+    ],
+)
+def test_an_output_that_names_an_input_is_refused_unopened(argv, flags, tmp_path, monkeypatch, capsys):
+    # The output was once opened first: a probe file was emptied and then
+    # refused for its missing header, and a config was overwritten, exit 0.
+    monkeypatch.chdir(tmp_path)
+    assert main(["dump", "--probe", "gaussian", "--aw-re", "2", "--n-points", "129", "--output", "p.csv"]) == 0
+    (tmp_path / "link.csv").symlink_to(tmp_path / "p.csv")
+    (tmp_path / "c.cfg").write_text("aw_re=2\n")
+    (tmp_path / "out.cfg").write_text("aw_re=2\noutput=out.cfg\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ConfigError: {flags} name the same file\n"
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["shift", "--aw-re", "2", "--probe", "smoothed", "--smoothing", "1e-6"],  # 8.4e9 points
@@ -1024,7 +1052,7 @@ def test_exports_are_pinned():
         "GaussianShiftPrediction", "GridTooLarge", "MomentumGrid", "NodeSamples", "NonFinite", "Observable",
         "OptimizerConfig", "OptimizerTrace", "OrthogonalSelection",
         "PostSelectedEvolution", "ProbeWavefunction", "QuadratureNodes", "ScaleOutOfRange",
-        "ShiftReport", "SystemState", "TailMassTooLarge", "UnderResolvedGrid", "WeakValue",
+        "ShiftReport", "SystemState", "UnderResolvedGrid", "WeakValue",
         "WvaError", "ZeroNorm", "ZeroRealPart", "analytic", "apply_postselection",
         "compute_weak_value", "errors", "evolution", "evolution_factor",
         "evolution_factor_and_derivative", "expectation",
@@ -1033,7 +1061,7 @@ def test_exports_are_pinned():
         "inverse_square_factor_integral", "mach_zehnder_setup", "mach_zehnder_weak_value",
         "max_shift", "maximize", "numeric_derivative", "optimal_initial_momentum", "optimal_probe",
         "optimizer", "periodic_representative", "position_amplitudes", "probe",
-        "recommended_gaussian_grid", "recommended_support_points", "shift_lower_bound",
+        "recommended_support_points", "shift_lower_bound",
         "shift_report", "smoothed_optimal_probe", "system",
     ]
 

@@ -60,6 +60,15 @@ COMMANDS: dict[str, tuple[list[list[str]], list[str], list[str]]] = {
     ),
     "optimize A=-2+0.13i": ([], ["optimize", "--aw-re", "-2", "--aw-im", "0.13"], []),
     "missing config": ([], ["shift", "--config", "no-such.cfg"], []),
+    "shift gaussian n_points": ([], ["shift", "--aw-re", "2", "--aw-im", "0.5", "--width", "2", "--n-points", "257"], []),
+    "dump gaussian n_points": (
+        [],
+        ["dump", "--probe", "gaussian", "--g", "0.5", "--width", "0.5", "--aw-re", "2", "--n-points", "129",
+         "--output", "gaussian_n.csv"],
+        ["gaussian_n.csv"],
+    ),
+    "shift gaussian inf grid": ([], ["shift", "--aw-re", "2", "--g", "1e308"], []),
+    "shift gaussian 4k+3": ([], ["shift", "--aw-re", "2", "--n-points", "259"], []),
 }
 
 

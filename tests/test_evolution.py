@@ -12,7 +12,6 @@ from wva import (
     gaussian_exact_shifts,
     max_shift,
     optimal_probe,
-    recommended_gaussian_grid,
 )
 
 G = 0.1
@@ -63,8 +62,7 @@ class TestApplyPostselection:
         # and moduli are preserved pointwise.
         overlap = 0.6 - 0.3j
         evo = make_evo(value=1.0, overlap=overlap)
-        grid = recommended_gaussian_grid(G, 1.0)
-        probe = gaussian_probe(1.0, grid)
+        probe = gaussian_probe(G, 1.0)
         evolved = apply_postselection(evo, probe)
         assert evolved.weight == pytest.approx(abs(overlap) ** 2, abs=1e-10)
         assert np.allclose(
@@ -95,7 +93,7 @@ class TestApplyPostselection:
         overlap = 0.5 + 0.2j
         evo = make_evo(overlap=overlap)
         width = 1.0
-        probe = gaussian_probe(width, recommended_gaussian_grid(G, width))
+        probe = gaussian_probe(G, width)
         evolved = apply_postselection(evo, probe)
         denominator = gaussian_exact_shifts(G, width, AW).denominator
         assert evolved.weight == pytest.approx(
@@ -104,7 +102,7 @@ class TestApplyPostselection:
 
     def test_pointwise_ratio_is_exact(self):
         evo = make_evo(overlap=0.8 + 0.1j)
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
+        probe = gaussian_probe(G, 1.0)
         evolved = apply_postselection(evo, probe)
         expected = evo.weak.overlap * factor(evo, probe.grid.points) * probe.values
         assert np.array_equal(evolved.values, expected)

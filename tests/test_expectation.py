@@ -23,7 +23,6 @@ from wva import (
     max_shift,
     optimal_initial_momentum,
     optimal_probe,
-    recommended_gaussian_grid,
     shift_report,
 )
 from wva.evolution import apply_postselection
@@ -39,13 +38,13 @@ def evo_for(value, coupling=G):
 
 class TestExpectQ:
     def test_gaussian_is_centered(self):
-        probe = gaussian_probe(1.0, MomentumGrid(-20.0, 20.0, 4001))
+        probe = gaussian_probe(G, 1.0)
         assert NodeSamples(probe.grid, probe.values, probe.derivative).means()[0] == pytest.approx(
             0.0, abs=1e-8
         )
 
     def test_linear_phase_shifts_mean(self):
-        probe = gaussian_probe(1.0, MomentumGrid(-20.0, 20.0, 4001))
+        probe = gaussian_probe(G, 1.0)
         grid = probe.grid
         a = 1.37
         values = probe.values * np.exp(-1j * a * grid.points)
@@ -77,12 +76,12 @@ class TestExpectQ:
 
 class TestMeanMomentum:
     def test_gaussian_is_centered(self):
-        probe = gaussian_probe(1.0, MomentumGrid(-20.0, 20.0, 4001))
+        probe = gaussian_probe(G, 1.0)
         assert shift_report(evo_for(AW), probe).p_initial == pytest.approx(0.0, abs=1e-10)
 
     def test_momentum_shift_against_closed_form(self):
         width = 1.0
-        probe = gaussian_probe(width, recommended_gaussian_grid(G, width))
+        probe = gaussian_probe(G, width)
         delta_p = shift_report(evo_for(AW), probe).delta_p
         assert delta_p == pytest.approx(
             gaussian_exact_shifts(G, width, AW).delta_p, abs=1e-6
@@ -91,7 +90,7 @@ class TestMeanMomentum:
     def test_weak_regime_momentum_shift(self):
         coupling = 1e-3
         width = 1.0
-        probe = gaussian_probe(width, recommended_gaussian_grid(coupling, width))
+        probe = gaussian_probe(coupling, width)
         report = shift_report(evo_for(1j, coupling), probe)
         assert report.delta_p == pytest.approx(2.0 * coupling * width**2, abs=1e-6)
 
@@ -99,24 +98,24 @@ class TestMeanMomentum:
 class TestShiftReport:
     def test_weak_regime_position_shift(self):
         coupling = 1e-3
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(coupling, 1.0))
+        probe = gaussian_probe(coupling, 1.0)
         report = shift_report(evo_for(2.0, coupling), probe)
         assert abs(report.delta_q / (coupling * 2.0) - 1.0) < 1e-3
 
     def test_exact_gaussian_shift(self):
         # Frozen from the closed form: 0.2 / (1 - 1.5 (e^{-0.02} - 1)).
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
+        probe = gaussian_probe(G, 1.0)
         report = shift_report(evo_for(2.0), probe)
         assert report.delta_q == pytest.approx(0.194230954134853, abs=1e-5)
 
     def test_unimodular_weak_value_has_no_backaction(self):
         value = complex(math.cos(0.7), math.sin(0.7))
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
+        probe = gaussian_probe(G, 1.0)
         report = shift_report(evo_for(value), probe)
         assert report.delta_q == pytest.approx(G * value.real, abs=1e-10)
 
     def test_deltas_are_exact_differences(self):
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
+        probe = gaussian_probe(G, 1.0)
         report = shift_report(evo_for(AW), probe)
         assert report.delta_q == report.q_final - report.q_initial
         assert report.delta_p == report.p_final - report.p_initial
@@ -126,7 +125,7 @@ class TestShiftReport:
             ShiftReport(0.0, math.inf, 0.0, 0.0, 1.0)
 
     def test_gauge_invariance_of_shift(self):
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(G, 1.0))
+        probe = gaussian_probe(G, 1.0)
         grid = probe.grid
         base = shift_report(evo_for(AW), probe)
         a = 3.7
@@ -151,7 +150,7 @@ class TestShiftReport:
             return stencil(values, grid)
 
         monkeypatch.setattr(wva.probe, "numeric_derivative", counted)
-        source = gaussian_probe(1.0, MomentumGrid(-10.0, 10.0, 4001))
+        source = gaussian_probe(G, 1.0)
         probe = ProbeWavefunction.normalized(source.grid, source.values)
         report = shift_report(evo_for(AW), probe)
         assert calls == [4001]
@@ -189,7 +188,7 @@ class TestQuadratureConvergence:
         p_errors = []
         evo = evo_for(value, coupling)
         for n, refusal in ((11, "11 points have no nested"), (21, "the probe: on 21"), (41, "the probe: on 41")):
-            probe = gaussian_probe(width, MomentumGrid(-7.5, 7.5, n))
+            probe = gaussian_probe(coupling, width, n)
             (q_initial, p_initial, _), (q_final, p_final, _) = probe.means(), apply_postselection(evo, probe).means()
             q_errors.append(abs(q_final - q_initial - prediction.delta_q))
             p_errors.append(abs(p_final - p_initial - prediction.delta_p))
@@ -211,7 +210,7 @@ class TestShiftLandscape:
         # not every probe: whenever 2 (Re A)^2 > |A|^2 + 1 the weak-regime
         # Gaussian shift g Re A already exceeds g (|A|^2 + 1) / (2 Re A).
         coupling, value = 1e-3, 2.0
-        probe = gaussian_probe(1.0, recommended_gaussian_grid(coupling, 1.0))
+        probe = gaussian_probe(coupling, 1.0)
         report = shift_report(evo_for(value, coupling), probe)
         assert report.delta_q > max_shift(coupling, value) + 1e-6
 

@@ -20,7 +20,6 @@ from wva import (
     max_shift,
     optimal_probe,
     periodic_representative,
-    recommended_gaussian_grid,
     shift_lower_bound,
     shift_report,
 )
@@ -51,7 +50,7 @@ class TestShiftReport:
 
     def test_matches_closed_form_on_gaussian(self):
         width = 1.0
-        probe = gaussian_probe(width, recommended_gaussian_grid(G, width))
+        probe = gaussian_probe(G, width)
         value = shift_of(probe.values, probe.derivative, probe.grid, evo_for(AW))
         assert value == pytest.approx(gaussian_exact_shifts(G, width, AW).delta_q, rel=1e-8)
 

@@ -12,7 +12,6 @@ from wva import (
     ProbeWavefunction,
     QuadratureNodes,
     ScaleOutOfRange,
-    TailMassTooLarge,
     UnderResolvedGrid,
     ZeroNorm,
     ZeroRealPart,
@@ -23,7 +22,6 @@ from wva import (
     optimal_initial_momentum,
     optimal_probe,
     position_amplitudes,
-    recommended_gaussian_grid,
     recommended_support_points,
     smoothed_optimal_probe,
 )
@@ -106,6 +104,27 @@ def test_support_extent_must_be_a_positive_integer(extent, n_points):
             MomentumGrid.for_support(G, n_points, extent)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: MomentumGrid.for_support(s),
+        lambda s: optimal_probe(s, 2.0),
+        lambda s: optimal_probe(s, 2.0, 4097),
+        lambda s: gaussian_probe(G, s),
+        lambda s: smoothed_optimal_probe(s, 2.0, 30.0),
+        lambda s: smoothed_optimal_probe(G, 2.0, s),
+    ],
+    ids=["support coupling", "optimal coupling", "optimal grid coupling", "gaussian width",
+         "smoothed coupling", "smoothed smoothing"],
+)
+def test_scales_that_are_not_positive_are_refused(build, scale):
+    # for_support and smoothed_optimal_probe once refused 0 and -1 as a
+    # ValueError, and gaussian_probe its width, each before check_scale.
+    with pytest.raises(ScaleOutOfRange):
+        build(scale)
+
+
 def test_numeric_derivative_fourth_order():
     # Error on a smooth function should fall ~16x per grid doubling.
     errors = []
@@ -167,13 +186,12 @@ def test_probe_without_derivative_needs_a_momentum_grid():
 
 class TestGaussianProbe:
     def test_normalized_on_grid(self):
-        grid = MomentumGrid(-20.0, 20.0, 4001)
-        probe = gaussian_probe(1.0, grid)
+        probe = gaussian_probe(G, 1.0)
         assert probe.weight == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_means(self):
-        grid = MomentumGrid(-20.0, 20.0, 4001)
-        probe = gaussian_probe(1.0, grid)
+        probe = gaussian_probe(G, 1.0)
+        grid = probe.grid
         mean_p = grid.integrate(grid.points * np.abs(probe.values) ** 2) / probe.weight
         assert mean_p == pytest.approx(0.0, abs=1e-10)
         assert NodeSamples(grid, probe.values, probe.derivative).means()[0] == pytest.approx(0.0, abs=1e-8)
@@ -181,23 +199,18 @@ class TestGaussianProbe:
     def test_width_scales_momentum_deviation(self):
         # Quadrature oracle for the second moment.
         def momentum_std(width):
-            grid = recommended_gaussian_grid(G, width)
-            probe = gaussian_probe(width, grid)
+            probe = gaussian_probe(G, width)
+            grid = probe.grid
             return math.sqrt(
                 float(grid.integrate(grid.points**2 * np.abs(probe.values) ** 2))
             )
 
         assert momentum_std(2.0) / momentum_std(1.0) == pytest.approx(2.0, abs=1e-8)
 
-    def test_tail_mass_guard(self):
-        with pytest.raises(TailMassTooLarge):
-            gaussian_probe(1.0, MomentumGrid(-3.0, 3.0, 301))
-
     def test_derivative_is_analytic(self):
-        grid = MomentumGrid(-20.0, 20.0, 2001)
-        probe = gaussian_probe(1.0, grid)
+        probe = gaussian_probe(G, 1.0, 2001)
         assert np.allclose(
-            probe.derivative, -grid.points / 2.0 * probe.values, atol=1e-14
+            probe.derivative, -probe.grid.points / 2.0 * probe.values, atol=1e-14
         )
 
 
@@ -452,7 +465,7 @@ class TestChirpZ:
     def test_large_transform_memory(self):
         # A dense 801 x 40,001 sum holds one 99-row chunk of exponentials
         # (over 120 MiB); the chirp-z transform needs a few length-65,536 arrays.
-        probe = gaussian_probe(1.0, MomentumGrid(-7.5, 7.5, 40001))
+        probe = gaussian_probe(G, 1.0, 40001)
         positions = np.linspace(-8.0, 8.0, 801)
         probe.grid.weights, probe.grid.points  # cached before tracing
         tracemalloc.start()
@@ -476,8 +489,7 @@ def _position_density(probe, q_min, q_max, n_points):
 class TestPositionDensity:
     def test_gaussian_density(self):
         width = 1.0
-        grid = recommended_gaussian_grid(G, width)
-        probe = gaussian_probe(width, grid)
+        probe = gaussian_probe(G, width)
         positions, density = _position_density(probe, -5.0, 5.0, 801)
         q_grid = MomentumGrid(-5.0, 5.0, 801)
         assert float(q_grid.integrate(density)) == pytest.approx(1.0, abs=1e-6)
@@ -489,8 +501,8 @@ class TestPositionDensity:
 
     def test_translation_shifts_density(self):
         width = 1.0
-        grid = recommended_gaussian_grid(G, width)
-        probe = gaussian_probe(width, grid)
+        probe = gaussian_probe(G, width)
+        grid = probe.grid
         a = 0.7
         shifted = ProbeWavefunction.normalized(
             grid,
@@ -563,10 +575,14 @@ class TestNodeSets:
         extent=st.integers(1, 4),
         coupling=st.floats(1e-3, 10.0),
         width=st.floats(1e-2, 1e2),
+        n=st.integers(1, 2000).map(lambda k: 2 * k + 1),
     )
-    def test_recommended_counts_have_a_nested_rule(self, log_real, imag, extent, coupling, width):
+    def test_recommended_counts_have_a_nested_rule(self, log_real, imag, extent, coupling, width, n):
         assert recommended_support_points(complex(10.0**log_real, imag), extent) % 4 == 1
-        assert recommended_gaussian_grid(coupling, width).n_points % 4 == 1
+        grid = gaussian_probe(coupling, width).grid
+        assert grid.n_points % 4 == 1 and grid.n_points >= 4001
+        assert grid.spacing <= min(width / 80.0, 0.022 / coupling) * (1.0 + 1e-12)
+        assert gaussian_probe(coupling, width, n).grid == MomentumGrid(-7.5 * width, 7.5 * width, n)
 
     @pytest.mark.parametrize("extent", [1, 2, 3])
     @pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, 1e-3 + 1.0j, -1.5 + 2.0j, 5.0])
@@ -650,10 +666,9 @@ class TestNodeSets:
             optimal_probe(1e-300, 2.0, None)
         with pytest.raises(ScaleOutOfRange):
             optimal_probe(1e-300, 2.0, 4097)
-        grid = MomentumGrid(-1.0, 1.0, 5)
         for width in (1e-300, 1e-160, 1e120):
             with pytest.raises(ScaleOutOfRange):
-                gaussian_probe(width, grid)
+                gaussian_probe(G, width)
 
 
 def _seeded_cases():
