@@ -21,14 +21,14 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from .analytic import gaussian_exact_shifts, max_shift, optimal_initial_momentum
 from .errors import WvaError
 from .evolution import PostSelectedEvolution, apply_postselection
-from .expectation import ShiftReport, shift_report
+from .expectation import ShiftReport, optimal_shift_reports, shift_report
 from .optimizer import OptimizerConfig, gauge_fix, maximize
 from .probe import (
     MomentumGrid,
@@ -172,7 +172,7 @@ _count = _checked(int, lambda n: n >= 1, "a positive integer")
 _odd_count = _checked(int, lambda n: n >= 3 and n % 2 == 1, "odd and at least 3")
 _entry = _checked(lambda text: complex(text.strip()), cmath.isfinite, "a finite complex number")
 _probe_kind = _checked(str, _PROBE_KINDS.__contains__, f"one of {_PROBE_KINDS}")
-_path = _checked(str, bool, "a non-empty path")
+_path = _checked(str, lambda path: path and "\0" not in path, "a non-empty path with no NUL byte")
 
 
 def _vector(text: str, key: str) -> np.ndarray:
@@ -440,21 +440,6 @@ def scenario_probe(config: ScenarioConfig, weak_value: WeakValue) -> ProbeWavefu
     return read_probe_csv(config.probe_file)
 
 
-def _reported_shift(
-    config: ScenarioConfig, weak_value: Callable[[], WeakValue]
-) -> tuple[WeakValue, ProbeWavefunction, ShiftReport]:
-    """Weak value, probe and shift report of a ``shift`` or ``sweep`` scenario.
-
-    The caller gives the scenario's weak value as ``weak_value()``, which is
-    called after the keys are checked against the ``shift`` entries of
-    :data:`_READ_BY`.
-    """
-    config.require_read("shift")
-    wv = weak_value()
-    probe = scenario_probe(config, wv)
-    return wv, probe, shift_report(PostSelectedEvolution(config.coupling, wv), probe)
-
-
 def analytic_reference(
     config: ScenarioConfig, weak_value: WeakValue
 ) -> tuple[float | None, float | None]:
@@ -517,7 +502,10 @@ _REPORTED = ("q_initial", "q_final", "p_initial", "p_final", "delta_q", "delta_p
 
 def cmd_shift(config: ScenarioConfig) -> int:
     with _output_file(config.output) as handle:
-        wv, probe, report = _reported_shift(config, partial(scenario_weak_value, config))
+        config.require_read("shift")
+        wv = scenario_weak_value(config)
+        probe = scenario_probe(config, wv)
+        report = shift_report(PostSelectedEvolution(config.coupling, wv), probe)
         references = dict(zip(("delta_q", "delta_p"), analytic_reference(config, wv)))
         # Each value with its closed form and their |difference|, where it has one.
         rows = []
@@ -662,12 +650,53 @@ def _sweep_rule(config: ScenarioConfig, axis: str) -> _SweepRule:
     return refuse, refuse
 
 
-def _sweep_row(axis: str, value: float, rule: _SweepRule) -> list[str]:
-    row = [axis, format_number(value)]
+def _prepared(rule: _SweepRule, value: float) -> tuple[ScenarioConfig, WeakValue] | Exception:
+    """The row's scenario, its keys checked, and weak value; or the error."""
     scenario, weak_value = rule
     try:
         variant = scenario(value)
-        wv, _, report = _reported_shift(variant, partial(weak_value, value))
+        variant.require_read("shift")
+        return variant, weak_value(value)
+    except (WvaError, ConfigError) as exc:
+        return exc
+
+
+def _shift_report(item) -> ShiftReport | Exception:
+    """A prepared row's own shift report, or the error that ends it."""
+    if isinstance(item, Exception):
+        return item
+    config, wv = item
+    try:
+        return shift_report(PostSelectedEvolution(config.coupling, wv), scenario_probe(config, wv))
+    except (WvaError, ConfigError) as exc:
+        return exc
+
+
+def _theta_batch(item) -> tuple[float, int] | None:
+    """The coupling and extent of a row whose probe is on theta nodes."""
+    if isinstance(item, Exception) or item[0].probe != "optimal" or item[0].n_points is not None:
+        return None
+    return item[0].coupling, item[0].support_extent
+
+
+def _sweep_reports(prepared: Iterable) -> Iterator[tuple]:
+    """Each prepared row with its shift report, or the error that ended it, in
+    order: a run of rows on theta nodes with one coupling and extent from one
+    :func:`optimal_shift_reports`, any other row on its own."""
+    for batch, run in itertools.groupby(prepared, _theta_batch):
+        run = list(run)
+        if batch is None:
+            yield from zip(run, map(_shift_report, run))
+        else:
+            yield from zip(run, optimal_shift_reports(batch[0], [wv for _, wv in run], batch[1]))
+
+
+def _sweep_row(axis: str, value: float, item, report: ShiftReport | Exception) -> list[str]:
+    row = [axis, format_number(value)]
+    try:
+        if isinstance(report, Exception):
+            raise report
+        variant, wv = item
         ref_q, _ = analytic_reference(variant, wv)
         overlap_q = (
             format_number(abs(wv.overlap) * report.q_final)
@@ -716,11 +745,19 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
     state and observable of a vector selection swept in post-selection
     angle.  Built by each row: a variant scenario holding its parsed axis
     value (the angle axis needs none), the post-selected state and its weak
-    value on the angle axis, and the probe and shift report.
+    value on the angle axis, and then either its own probe and shift report
+    or, for an optimal probe on theta nodes, only the probe's checks and
+    theta panels.  Built once per batch of such rows (consecutive, with one
+    coupling and extent, up to ``BATCH_NODES`` theta nodes; see
+    :func:`wva.expectation.optimal_shift_reports`): the theta nodes, the
+    probes, the post-selected states and their integrands, of which each row
+    sums its own and meets its own checks.  An angle sweep is such a run; a
+    ``coupling_g`` sweep is batches of one.
     """
     with _output(config.output) as handle:
         rule = _sweep_rule(config, axis)
-        rows = [_sweep_row(axis, value, rule) for value in values]
+        prepared = (_prepared(rule, value) for value in values)
+        rows = [_sweep_row(axis, value, *pair) for value, pair in zip(values, _sweep_reports(prepared))]
         writer = _csv_writer(handle)
         writer.writerow(
             [

@@ -47,8 +47,12 @@ def apply_postselection(evo: PostSelectedEvolution, probe: ProbeWavefunction) ->
     The output is on the node set of the probe's ``evolution_view`` when it
     has one, and on the probe's own grid otherwise.
     """
-    state = probe.evolution_view or probe
-    b, bd = evolution_factor_and_derivative(evo.coupling, evo.weak.value, state.grid.points)
-    overlap = evo.weak.overlap
+    return _postselected(evo.coupling, evo.weak.value, evo.weak.overlap, probe.evolution_view or probe)
+
+
+def _postselected(coupling: float, weak_value, overlap, state: NodeSamples) -> NodeSamples:
+    """overlap * B * state and its derivative; ``weak_value`` and ``overlap``
+    are scalars, or columns of one value per line of a block of states."""
+    b, bd = evolution_factor_and_derivative(coupling, weak_value, state.grid.points)
     values = state.values
     return NodeSamples(state.grid, overlap * b * values, overlap * (bd * values + b * state.derivative))

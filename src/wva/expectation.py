@@ -7,16 +7,23 @@ acts in momentum space as i d/dp, so its mean is the real part of
 i * integral(conj(psi) psi') / integral(|psi|^2), a quotient independent of
 normalization.  Every integral is the quadrature rule of the state's node
 set: composite Simpson on a :class:`~wva.probe.MomentumGrid`,
-Clenshaw-Curtis on :class:`~wva.probe.QuadratureNodes`.
+Clenshaw-Curtis on :class:`~wva.probe.QuadratureNodes`.  The optimal probes
+of many weak values are reported in batches by :func:`optimal_shift_reports`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .evolution import PostSelectedEvolution, apply_postselection
-from .probe import ProbeWavefunction
+import numpy as np
+
+from .errors import WvaError
+from .evolution import PostSelectedEvolution, _postselected, apply_postselection
+from .probe import BATCH_NODES, ProbeWavefunction, _check_halving, _means, _optimal_batch, _theta_row
+from .probe import _require_finite, _require_normalized
+from .system import WeakValue
 
 
 @dataclass(frozen=True)
@@ -83,3 +90,57 @@ def shift_report(evo: PostSelectedEvolution, probe: ProbeWavefunction) -> ShiftR
     for what, state in states:
         state.check_resolved(what)
     return ShiftReport(q_initial, q_final, p_initial, p_final, evolved.weight)
+
+
+def optimal_shift_reports(
+    coupling: float, weak_values: Iterable[WeakValue], extent: int = 1
+) -> Iterator[ShiftReport | WvaError]:
+    """For each weak value in turn, :func:`shift_report` of
+    ``PostSelectedEvolution(coupling, wv)`` and ``optimal_probe(coupling,
+    wv.value, None, extent)``, byte for byte, or the error that ends it.
+
+    Each weak value meets the probe's checks, and has its theta panels cut,
+    on its own.  Rows then join a batch while it holds at most
+    ``BATCH_NODES`` theta nodes, and a batch evaluates its nodes, samples,
+    post-selected states and integrands once.  A row's integrals are pairwise
+    sums over its own nodes, and its checks come in the order of
+    :func:`shift_report`.  A sweep holds one or two batches at a time.
+    """
+    batch, held = [], 0
+    for wv in weak_values:
+        try:
+            row = _theta_row(coupling, wv.value, extent)
+        except WvaError as exc:
+            yield from _batch_reports(coupling, batch, extent)
+            batch, held = [], 0
+            yield exc
+            continue
+        if held + row.nodes > BATCH_NODES:
+            yield from _batch_reports(coupling, batch, extent)
+            batch, held = [], 0
+        batch.append((wv, row))
+        held += row.nodes
+    yield from _batch_reports(coupling, batch, extent)
+
+
+def _batch_reports(coupling: float, batch: list, extent: int) -> Iterator[ShiftReport | WvaError]:
+    if not batch:
+        return
+    probes, views, runs = _optimal_batch(coupling, [row for _, row in batch], extent)
+    _require_finite(probes.values, "values")
+    _require_finite(probes.derivative, "derivative")
+    weak = np.array([wv.value for wv, _ in batch])[:, None]
+    overlap = np.array([wv.overlap for wv, _ in batch])[:, None]
+    evolved = _postselected(coupling, weak, overlap, views)
+    rows = zip(batch, runs, probes.run_integrals(runs), evolved.run_integrals(range(len(batch))))
+    for (wv, _), run, (weight, *moments, size, errors), final in rows:
+        final_weight, final_position, final_momentum, final_size, final_errors = final
+        _require_normalized(weight)
+        try:
+            q_initial, p_initial, _ = _means(weight, *moments)
+            q_final, p_final, _ = _means(final_weight, final_position, final_momentum, abs(wv.overlap) ** 2)
+            _check_halving("the probe", probes.grid.points[run], weight, size, errors)
+            _check_halving("the post-selected state", views.grid.points, final_weight, final_size, final_errors)
+            yield ShiftReport(q_initial, q_final, p_initial, p_final, final_weight)
+        except WvaError as exc:
+            yield exc

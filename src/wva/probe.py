@@ -28,9 +28,11 @@ finite-difference one, taken once when the probe is built.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,9 @@ MESH_RATIO = 0.125
 #: Largest halving estimate, relative to its scale, of a state's integrals
 #: (:meth:`NodeSamples.check_resolved`).
 HALVING_TOL = 1e-10
+#: Most theta nodes in one batch of :func:`wva.expectation.optimal_shift_reports`:
+#: it bounds the memory of a sweep's batches, not their count.
+BATCH_NODES = 4096
 
 
 def check_point_budget(count: int, what: str) -> None:
@@ -211,7 +216,7 @@ class QuadratureNodes(Nodes):
         ``p``, given dp/dt at them (t in [0, pi] on each panel or period)."""
         _, w, w_coarse = _clenshaw_curtis(n)
         scale = math.pi * jacobian
-        if np.size(scale) != p.size:  # shared by every period, or a constant
+        if np.size(scale) != p.size:  # a constant, shared by every node
             scale = np.broadcast_to(scale, p.shape)
         return cls(p.ravel(), (scale * w).ravel(), (scale * w_coarse).ravel())
 
@@ -254,35 +259,61 @@ class NodeSamples:
         return {"weight": self.density, "position moment": position, "momentum moment": self.grid.points * self.density}
 
     def means(self, scale: float = 1.0) -> tuple[float, float, float]:
-        """Mean position, mean momentum and the imaginary residual, once
-        :func:`check_norm` accepts the weight against ``scale``.  Position is
-        i d/dp: its mean is the real part of i * integral(conj(psi) psi') / weight."""
-        weight = check_norm(self.weight, scale)
-        moment = 1j * complex(self.grid.integrate(self.integrands["position moment"])) / weight
-        return moment.real, float(self.grid.integrate(self.integrands["momentum moment"])) / weight, moment.imag
+        """:func:`_means` of the state's weight and moment integrals."""
+        integrate, integrands = self.grid.integrate, self.integrands
+        moments = integrate(integrands["position moment"]), integrate(integrands["momentum moment"])
+        return _means(self.weight, *moments, scale)
 
     def check_resolved(self, what: str) -> None:
-        """Raise :class:`UnderResolvedGrid`, naming the state ``what``, unless
-        the halving estimate of each integrand is within ``HALVING_TOL`` of its
-        scale; an estimate that is not a number fails.
+        """:func:`_check_halving` of the state's integrands."""
+        grid, integrands = self.grid, self.integrands
+        size = float(grid.integrate(np.abs(integrands["position moment"])))
+        _check_halving(what, grid.points, self.weight, size, [grid.halving_error(x) for x in integrands.values()])
 
-        With P = max |p| over the node set, the scales are the weight W for
-        the weight, max(integral |conj(psi) psi'|, W pi / P) for the position
-        moment, and W P, which bounds integral |p| |psi|^2, for the momentum
-        moment.  Only the position scale costs a quadrature.
-        """
-        grid, weight, integrands = self.grid, self.weight, self.integrands
-        reach = max(-float(grid.points.min()), float(grid.points.max()))
-        position = float(grid.integrate(np.abs(integrands["position moment"])))
-        position = max(position, weight * math.pi / reach)
-        scales = {"weight": weight, "position moment": position, "momentum moment": weight * reach}
-        errors = {name: (grid.halving_error(integrands[name]), scale) for name, scale in scales.items()}
-        if not all(error <= HALVING_TOL * scale for error, scale in errors.values()):
-            found = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in errors.items())
-            raise UnderResolvedGrid(
-                f"{what}: on {grid.n_points} nodes the halving estimates ({found}) must be "
-                f"within {HALVING_TOL:g} of their scales"
-            )
+    def run_integrals(self, runs) -> list[tuple[float, complex, float, float, list[float]]]:
+        """Per run (a slice of the nodes, or a line of a block of states), what
+        :meth:`means` and :meth:`check_resolved` sum, summed over the run alone."""
+        grid, integrands = self.grid, self.integrands
+        halving = grid.weights - grid.coarse_weights
+        magnitude = np.abs(integrands["position moment"])
+        pairs = [(grid.weights, x) for x in (*integrands.values(), magnitude)]
+        pairs += [(halving, x) for x in integrands.values()]
+        # One product at a time, so that a batch holds one product's nodes;
+        # ``np.add.reduce`` is what ``.sum()`` runs, without its Python wrapper.
+        sums = [[np.add.reduce(product[run]) for run in runs] for product in (w * x for w, x in pairs)]
+        return [
+            (float(weight), position, momentum, float(size), [float(abs(error)) for error in errors])
+            for weight, position, momentum, size, *errors in zip(*sums)
+        ]
+
+
+def _means(weight: float, position: complex, momentum: float, scale: float = 1.0) -> tuple[float, float, float]:
+    """Mean position, mean momentum and the imaginary residual, once
+    :func:`check_norm` accepts the weight against ``scale``.  Position is
+    i d/dp: its mean is the real part of i * integral(conj(psi) psi') / weight."""
+    weight = check_norm(weight, scale)
+    moment = 1j * complex(position) / weight
+    return moment.real, float(momentum) / weight, moment.imag
+
+
+def _check_halving(what: str, points: np.ndarray, weight: float, size: float, errors: list[float]) -> None:
+    """Raise :class:`UnderResolvedGrid`, naming the state ``what``, unless the
+    halving estimates ``errors`` of the weight, position-moment and
+    momentum-moment integrands are each within ``HALVING_TOL`` of its scale;
+    an estimate that is not a number fails.  With P = max |p| over the nodes
+    ``points``, the scales are the weight W, max(``size``, W pi / P) where
+    ``size`` is integral |conj(psi) psi'|, and W P, which bounds
+    integral |p| |psi|^2."""
+    reach = max(-float(points.min()), float(points.max()))
+    position = max(size, weight * math.pi / reach)
+    scales = {"weight": weight, "position moment": position, "momentum moment": weight * reach}
+    found = dict(zip(scales, zip(errors, scales.values())))
+    if not all(error <= HALVING_TOL * scale for error, scale in found.values()):
+        text = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in found.items())
+        raise UnderResolvedGrid(
+            f"{what}: on {points.size} nodes the halving estimates ({text}) must be "
+            f"within {HALVING_TOL:g} of their scales"
+        )
 
 
 @lru_cache(maxsize=8)
@@ -318,12 +349,33 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
+class _ThetaRow(NamedTuple):  # a weak value admitted to theta_nodes
+    aw: complex
+    shift: float
+    cuts: list[float]
+    nodes: int
+
+
+def _theta_row(coupling: float, weak_value: complex, extent: int, n: int = PANEL_INTERVALS) -> _ThetaRow:
+    """The checks of :func:`optimal_probe` on theta nodes, in order, and the cuts."""
+    aw, shift = _checked_shift(coupling, weak_value)
+    _require_extent(extent)
+    support_nodes(coupling, extent, 16)  # its budget is checked first
+    sign = math.copysign(1.0, aw.real)
+    a, b = abs(aw.real), sign * aw.imag
+    cuts = _theta_panels(a, b, math.atan2(b, a) - 0.5 * math.pi, extent)
+    nodes = extent * (len(cuts) - 1) * (n + 1)
+    check_point_budget(nodes, "quadrature nodes")
+    return _ThetaRow(aw, shift, cuts, nodes)
+
+
 def theta_nodes(
-    coupling: float, weak_value: complex, extent: int, n: int
-) -> tuple[QuadratureNodes, np.ndarray]:
+    coupling: float, rows: list[_ThetaRow], extent: int, n: int
+) -> tuple[QuadratureNodes, np.ndarray, list[int]]:
     """Nodes uniform in theta = arg B(p) over the support [-pi*extent/2g,
-    pi*extent/2g], ``n`` Clenshaw-Curtis intervals on each theta panel of
-    :func:`_theta_panels`, and the evolution factor B at them.
+    pi*extent/2g] for each row of a batch, ``n`` Clenshaw-Curtis intervals on
+    each theta panel of :func:`_theta_panels`; the evolution factor B at
+    them; and each row's count of panels.
 
     theta falls by pi over each period of B, with dtheta/dp = -g Re A / |B|^2,
     so the optimal probe's density g |Re A| / (pi extent |B|^2) is uniform in
@@ -338,30 +390,39 @@ def theta_nodes(
     weights are each panel's rule times dp/dtheta = |B|^2 / (g |a|).  B comes
     from theta, not from cos(gp) and sin(gp), whose difference loses digits
     where |B| is small.
+
+    ``rows`` come from :func:`_theta_row`: a sweep's, up to ``BATCH_NODES``
+    nodes (:func:`wva.expectation.optimal_shift_reports`), or the one row of
+    :func:`optimal_probe`.  Each panel of each period of each row is a line
+    of a (line, node) array, and a, b, the sign and the period are columns:
+    every expression runs once per batch, each row's nodes are one run, and
+    each value is the one that the row alone gives.
     """
-    aw = complex(weak_value)
-    sign = math.copysign(1.0, aw.real)
-    a, b = abs(aw.real), sign * aw.imag
-    start = math.atan2(b, a) - 0.5 * math.pi
-    cuts = _theta_panels(a, b, start, extent)
-    width = (cuts[1:] - cuts[:-1])[:, None]
-    check_point_budget(extent * width.size * (n + 1), "quadrature nodes")
-    theta = cuts[:-1, None] + width / math.pi * _clenshaw_curtis(n)[0]  # (panel, node)
-    turns = np.arange(extent)[:, None, None] - 0.5 * (extent - 1)  # (period, 1, 1)
-    if extent % 2 == 0:  # below theta = 0 a panel fills the period before
-        turns = turns + np.where(cuts[:-1, None] < 0.0, -0.5, 0.5)
+    lines, panels = [], []
+    for row in rows:
+        sign = math.copysign(1.0, row.aw.real)
+        for period in range(extent):
+            turns = period - 0.5 * (extent - 1)
+            for left, right in zip(row.cuts[:-1], row.cuts[1:]):
+                # On an even extent a panel below theta = 0 fills the period before.
+                half = 0.0 if extent % 2 else (-0.5 if left < 0.0 else 0.5)
+                lines.append((abs(row.aw.real), sign * row.aw.imag, sign, left, right, turns + half))
+        panels.append(extent * (len(row.cuts) - 1))
+    a, b, sign, left, right, turns = np.array(lines).T[:, :, None]  # each (line, 1)
+    width = right - left
+    theta = left + width / math.pi * _clenshaw_curtis(n)[0]  # (line, node)
     sin, cos = np.sin(theta), np.cos(theta)
     cross = a * cos + b * sin
     p = (np.arctan2(-sin, cross) + math.pi * turns) * (sign / coupling)
     inverse_density = sin * sin + cross * cross  # a^2 / |B|^2
     factor = a / np.sqrt(inverse_density) * (cos + 1j * sin)
     factor = factor * (1.0 - 2.0 * (turns % 2))  # B(p + pi/g) = -B(p)
-    # dp/du for u in [0, pi] on each panel, shared by every period.
+    # dp/du for u in [0, pi] on each panel.
     jacobian = width * (a / (math.pi * coupling)) / inverse_density
-    return QuadratureNodes.mapped(n, p, jacobian), factor.ravel()
+    return QuadratureNodes.mapped(n, p, jacobian), factor.ravel(), panels
 
 
-def _theta_panels(a: float, b: float, start: float, extent: int) -> np.ndarray:
+def _theta_panels(a: float, b: float, start: float, extent: int) -> list[float]:
     """Breakpoints of the theta panels of the window [start, start + pi].
 
     arg B = atan2(-sin theta, a cos theta + b sin theta) is singular where
@@ -393,7 +454,7 @@ def _theta_panels(a: float, b: float, start: float, extent: int) -> np.ndarray:
             width *= MESH_RATIO
             cuts.update((nearest - width, nearest + width))
             cuts.update((nearest - math.pi + width, nearest + math.pi - width))  # the images
-    return np.array(sorted(cut for cut in cuts if start <= cut <= end))
+    return sorted(cut for cut in cuts if start <= cut <= end)
 
 
 @lru_cache(maxsize=8)
@@ -433,6 +494,11 @@ def _require_finite(samples: np.ndarray, what: str) -> None:
         raise ValueError(f"wavefunction {what} must be finite everywhere")
 
 
+def _require_normalized(weight: float) -> None:
+    if abs(weight - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"wavefunction norm^2 = {weight!r} deviates from 1 beyond {NORMALIZATION_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbeWavefunction(NodeSamples):
     """A probe: :class:`NodeSamples` normalized on its node set, with a name.
@@ -458,10 +524,7 @@ class ProbeWavefunction(NodeSamples):
         _require_finite(values, "values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if abs(self.weight - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"wavefunction norm^2 = {self.weight!r} deviates from 1 beyond {NORMALIZATION_TOL}"
-            )
+        _require_normalized(self.weight)
         if self.derivative is None:
             if not isinstance(self.grid, MomentumGrid):
                 raise ValueError("a probe on quadrature nodes needs a derivative: the stencil needs a MomentumGrid")
@@ -521,12 +584,16 @@ def gaussian_probe(coupling: float, width: float, n_points: int | None = None) -
     Raises
     ------
     ScaleOutOfRange
-        If ``width`` lies outside ``SCALE_RANGE``.
+        If ``width`` lies outside ``SCALE_RANGE``, or the coupling is not
+        positive; a coupling too large for the grid's spacing is refused by
+        the grid budget instead.
     ValueError
         If ``n_points`` is even or below 3.
     GridTooLarge
         If the grid exceeds ``MAX_GRID_POINTS``.
     """
+    if not coupling > 0.0:
+        raise ScaleOutOfRange(f"coupling = {coupling:.3e} is not positive")
     check_scale(width, "width")
     half = GAUSSIAN_HALF_WIDTH * width
     if n_points is None:
@@ -568,18 +635,41 @@ def recommended_support_points(weak_value: complex, extent: int = 1) -> int:
     return n + (1 - n) % 4  # 4k + 1: a nested rule exists
 
 
-def _optimal_samples(coupling: float, aw: complex, extent: int, p: np.ndarray, factor=None):
-    """The optimal probe's values and derivative at momenta p, with the
-    analytic amplitude sqrt(g |Re A| / (pi extent)).  B(p) is ``factor`` when
-    given, as :func:`theta_nodes` computes it from theta where |B| is small;
-    B'(p) always comes from :func:`evolution_factor_and_derivative`."""
+def _checked_shift(coupling: float, weak_value: complex) -> tuple[complex, float]:
+    """The weak value and its max_shift, once the coupling and |max_shift| pass check_scale."""
+    aw = _require_real_part(weak_value)
+    check_scale(coupling, "coupling")
     shift = max_shift(coupling, aw)
+    check_scale(abs(shift), "|max_shift|")
+    return aw, shift
+
+
+def _optimal_samples(coupling: float, aw, shift, extent: int, p: np.ndarray, factor=None):
+    """The optimal probe's values and derivative at momenta p, with the
+    analytic amplitude sqrt(g |Re A| / (pi extent)); ``aw`` and its ``shift``
+    are scalars, or columns of one value per line of p.  B(p) is ``factor``
+    when given, as :func:`theta_nodes` computes it from theta where |B| is
+    small; B'(p) always comes from :func:`evolution_factor_and_derivative`."""
     b, factor_d = evolution_factor_and_derivative(coupling, aw, p)
     factor = b if factor is None else factor
-    amplitude = math.sqrt(coupling * abs(aw.real) / (math.pi * extent))
+    amplitude = np.sqrt(coupling * np.abs(np.real(aw)) / (math.pi * extent))
     values = amplitude * np.exp(-1j * shift * p) / factor
     derivative = values * (-(factor_d / factor) - 1j * shift)
     return values, derivative
+
+
+def _optimal_batch(coupling: float, rows: list[_ThetaRow], extent: int) -> tuple[NodeSamples, NodeSamples, list]:
+    """The probes of ``rows`` on theta nodes (a slice each) and their views (a line each)."""
+    nodes, factor, panels = theta_nodes(coupling, rows, extent, PANEL_INTERVALS)
+    aw, shift = np.array([row.aw for row in rows])[:, None], np.array([row.shift for row in rows])[:, None]
+    support = support_nodes(coupling, extent, 16)
+    views = NodeSamples(support, *_optimal_samples(coupling, aw, shift, extent, support.points))
+    lines = np.repeat(np.arange(len(rows)), panels)  # the row of each line
+    shape = (-1, PANEL_INTERVALS + 1)
+    points, factor = nodes.points.reshape(shape), factor.reshape(shape)  # (line, node)
+    samples = _optimal_samples(coupling, aw[lines], shift[lines], extent, points, factor)
+    ends = [0, *itertools.accumulate(count * (PANEL_INTERVALS + 1) for count in panels)]
+    return NodeSamples(nodes, *(x.ravel() for x in samples)), views, list(map(slice, ends, ends[1:]))
 
 
 def optimal_probe(
@@ -602,7 +692,9 @@ def optimal_probe(
     nested 16-interval rule.  Its ``evolution_view`` is the probe on the
     16-interval :func:`support_nodes`, on which the post-selected state (flat
     density, linear phase) integrates exactly; the theta nodes do not
-    resolve that state (see :class:`NodeSamples`).
+    resolve that state (see :class:`NodeSamples`).  The probe is a batch of
+    one of :func:`theta_nodes`, whose batches of a sweep's rows hold up to
+    ``BATCH_NODES`` nodes: there is no other theta-node path.
 
     With a point count the probe is sampled on a :class:`MomentumGrid` and
     renormalized there, as position transforms and the optimizer need; that
@@ -620,20 +712,14 @@ def optimal_probe(
     GridTooLarge
         If the grid or the node set exceeds ``MAX_GRID_POINTS``.
     """
-    aw = _require_real_part(weak_value)
-    check_scale(coupling, "coupling")
-    check_scale(abs(max_shift(coupling, aw)), "|max_shift|")
-    if n_points is not None:
-        grid = MomentumGrid.for_support(coupling, n_points, extent)
-        values, derivative = _optimal_samples(coupling, aw, extent, grid.points)
-        return ProbeWavefunction.normalized(grid, values, derivative, label="optimal")
-
-    _require_extent(extent)
-    support = support_nodes(coupling, extent, 16)
-    view = NodeSamples(support, *_optimal_samples(coupling, aw, extent, support.points))
-    nodes, factor = theta_nodes(coupling, aw, extent, PANEL_INTERVALS)
-    samples = _optimal_samples(coupling, aw, extent, nodes.points, factor)
-    return ProbeWavefunction(nodes, *samples, "optimal", view)
+    if n_points is None:
+        probe, views, _ = _optimal_batch(coupling, [_theta_row(coupling, weak_value, extent)], extent)
+        view = NodeSamples(views.grid, views.values[0], views.derivative[0])
+        return ProbeWavefunction(probe.grid, probe.values, probe.derivative, "optimal", view)
+    aw, shift = _checked_shift(coupling, weak_value)
+    grid = MomentumGrid.for_support(coupling, n_points, extent)
+    values, derivative = _optimal_samples(coupling, aw, shift, extent, grid.points)
+    return ProbeWavefunction.normalized(grid, values, derivative, label="optimal")
 
 
 def smoothed_optimal_probe(
@@ -695,7 +781,7 @@ def smoothed_optimal_probe(
     values = np.empty(grid.n_points, dtype=np.complex128)
     derivative = np.empty_like(values)
     interior = slice(i_left, i_right + 1)
-    values[interior], derivative[interior] = _optimal_samples(coupling, aw, 1, p[interior])
+    values[interior], derivative[interior] = _optimal_samples(coupling, aw, max_shift(coupling, aw), 1, p[interior])
 
     left_edge = values[i_left]
     right_edge = values[i_right]

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -591,6 +592,66 @@ class TestSweepCommand:
                 assert row["error"] == error != ""
         assert row["error"] == ("OrthogonalSelection" if axis == "postselection_angle" else "")
 
+    @pytest.mark.parametrize("extent", [1, 2, 3])
+    def test_batched_rows_are_the_bytes_of_shift(self, extent, tmp_path, capsys, monkeypatch):
+        # The optimal-probe rows of an angle sweep are evaluated as one batch;
+        # rows refused at every stage sit between rows that pass, and every
+        # cell must be what ``shift`` gives for the row's scenario.  No theta
+        # row is refused at the shipped halving tolerance (their estimates are
+        # at rounding level), so the first of these lower ones that refuses
+        # some rows and passes others stands in for an UnderResolvedGrid row.
+        rng = random.Random(30 + extent)
+        values = [self._ORTHOGONAL + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -0.5) for _ in range(8)]
+        values[2:2] = [self._ORTHOGONAL]  # OrthogonalSelection
+        values[6:6] = [math.pi / 4]  # A = 0: ZeroRealPart
+        flags = ["--probe", "optimal", "--g", "3", *self._VECTORS, "--support-m", str(extent)]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "postselection_angle", *flags, "--post", "1,0",
+                "--values", ",".join(map(repr, values))]
+        for tol in (1e-16, 7e-17, 5e-17, 3e-17, 2e-17, 1e-17):
+            monkeypatch.setattr(wva.probe, "HALVING_TOL", tol)
+            assert main([*argv, "--output", str(out)]) == 1
+            rows = _read_rows(out)
+            if {"", "UnderResolvedGrid"} <= {row["error"] for row in rows}:
+                break
+        else:
+            pytest.fail("no tolerance splits the rows")
+        assert {"OrthogonalSelection", "ZeroRealPart"} <= {row["error"] for row in rows}
+        pre, obs = wva.SystemState(np.array([1.0, 1.0])), wva.Observable(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        columns = ["delta_q", "delta_p", "weight", "analytic_delta_q"]
+        for row, value in zip(rows, values, strict=True):
+            shift_out = tmp_path / "shift.csv"
+            post = f"{math.cos(value)!r},{math.sin(value)!r}"
+            code = main(["shift", *flags, "--post", post, "--output", str(shift_out)])
+            error = capsys.readouterr().err.partition(":")[0]
+            if code != 0:
+                assert [row[c] for c in [*columns, "overlap_times_q_final", "error"]] == [""] * 5 + [error]
+                continue
+            assert [row[c] for c in columns] == [_read_rows(shift_out)[0][c] for c in columns]
+            # ``shift`` prints q_final to 12 digits; its report gives the exact one.
+            wv = wva.compute_weak_value(pre, wva.SystemState(np.array([math.cos(value), math.sin(value)])), obs)
+            probe = wva.optimal_probe(3.0, wv.value, None, extent)
+            report = wva.shift_report(wva.PostSelectedEvolution(3.0, wv), probe)
+            assert row["overlap_times_q_final"] == format_number(abs(wv.overlap) * report.q_final)
+            assert row["error"] == ""
+
+    def test_a_sweep_holds_one_batch_of_nodes_at_a_time(self, tmp_path):
+        # Unbounded, the one batch of a 1,000-row sweep peaked at 44 MiB; the
+        # bench's 9-row sweep is one batch either way.
+        out = str(tmp_path / "sweep.csv")
+        for count, mib in ((9, 1.0), (1000, 4.0)):
+            angles = ",".join(repr(self._ORTHOGONAL + offset) for offset in np.geomspace(1e-3, 3e-2, count).tolist())
+            argv = ["sweep", "--axis", "postselection_angle", "--g", "0.1", *self._VECTORS, "--post", "1,0",
+                    "--probe", "optimal", "--values", angles, "--output", out]
+            assert main(argv) == 0  # caches are filled outside the count
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= mib * 2**20
+
     @pytest.mark.parametrize(
         "argv, built",
         [
@@ -924,6 +985,20 @@ def test_bad_input_is_a_config_error(case, tmp_path, capsys):
     assert "ConfigError" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["output", "file"])
+def test_a_nul_byte_in_a_path_is_a_config_error(key, tmp_path, capsys):
+    # ``open`` and ``os.path.samefile`` refuse an embedded NUL byte with a
+    # ValueError, which once ended the command in a traceback.
+    config = tmp_path / "nul.cfg"
+    config.write_bytes(b"aw_re=2\nprobe=file\n" if key == "file" else b"aw_re=2\n")
+    with open(config, "ab") as handle:
+        handle.write(f"{key}=a\0b\n".encode())
+    assert main(["shift", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert f"ConfigError: field '{key}': must be a non-empty path with no NUL byte" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

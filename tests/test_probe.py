@@ -34,6 +34,7 @@ from wva.probe import (
     MAX_GRID_POINTS,
     _chirp_z_sum,
     _clenshaw_curtis,
+    _theta_row,
     support_nodes,
     theta_nodes,
 )
@@ -112,15 +113,18 @@ def test_support_extent_must_be_a_positive_integer(extent, n_points):
         lambda s: optimal_probe(s, 2.0),
         lambda s: optimal_probe(s, 2.0, 4097),
         lambda s: gaussian_probe(G, s),
+        lambda s: gaussian_probe(s, 1.0),
         lambda s: smoothed_optimal_probe(s, 2.0, 30.0),
         lambda s: smoothed_optimal_probe(G, 2.0, s),
     ],
     ids=["support coupling", "optimal coupling", "optimal grid coupling", "gaussian width",
-         "smoothed coupling", "smoothed smoothing"],
+         "gaussian coupling", "smoothed coupling", "smoothed smoothing"],
 )
 def test_scales_that_are_not_positive_are_refused(build, scale):
     # for_support and smoothed_optimal_probe once refused 0 and -1 as a
     # ValueError, and gaussian_probe its width, each before check_scale.
+    # gaussian_probe once dropped a coupling of 0, -1 or NaN and returned a
+    # 4,001-point probe.
     with pytest.raises(ScaleOutOfRange):
         build(scale)
 
@@ -587,7 +591,7 @@ class TestNodeSets:
     @pytest.mark.parametrize("extent", [1, 2, 3])
     @pytest.mark.parametrize("value", [AW, 2.0 + 30.0j, 1e-3 + 1.0j, -1.5 + 2.0j, 5.0])
     def test_theta_nodes_map_onto_the_support(self, extent, value):
-        nodes, factor = theta_nodes(G, value, extent, 64)
+        nodes, factor, _ = theta_nodes(G, [_theta_row(G, value, extent, 64)], extent, 64)
         half = extent * math.pi / (2.0 * G)
         assert np.all(np.abs(nodes.points) <= half * (1.0 + 1e-15))
         assert nodes.points.min() == pytest.approx(-half) and nodes.points.max() == pytest.approx(half)
