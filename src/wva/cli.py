@@ -45,6 +45,9 @@ from .system import (
     Observable,
     SystemState,
     WeakValue,
+    _angle_amplitudes,
+    _selected,
+    _weak_value,
     all_finite,
     compute_weak_value,
     mach_zehnder_setup,
@@ -600,16 +603,19 @@ def _parsed(config: ScenarioConfig, **changes) -> ScenarioConfig:
 
 
 def _sweep_scenario(config: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """The scenario of a ``coupling_g``, ``smoothing_s`` or ``grid_n`` row."""
+    """The scenario of a ``coupling_g``, ``smoothing_s`` or ``grid_n`` row, its keys checked."""
     if axis == "coupling_g":
-        return _parsed(config, coupling=value)
-    if axis == "smoothing_s":
-        return _parsed(config, smoothing=value)
-    n = int(round(value))  # a --start/--stop/--count range gives non-integers
-    return _parsed(config, n_points=n + 1 - n % 2)
+        variant = _parsed(config, coupling=value)
+    elif axis == "smoothing_s":
+        variant = _parsed(config, smoothing=value)
+    else:
+        n = int(round(value))  # a --start/--stop/--count range gives non-integers
+        variant = _parsed(config, n_points=n + 1 - n % 2)
+    variant.require_read("shift")
+    return variant
 
 
-# A sweep row's scenario and its weak value, each from the row's axis value.
+# A sweep row's scenario, keys checked, and its weak value, each from its axis value.
 _SweepRule = tuple[Callable[[float], ScenarioConfig], Callable[[float], WeakValue]]
 
 
@@ -617,46 +623,48 @@ def _sweep_rule(config: ScenarioConfig, axis: str) -> _SweepRule:
     """How each row of a sweep gets its scenario and its weak value.
 
     Only the weak value depends on the post-selection angle, so every angle
-    row runs the sweep's own scenario.  Its weak value is that of the state
-    (cos v, sin v) on a two-level vector selection, whose pre-selected state
-    and observable are built once, or that of polarizer angle v on a
+    row runs the sweep's own scenario, its keys checked once.  Its weak
+    value is that of the state (cos v, sin v) on a two-level vector
+    selection, whose pre-selected amplitudes and their image under the
+    observable are built once, or that of polarizer angle v on a
     Mach-Zehnder selection.  The weak value of the other axes is the
     sweep's, computed once.  An error of the whole sweep is not kept: each
-    row meets it again, at the step where it does on its own.
+    row meets it again, at the step where it does on its own; but an angle
+    sweep's refused selection or keys are every row's ConfigError.
     """
     if axis != "postselection_angle":
         shared = cache(partial(scenario_weak_value, config))
         return partial(_sweep_scenario, config, axis), lambda value: shared()
     mode = config.selection_mode()
+    try:
+        if mode == "aw" or mode == "vectors" and len(config.pre) != 2:
+            need = "a two-level explicit" if mode == "vectors" else "mach-zehnder or vector"
+            raise ConfigError(f"postselection_angle sweep needs {need} selection")
+        config.require_read("shift")
+    except ConfigError as exc:
+        error = exc
+
+        def refuse(angle: float):
+            raise error.with_traceback(None)  # or each raise would lengthen its traceback
+
+        return refuse, refuse
     if mode == "mach_zehnder":
         return (lambda angle: config), lambda angle: compute_weak_value(*mach_zehnder_setup(config.chi, angle))
-    if mode == "vectors" and len(config.pre) == 2:
 
-        @cache
-        def pre_and_observable() -> tuple[SystemState, Observable]:
-            with _selection_checked():
-                return SystemState(config.pre), Observable(config.obs)
+    @cache
+    def selected() -> tuple[np.ndarray, np.ndarray]:
+        with _selection_checked():
+            pre, obs = SystemState(config.pre), Observable(config.obs)
+        return _selected(pre, 2, obs)
 
-        def weak_value(angle: float) -> WeakValue:
-            pre, obs = pre_and_observable()
-            return compute_weak_value(pre, SystemState(np.array([math.cos(angle), math.sin(angle)])), obs)
-
-        return (lambda angle: config), weak_value
-    need = "a two-level explicit" if mode == "vectors" else "mach-zehnder or vector"
-
-    def refuse(angle: float):
-        raise ConfigError(f"postselection_angle sweep needs {need} selection")
-
-    return refuse, refuse
+    return (lambda angle: config), lambda angle: _weak_value(*selected(), _angle_amplitudes(angle))
 
 
 def _prepared(rule: _SweepRule, value: float) -> tuple[ScenarioConfig, WeakValue] | Exception:
     """The row's scenario, its keys checked, and weak value; or the error."""
     scenario, weak_value = rule
     try:
-        variant = scenario(value)
-        variant.require_read("shift")
-        return variant, weak_value(value)
+        return scenario(value), weak_value(value)
     except (WvaError, ConfigError) as exc:
         return exc
 
@@ -682,13 +690,14 @@ def _theta_batch(item) -> tuple[float, int] | None:
 def _sweep_reports(prepared: Iterable) -> Iterator[tuple]:
     """Each prepared row with its shift report, or the error that ended it, in
     order: a run of rows on theta nodes with one coupling and extent from one
-    :func:`optimal_shift_reports`, any other row on its own."""
+    :func:`optimal_shift_reports`, any other row on its own.  A run is read
+    as it is reported: it holds at most a batch of prepared rows."""
     for batch, run in itertools.groupby(prepared, _theta_batch):
-        run = list(run)
         if batch is None:
-            yield from zip(run, map(_shift_report, run))
+            yield from ((item, _shift_report(item)) for item in run)
         else:
-            yield from zip(run, optimal_shift_reports(batch[0], [wv for _, wv in run], batch[1]))
+            run, ahead = itertools.tee(run)
+            yield from zip(run, optimal_shift_reports(batch[0], (wv for _, wv in ahead), batch[1]))
 
 
 def _sweep_row(axis: str, value: float, item, report: ShiftReport | Exception) -> list[str]:
@@ -717,6 +726,9 @@ def _sweep_row(axis: str, value: float, item, report: ShiftReport | Exception) -
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
+    ranged = ["--" + flag for flag in ("start", "stop", "count") if getattr(args, flag) is not None]
+    if args.values is not None and ranged:
+        raise ConfigError(f"--values and {'/'.join(ranged)} are alternatives: give one")
     if args.values:
         try:
             values = [float(t) for t in args.values.split(",") if t.strip()]
@@ -741,38 +753,31 @@ def cmd_sweep(config: ScenarioConfig, axis: str, values: list[float]) -> int:
     on that row's scenario, or the name of the error that ended the row.
 
     Built once per sweep (:func:`_sweep_rule`): the weak value of a
-    ``coupling_g``, ``smoothing_s`` or ``grid_n`` sweep, and the pre-selected
-    state and observable of a vector selection swept in post-selection
-    angle.  Built by each row: a variant scenario holding its parsed axis
-    value (the angle axis needs none), the post-selected state and its weak
-    value on the angle axis, and then either its own probe and shift report
-    or, for an optimal probe on theta nodes, only the probe's checks and
-    theta panels.  Built once per batch of such rows (consecutive, with one
-    coupling and extent, up to ``BATCH_NODES`` theta nodes; see
-    :func:`wva.expectation.optimal_shift_reports`): the theta nodes, the
-    probes, the post-selected states and their integrands, of which each row
-    sums its own and meets its own checks.  An angle sweep is such a run; a
-    ``coupling_g`` sweep is batches of one.
+    ``coupling_g``, ``smoothing_s`` or ``grid_n`` sweep; on the angle axis,
+    the key check and, for a vector selection, the pre-selected amplitudes
+    and their image under the observable.  Built by each row: a variant
+    scenario holding its parsed axis value, its keys checked (the angle
+    axis needs none), its weak value, and then either its own probe and
+    shift report or, for an optimal probe on theta nodes, only the probe's
+    checks and theta panels.  Built once per batch of such rows
+    (consecutive, with one coupling and extent, up to ``BATCH_NODES`` theta
+    nodes; see :func:`wva.expectation.optimal_shift_reports`): the theta
+    nodes, the probes, the post-selected states, their integrands and sums,
+    of which each row meets its own checks.  An angle sweep is such a run; a
+    ``coupling_g`` sweep is batches of one.  The header is written first and
+    each row as it is reported: a sweep holds one batch of rows at a time.
     """
     with _output(config.output) as handle:
-        rule = _sweep_rule(config, axis)
-        prepared = (_prepared(rule, value) for value in values)
-        rows = [_sweep_row(axis, value, *pair) for value, pair in zip(values, _sweep_reports(prepared))]
         writer = _csv_writer(handle)
-        writer.writerow(
-            [
-                "axis",
-                "axis_value",
-                "delta_q",
-                "delta_p",
-                "weight",
-                "analytic_delta_q",
-                "overlap_times_q_final",
-                "error",
-            ]
-        )
-        writer.writerows(rows)
-    return 0 if all(row[-1] == "" for row in rows) else 1
+        header = "axis,axis_value,delta_q,delta_p,weight,analytic_delta_q,overlap_times_q_final,error"
+        writer.writerow(header.split(","))
+        prepared = map(partial(_prepared, _sweep_rule(config, axis)), values)
+        failed = False
+        for value, pair in zip(values, _sweep_reports(prepared)):
+            row = _sweep_row(axis, value, *pair)
+            writer.writerow(row)
+            failed = failed or row[-1] != ""
+    return 1 if failed else 0
 
 
 def cmd_optimize(config: ScenarioConfig, args: argparse.Namespace) -> int:

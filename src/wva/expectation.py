@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import WvaError
 from .evolution import PostSelectedEvolution, _postselected, apply_postselection
-from .probe import BATCH_NODES, ProbeWavefunction, _check_halving, _means, _optimal_batch, _theta_row
+from .probe import BATCH_NODES, ProbeWavefunction, _check_halving, _means, _optimal_batch, _reaches, _theta_row
 from .probe import _require_finite, _require_normalized
 from .system import WeakValue
 
@@ -103,8 +103,12 @@ def optimal_shift_reports(
     on its own.  Rows then join a batch while it holds at most
     ``BATCH_NODES`` theta nodes, and a batch evaluates its nodes, samples,
     post-selected states and integrands once.  A row's integrals are pairwise
-    sums over its own nodes, and its checks come in the order of
-    :func:`shift_report`.  A sweep holds one or two batches at a time.
+    sums over its own nodes; those of the post-selected states, which share
+    the support nodes, are one sum along each line of their block.  The
+    reach max |p| of each row's nodes and of the support nodes, which scales
+    the halving check, is taken once per batch.  A row's checks come in the
+    order of :func:`shift_report`.  Weak values are read as the batches
+    need them, so a sweep holds one or two batches at a time.
     """
     batch, held = [], 0
     for wv in weak_values:
@@ -132,15 +136,18 @@ def _batch_reports(coupling: float, batch: list, extent: int) -> Iterator[ShiftR
     weak = np.array([wv.value for wv, _ in batch])[:, None]
     overlap = np.array([wv.overlap for wv, _ in batch])[:, None]
     evolved = _postselected(coupling, weak, overlap, views)
-    rows = zip(batch, runs, probes.run_integrals(runs), evolved.run_integrals(range(len(batch))))
-    for (wv, _), run, (weight, *moments, size, errors), final in rows:
+    reaches = _reaches(probes.grid.points, [run.start for run in runs])  # one pass over the batch
+    (final_reach,) = _reaches(views.grid.points, [0])  # the rows share the support nodes
+    final_count = views.grid.n_points
+    rows = zip(batch, runs, reaches, probes.run_integrals(runs), evolved.run_integrals())
+    for (wv, _), run, reach, (weight, *moments, size, errors), final in rows:
         final_weight, final_position, final_momentum, final_size, final_errors = final
         _require_normalized(weight)
         try:
             q_initial, p_initial, _ = _means(weight, *moments)
             q_final, p_final, _ = _means(final_weight, final_position, final_momentum, abs(wv.overlap) ** 2)
-            _check_halving("the probe", probes.grid.points[run], weight, size, errors)
-            _check_halving("the post-selected state", views.grid.points, final_weight, final_size, final_errors)
+            _check_halving("the probe", run.stop - run.start, reach, weight, size, errors)
+            _check_halving("the post-selected state", final_count, final_reach, final_weight, final_size, final_errors)
             yield ShiftReport(q_initial, q_final, p_initial, p_final, final_weight)
         except WvaError as exc:
             yield exc

@@ -268,19 +268,24 @@ class NodeSamples:
         """:func:`_check_halving` of the state's integrands."""
         grid, integrands = self.grid, self.integrands
         size = float(grid.integrate(np.abs(integrands["position moment"])))
-        _check_halving(what, grid.points, self.weight, size, [grid.halving_error(x) for x in integrands.values()])
+        errors = [grid.halving_error(x) for x in integrands.values()]
+        _check_halving(what, grid.n_points, *_reaches(grid.points, [0]), self.weight, size, errors)
 
-    def run_integrals(self, runs) -> list[tuple[float, complex, float, float, list[float]]]:
-        """Per run (a slice of the nodes, or a line of a block of states), what
-        :meth:`means` and :meth:`check_resolved` sum, summed over the run alone."""
+    def run_integrals(self, runs=None) -> list[tuple[float, complex, float, float, list[float]]]:
+        """Per run of ``runs`` (slices of the nodes), or per line of a block of
+        states when ``runs`` is None, what :meth:`means` and
+        :meth:`check_resolved` sum, summed over the run or line alone."""
         grid, integrands = self.grid, self.integrands
         halving = grid.weights - grid.coarse_weights
         magnitude = np.abs(integrands["position moment"])
         pairs = [(grid.weights, x) for x in (*integrands.values(), magnitude)]
         pairs += [(halving, x) for x in integrands.values()]
-        # One product at a time, so that a batch holds one product's nodes;
-        # ``np.add.reduce`` is what ``.sum()`` runs, without its Python wrapper.
-        sums = [[np.add.reduce(product[run]) for run in runs] for product in (w * x for w, x in pairs)]
+        # One product at a time, so that a batch holds one product's nodes; ``np.add.reduce``
+        # is the pairwise sum of ``.sum()`` without its Python wrapper, on a run or on each line.
+        if runs is None:
+            sums = [np.add.reduce(w * x, axis=-1).tolist() for w, x in pairs]
+        else:
+            sums = [[np.add.reduce(product[run]) for run in runs] for product in (w * x for w, x in pairs)]
         return [
             (float(weight), position, momentum, float(size), [float(abs(error)) for error in errors])
             for weight, position, momentum, size, *errors in zip(*sums)
@@ -296,22 +301,25 @@ def _means(weight: float, position: complex, momentum: float, scale: float = 1.0
     return moment.real, float(momentum) / weight, moment.imag
 
 
-def _check_halving(what: str, points: np.ndarray, weight: float, size: float, errors: list[float]) -> None:
-    """Raise :class:`UnderResolvedGrid`, naming the state ``what``, unless the
-    halving estimates ``errors`` of the weight, position-moment and
-    momentum-moment integrands are each within ``HALVING_TOL`` of its scale;
-    an estimate that is not a number fails.  With P = max |p| over the nodes
-    ``points``, the scales are the weight W, max(``size``, W pi / P) where
-    ``size`` is integral |conj(psi) psi'|, and W P, which bounds
-    integral |p| |psi|^2."""
-    reach = max(-float(points.min()), float(points.max()))
-    position = max(size, weight * math.pi / reach)
-    scales = {"weight": weight, "position moment": position, "momentum moment": weight * reach}
-    found = dict(zip(scales, zip(errors, scales.values())))
-    if not all(error <= HALVING_TOL * scale for error, scale in found.values()):
-        text = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, (error, scale) in found.items())
+def _reaches(points: np.ndarray, starts: list[int]) -> list[float]:
+    """max |p| over each run of ``points`` from one of ``starts`` to the next: exact."""
+    return np.maximum(-np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)).tolist()
+
+
+def _check_halving(what: str, count: int, reach: float, weight: float, size: float, errors: list[float]) -> None:
+    """Raise :class:`UnderResolvedGrid`, naming the state ``what`` on
+    ``count`` nodes, unless the halving estimates ``errors`` of the weight,
+    position-moment and momentum-moment integrands are each within
+    ``HALVING_TOL`` of its scale; an estimate that is not a number fails.
+    With the reach P = max |p| over the nodes, the scales are the weight W,
+    max(``size``, W pi / P) where ``size`` is integral |conj(psi) psi'|, and
+    W P, which bounds integral |p| |psi|^2."""
+    scales = (weight, max(size, weight * math.pi / reach), weight * reach)
+    if not all(error <= HALVING_TOL * scale for error, scale in zip(errors, scales)):
+        names = ("weight", "position moment", "momentum moment")
+        text = ", ".join(f"{name} {error:.1e} of {scale:.1e}" for name, error, scale in zip(names, errors, scales))
         raise UnderResolvedGrid(
-            f"{what}: on {points.size} nodes the halving estimates ({text}) must be "
+            f"{what}: on {count} nodes the halving estimates ({text}) must be "
             f"within {HALVING_TOL:g} of their scales"
         )
 
@@ -398,17 +406,8 @@ def theta_nodes(
     every expression runs once per batch, each row's nodes are one run, and
     each value is the one that the row alone gives.
     """
-    lines, panels = [], []
-    for row in rows:
-        sign = math.copysign(1.0, row.aw.real)
-        for period in range(extent):
-            turns = period - 0.5 * (extent - 1)
-            for left, right in zip(row.cuts[:-1], row.cuts[1:]):
-                # On an even extent a panel below theta = 0 fills the period before.
-                half = 0.0 if extent % 2 else (-0.5 if left < 0.0 else 0.5)
-                lines.append((abs(row.aw.real), sign * row.aw.imag, sign, left, right, turns + half))
-        panels.append(extent * (len(row.cuts) - 1))
-    a, b, sign, left, right, turns = np.array(lines).T[:, :, None]  # each (line, 1)
+    lines, panels = _theta_lines(rows, extent)
+    a, b, sign, left, right, turns = lines[:, :, None]  # each (line, 1)
     width = right - left
     theta = left + width / math.pi * _clenshaw_curtis(n)[0]  # (line, node)
     sin, cos = np.sin(theta), np.cos(theta)
@@ -420,6 +419,26 @@ def theta_nodes(
     # dp/du for u in [0, pi] on each panel.
     jacobian = width * (a / (math.pi * coupling)) / inverse_density
     return QuadratureNodes.mapped(n, p, jacobian), factor.ravel(), panels
+
+
+def _theta_lines(rows: list[_ThetaRow], extent: int) -> tuple[np.ndarray, list[int]]:
+    """The lines of :func:`theta_nodes` by whole-array steps, as a (6, line) array
+    of a, b, sign, left and right cut and turns; and each row's count of lines."""
+    cuts = [np.array(row.cuts) for row in rows]
+    counts = np.array([c.size - 1 for c in cuts])  # each row's panels in one period
+    panels = extent * counts
+    line_row = np.repeat(np.arange(len(rows)), panels)
+    # The line's place in its row, then its period and its panel.
+    place = np.arange(line_row.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    period, panel = np.divmod(place, counts[line_row])
+    panel += np.repeat(np.cumsum(counts) - counts, panels)  # into the rows' panels
+    left, right = np.concatenate([c[:-1] for c in cuts])[panel], np.concatenate([c[1:] for c in cuts])[panel]
+    aw = np.array([row.aw for row in rows])[line_row]
+    sign = np.copysign(1.0, aw.real)
+    turns = period - 0.5 * (extent - 1)
+    if extent % 2 == 0:  # a panel below theta = 0 fills the period before
+        turns += np.where(left < 0.0, -0.5, 0.5)
+    return np.array([np.abs(aw.real), sign * aw.imag, sign, left, right, turns]), panels.tolist()
 
 
 def _theta_panels(a: float, b: float, start: float, extent: int) -> list[float]:

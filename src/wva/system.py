@@ -42,8 +42,26 @@ def _unit_peak(arr: np.ndarray, *companions: np.ndarray) -> list[np.ndarray]:
     Applied by ``np.ldexp`` to the float parts: 2^k is no double for a
     subnormal peak."""
     parts = [np.ascontiguousarray(x).view(np.float64) for x in (arr, *companions)]
-    exponent = -math.frexp(float(np.abs(parts[0]).max()))[1]
+    exponent = _peak_exponent(float(np.abs(parts[0]).max()))
     return [np.ldexp(x, exponent).view(np.complex128) for x in parts]
+
+
+def _peak_exponent(peak: float) -> int:
+    """The k for which 2^k ``peak`` lies in [0.5, 1) (zero for a zero peak)."""
+    return -math.frexp(peak)[1]
+
+
+def _normalized(arr: np.ndarray) -> np.ndarray:
+    """Complex ``arr``, scaled by :func:`_unit_peak`, over its norm from ``np.vdot``."""
+    return arr / math.sqrt(np.vdot(arr, arr).real)
+
+
+def _angle_amplitudes(angle: float) -> np.ndarray:
+    """``SystemState([cos angle, sin angle]).amplitudes`` bit for bit, without the
+    checks that a finite angle passes, and scaled by the exact ``math.ldexp``."""
+    cos, sin = math.cos(angle), math.sin(angle)
+    exponent = _peak_exponent(max(abs(cos), abs(sin)))
+    return _normalized(np.array([math.ldexp(cos, exponent), math.ldexp(sin, exponent)], dtype=np.complex128))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +86,7 @@ class SystemState:
             raise ValueError("state amplitudes must be finite")
         if not arr.any():
             raise ValueError("cannot normalize a zero state vector")
-        (arr,) = _unit_peak(arr)
-        arr = arr / math.sqrt(np.vdot(arr, arr).real)
+        arr = _normalized(*_unit_peak(arr))
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 
@@ -158,18 +175,27 @@ def compute_weak_value(pre: SystemState, post: SystemState, observable: Observab
     OrthogonalSelection
         If |<post|pre>| < ``ORTHOGONALITY_EPS``; the weak value is undefined there.
     """
+    return _weak_value(*_selected(pre, post.dimension, observable), post.amplitudes)
+
+
+def _selected(pre: SystemState, post_dimension: int, observable: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes of ``pre`` and M @ ``pre``, once both states' dimensions
+    are the observable's; a sweep in post-selection builds them once."""
     d = observable.dimension
-    if pre.dimension != d or post.dimension != d:
-        raise DimensionMismatch(
-            f"dimensions differ: pre={pre.dimension}, post={post.dimension}, obs={d}"
-        )
-    overlap = complex(np.vdot(post.amplitudes, pre.amplitudes))
+    if pre.dimension != d or post_dimension != d:
+        raise DimensionMismatch(f"dimensions differ: pre={pre.dimension}, post={post_dimension}, obs={d}")
+    return pre.amplitudes, observable.matrix @ pre.amplitudes
+
+
+def _weak_value(pre: np.ndarray, observed: np.ndarray, post: np.ndarray) -> WeakValue:
+    """<post|M|pre> / <post|pre> from the unit amplitudes ``pre`` and ``post``
+    and ``observed`` = M @ ``pre``, each product by ``np.vdot``."""
+    overlap = complex(np.vdot(post, pre))
     if abs(overlap) < ORTHOGONALITY_EPS:
         raise OrthogonalSelection(
             f"|<post|pre>| = {abs(overlap):.3e} below ORTHOGONALITY_EPS = {ORTHOGONALITY_EPS:.3e}"
         )
-    numerator = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes))
-    return WeakValue(numerator / overlap, overlap)
+    return WeakValue(complex(np.vdot(post, observed)) / overlap, overlap)
 
 
 #: The observable of :func:`mach_zehnder_setup`, built once: it is frozen and

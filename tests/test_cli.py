@@ -637,13 +637,16 @@ class TestSweepCommand:
 
     def test_a_sweep_holds_one_batch_of_nodes_at_a_time(self, tmp_path):
         # Unbounded, the one batch of a 1,000-row sweep peaked at 44 MiB; the
-        # bench's 9-row sweep is one batch either way.
+        # bench's 9-row sweep is one batch either way.  At 6,000 rows a list
+        # of the CSV rows alone, 0.78 KB each, would pass 4 MiB: rows are
+        # written as they are reported.
         out = str(tmp_path / "sweep.csv")
-        for count, mib in ((9, 1.0), (1000, 4.0)):
+        for count, mib in ((9, 1.0), (6000, 4.0)):
             angles = ",".join(repr(self._ORTHOGONAL + offset) for offset in np.geomspace(1e-3, 3e-2, count).tolist())
             argv = ["sweep", "--axis", "postselection_angle", "--g", "0.1", *self._VECTORS, "--post", "1,0",
                     "--probe", "optimal", "--values", angles, "--output", out]
-            assert main(argv) == 0  # caches are filled outside the count
+            if count == 9:
+                assert main(argv) == 0  # caches are filled outside the count
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -656,7 +659,7 @@ class TestSweepCommand:
         "argv, built",
         [
             (["--axis", "postselection_angle", *_VECTORS, "--post", "1,0"],
-             {"scenario_weak_value": 0, "Observable": 1, "SystemState": 4}),
+             {"scenario_weak_value": 0, "Observable": 1, "SystemState": 1}),
             (["--axis", "postselection_angle", "--chi", "0.3", "--varphi", "0.2"],
              {"scenario_weak_value": 0, "Observable": 0, "SystemState": 0}),
             (["--axis", "coupling_g", *_VECTORS, "--post", "1,0"],
@@ -681,6 +684,41 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--probe", "optimal", "--values", "0.1,0.2,0.3", "--output", str(out)]) == 0
         assert calls == built
+
+    @pytest.mark.parametrize(
+        "pre, obs, errors",
+        [
+            ("1,1", "1,0;0,-1", {"OrthogonalSelection"}),
+            ("1,0.3-0.2j", "0,-1j;1j,0", set()),  # no real post-selection is orthogonal to it
+            ("1,1", "1,0,0;0,-1,0;0,0,1", {"DimensionMismatch"}),
+        ],
+        ids=["pauli-z", "pauli-y", "3-level"],
+    )
+    def test_angle_rows_take_the_weak_value_of_their_post_selected_state(self, pre, obs, errors):
+        # The rows share the pre-selected amplitudes and their image under the
+        # observable, and skip the post-selected state's checks; each row's
+        # weak value, or its error, must still be that of the row's own state.
+        rng = random.Random(32)
+        angles = [rng.uniform(-10.0, 10.0) for _ in range(300)]
+        angles += [self._ORTHOGONAL + rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -1) for _ in range(300)]
+        angles += [self._ORTHOGONAL, self._ORTHOGONAL - 1e-9, self._ORTHOGONAL + 1e-9, 0.0, math.pi / 2, 1e-310]
+        config = scenario_from_table({"pre": pre, "post": "1,0", "obs": obs, "probe": "optimal"})
+        _, weak_value = cli._sweep_rule(config, "postselection_angle")
+        pre_state, observable = wva.SystemState(config.pre), wva.Observable(config.obs)
+        raised = set()
+        for angle in angles:
+            post = wva.SystemState(np.array([math.cos(angle), math.sin(angle)]))
+            try:
+                expected = wva.compute_weak_value(pre_state, post, observable)
+            except wva.errors.WvaError as exc:
+                with pytest.raises(type(exc)) as info:
+                    weak_value(angle)
+                assert str(info.value) == str(exc)
+                raised.add(type(exc).__name__)
+                continue
+            row = weak_value(angle)
+            assert (repr(row.value), repr(row.overlap)) == (repr(expected.value), repr(expected.overlap))
+        assert raised == errors
 
     def test_mach_zehnder_angle_rows_build_no_observable(self, tmp_path, monkeypatch):
         # Every Mach-Zehnder setup shares one observable, built at import.
@@ -1041,6 +1079,20 @@ def test_an_output_that_names_an_input_is_refused_unopened(argv, flags, tmp_path
     assert captured.err == f"ConfigError: {flags} name the same file\n"
     assert captured.out == ""
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--start", "0.3", "--stop", "0.5", "--count", "3"], "--start/--stop/--count"), (["--count", "0"], "--count")],
+    ids=["range", "count"],
+)
+def test_sweep_values_with_range_flags_are_a_config_error(flags, named, capsys):
+    # Each once exited 0 with the rows of --values, the range flags ignored.
+    argv = ["sweep", "--axis", "coupling_g", "--probe", "optimal", "--aw-re", "2", "--values", "0.1,0.2", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ConfigError: --values and {named} are alternatives: give one\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

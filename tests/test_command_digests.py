@@ -69,6 +69,18 @@ COMMANDS: dict[str, tuple[list[list[str]], list[str], list[str]]] = {
     ),
     "shift gaussian inf grid": ([], ["shift", "--aw-re", "2", "--g", "1e308"], []),
     "shift gaussian 4k+3": ([], ["shift", "--aw-re", "2", "--n-points", "259"], []),
+    "sweep postselection_angle 3-level": (
+        [],
+        ["sweep", "--axis", "postselection_angle", "--probe", "optimal", "--pre", "1,1", "--post", "1,0",
+         "--obs", "1,0,0;0,-1,0;0,0,1", "--values", "2.3,2.356194490192345"],
+        [],
+    ),
+    "sweep postselection_angle unread key": (
+        [],
+        ["sweep", "--axis", "postselection_angle", "--probe", "optimal", "--pre", "1,1", "--post", "1,0",
+         "--obs", "1,0;0,-1", "--width", "2", "--values", "2.3,2.356194490192345"],
+        [],
+    ),
 }
 
 

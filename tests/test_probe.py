@@ -34,6 +34,7 @@ from wva.probe import (
     MAX_GRID_POINTS,
     _chirp_z_sum,
     _clenshaw_curtis,
+    _theta_lines,
     _theta_row,
     support_nodes,
     theta_nodes,
@@ -606,6 +607,23 @@ class TestNodeSets:
         assert float(nodes.integrate(density**2)) == pytest.approx(
             extent * inverse_fourth_factor_integral(G, value), rel=1e-12
         )
+
+    @pytest.mark.parametrize("extent", [1, 2, 3, 4])
+    def test_theta_lines_are_those_of_a_loop_over_rows_periods_and_panels(self, extent):
+        rng = np.random.default_rng(extent)
+        values = rng.choice([-1, 1], 7) * 10 ** rng.uniform(-3, 2, 7) + 1j * rng.uniform(-30, 30, 7)
+        rows = [_theta_row(G, value, extent) for value in [*values, 1.0, -1.0]]
+        lines = []
+        for row in rows:
+            sign = math.copysign(1.0, row.aw.real)
+            for period in range(extent):
+                turns = period - 0.5 * (extent - 1)
+                for left, right in zip(row.cuts[:-1], row.cuts[1:]):
+                    half = 0.0 if extent % 2 else (-0.5 if left < 0.0 else 0.5)
+                    lines.append((abs(row.aw.real), sign * row.aw.imag, sign, left, right, turns + half))
+        table, panels = _theta_lines(rows, extent)
+        assert table.tobytes() == np.array(lines).T.tobytes()
+        assert panels == [extent * (len(row.cuts) - 1) for row in rows]
 
     def test_default_optimal_probe_lives_on_theta_nodes(self):
         probe = optimal_probe(G, AW)
